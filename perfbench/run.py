@@ -1,14 +1,14 @@
 """Benchmark of chaincodes: seeded workloads, exact result checks, and
 per-layer traces taken from outside the library.
 
-    python3 perfbench/run.py --workload census --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload census --seed 1 --seconds 40 --trace 0
 
 Run from the root of a source checkout; the library is imported from its
 ``src`` directory.  One process, one thread, closed loop: each operation
 starts when the previous one has returned.  Set-up (import, rings, inputs)
-runs first, then whole passes over the workload's operation list run until
-``--seconds`` have elapsed, with one more (discarded) set-up every few
-seconds; the median set-up time is reported.
+runs first, then whole passes over the workload's operation list run for
+``--seconds`` (a pass that would end later is not started), with one more
+set-up every few seconds; the median set-up time is reported.
 
 With ``--trace 0`` the last line reports the end-to-end metrics.  With
 ``--trace 1`` the same untraced passes run, then one pass with spans and
@@ -41,6 +41,14 @@ TRACE_DIR = os.path.join(ROOT, ".bench_out")
 LAYERS = ("gf", "chainring", "codes", "counting", "census", "quasiabelian", "cli")
 SETUPS = 3          # set-ups before the first pass; the last one is used
 SETUP_EVERY_S = 2.0
+# The speed of a shared host drifts by a fifth and more over minutes, for
+# every program on it alike.  A fixed calibration loop, sampled between
+# operations all through the run, measures that speed; the end-to-end times
+# are reported at the speed where the loop takes CALIBRATION_S (about its
+# time on a 2.1 GHz Xeon VM), and the raw times go to the run record.
+CALIBRATION_S = 0.010
+CALIBRATION_ROUNDS = 16_000
+CALIBRATE_EVERY_S = 0.25
 
 sys.path.insert(0, HERE)
 from tracer import ROOT as ROOT_SPAN, Tracer  # noqa: E402
@@ -70,6 +78,43 @@ CALLS = [
     "quasiabelian.cyclotomic_classes", "quasiabelian.decompose",
     "quasiabelian.count_qa", "cli.main",
 ]
+
+
+def calibration_loop() -> float:
+    """Seconds for a fixed piece of pure-Python work that never touches the
+    library: build a set of small tuples and look half of them up, the kind
+    of work the censuses do most.  The collector is off while it runs, so
+    the library's heap does not reach it."""
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        seen = set()
+        for i in range(CALIBRATION_ROUNDS):
+            seen.add((i, i * 7 % 1009, i & 63))
+        sum((i, i * 7 % 1009, i & 63) in seen
+            for i in range(0, CALIBRATION_ROUNDS, 2))
+        del seen
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+class SpeedProbe:
+    """Calibration samples taken between operations, at most one every
+    CALIBRATE_EVERY_S, so that their median sees the machine the run saw."""
+
+    def __init__(self):
+        self.samples: list[float] = []
+        self.last = -math.inf
+
+    def maybe_sample(self) -> None:
+        if time.perf_counter() - self.last >= CALIBRATE_EVERY_S:
+            self.samples.append(calibration_loop())
+            self.last = time.perf_counter()
+
+    def scale(self) -> float:
+        """Factor from this run's times to times at the nominal speed."""
+        return CALIBRATION_S / statistics.median(self.samples)
 
 
 class SetupError(Exception):
@@ -119,14 +164,17 @@ class Tally:
 
 
 def run_pass(workload, tally: Tally, tracer: Tracer | None = None,
-             flag: str = "on") -> list[float]:
+             flag: str = "on", probe: SpeedProbe | None = None) -> list[float]:
     """One pass over the operation list; returns per-op seconds.  With a
     tracer, its ``flag`` ("on" for spans, "counting" for element counts) is
-    raised around each timed call."""
+    raised around each timed call.  A probe samples the calibration loop
+    between operations."""
     workload.before_pass()
     gc.collect()
     latencies = []
     for op in workload.ops:
+        if probe is not None:
+            probe.maybe_sample()
         if tracer is not None:
             setattr(tracer, flag, True)
         t0 = time.perf_counter()
@@ -154,9 +202,8 @@ def run_pass(workload, tally: Tally, tracer: Tracer | None = None,
 
 
 def percentile(sorted_values, p: float):
-    """Nearest-rank percentile and the number of samples above it."""
-    rank = max(1, math.ceil(p * len(sorted_values)))
-    return sorted_values[rank - 1], len(sorted_values) - rank
+    """Nearest-rank percentile."""
+    return sorted_values[max(1, math.ceil(p * len(sorted_values))) - 1]
 
 
 def peak_rss_mb() -> float:
@@ -218,20 +265,32 @@ def main(argv=None) -> int:
         return 2
 
     tally = Tally()
+    probe = SpeedProbe()
     passes = []
+    steps = []      # seconds per loop step: a pass, its checks, any set-up
     t_start = last_setup = time.perf_counter()
-    while not passes or time.perf_counter() - t_start < args.seconds:
-        passes.append(run_pass(workload, tally))
+    # a pass starts only if a typical step still ends within --seconds, so a
+    # run lasts --seconds however long its passes are
+    while not passes or (time.perf_counter() - t_start
+                         + statistics.median(steps) <= args.seconds):
+        t_step = time.perf_counter()
+        passes.append(run_pass(workload, tally, probe=probe))
         # more set-ups, spread over the run so their median sees the same
         # machine as the passes; each builds a library and inputs of its own
         if time.perf_counter() - last_setup >= SETUP_EVERY_S:
             setups.append(set_up(workload_cls, args.seed)[0])
             last_setup = time.perf_counter()
+        steps.append(time.perf_counter() - t_step)
     walls = [sum(p) for p in passes]
     wall = statistics.median(walls)
-    samples = sorted(x for p in passes for x in p)
-    p50, beyond50 = percentile(samples, 0.50)
-    p90, beyond90 = percentile(samples, 0.90)
+    # an operation's latency is its median over the passes, and the
+    # percentiles are taken over the operations: a census pass has only seven
+    # operations of very different cost, and a percentile of the pooled
+    # samples would fall on one noisy sample of one of them
+    op_latency = sorted(statistics.median(op) for op in zip(*passes))
+    p50 = percentile(op_latency, 0.50)
+    p90 = percentile(op_latency, 0.90)
+    samples = [x for p in passes for x in p]
 
     record = {
         "workload": args.workload, "seed": args.seed,
@@ -240,8 +299,14 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "setups": len(setups),
         "passes": len(passes), "ops_per_pass": len(workload.ops),
         "op_samples": len(samples),
-        "samples_beyond": {"op_p50_ms": beyond50, "op_p90_ms": beyond90},
+        "samples_beyond": {"op_p50_ms": sum(x > p50 for x in samples),
+                           "op_p90_ms": sum(x > p90 for x in samples)},
         "pass_walls_s": walls,
+        "raw": {"wall_s": wall, "op_p50_ms": p50 * 1e3, "op_p90_ms": p90 * 1e3,
+                "setup_s": statistics.median(setups)},
+        "calibration": {"nominal_s": CALIBRATION_S,
+                        "median_s": statistics.median(probe.samples),
+                        "samples": len(probe.samples), "scale": probe.scale()},
         "failed_frac": tally.failed / tally.attempted,
         "failed_ops": tally.failed_labels,
     }
@@ -267,11 +332,12 @@ def main(argv=None) -> int:
         metrics = layer_metrics(tracer, extra, exit_nonzero, wall,
                                 span_wall, count_wall)
     else:
+        scale = probe.scale()
         metrics = {
-            "wall_s": (wall, "s"),
-            "op_p50_ms": (p50 * 1e3, "ms"),
-            "op_p90_ms": (p90 * 1e3, "ms"),
-            "setup_s": (statistics.median(setups), "s"),
+            "wall_s": (wall * scale, "s"),
+            "op_p50_ms": (p50 * 1e3 * scale, "ms"),
+            "op_p90_ms": (p90 * 1e3 * scale, "ms"),
+            "setup_s": (statistics.median(setups) * scale, "s"),
             "peak_rss_mb": (peak_rss_mb(), "MB"),
             "ok_frac": (1 - tally.failed / tally.attempted, "ratio"),
         }

@@ -452,9 +452,11 @@ class CodesWorkload(Workload):
                       lambda: mk(ring, n, gens).dual(inner).dual(inner).equal(
                           mk(ring, n, gens)),
                       _expect(lambda r: r is True)))
-        action = self.CLI_ACTIONS[slot % len(self.CLI_ACTIONS)]
-        ops.append(self._cli_op(ring, n, gens, doc, action, inner, i, label,
-                                expected_sd))
+        # every CLI action: on R(4,3) each one rebuilds the ring's tables, and
+        # these operations must be more than a tenth of the list, so that
+        # op_p90_ms falls among them rather than at the edge of their group
+        ops += [self._cli_op(ring, n, gens, doc, action, inner, i, label, expected_sd)
+                for action in self.CLI_ACTIONS]
         return ops
 
     def _self_dual_ops(self, ring, n, gens, inner):
@@ -520,8 +522,9 @@ class CodesWorkload(Workload):
 # counts: closed-form and quasi-abelian count queries, library and CLI
 #
 # The parameters that set a query's cost are fixed, so a pass costs the same
-# for every seed; the seed draws the rest (field orders, small groups, the
-# lengths of equal cost) and the order of the pass.
+# for every seed; the seed draws the order of the pass and a few queries
+# that cost milliseconds whichever are drawn (the identity lengths and the
+# decompose groups).
 
 LINEAR_LENGTHS = (26, 33, 39)
 SD_FORMS = (("esd", 2), ("esd", 3), ("hsd", 4), ("hsd", 9))
@@ -600,9 +603,9 @@ class CountsWorkload(Workload):
             for n in SD_LENGTHS:
                 ops.append(self._lib_op(f"{kind}/{q}/{n}",
                                         lambda fn=fn, q=q, n=n: getattr(cnt, fn)(q, n)))
-        for spec in SMALL_GROUPS:
+        for i, spec in enumerate(SMALL_GROUPS):
             for kind, lengths in QA_LENGTHS.items():
-                ops.append(self._qa_op(kind, spec, rng.choice(lengths)))
+                ops.append(self._qa_op(kind, spec, lengths[i % len(lengths)]))
         for spec, kind, n in LARGE_QUERIES:
             ops.append(self._qa_op(kind, spec, n))
         # identity: Z2 splits GF(3)[Z2 x Z3] into two copies of R(3,3)
@@ -640,20 +643,19 @@ class CountsWorkload(Workload):
 
     def _cli_ops(self):
         """Nine CLI queries per pass, single lengths and ranges; exactly two
-        of them print a count of more than 4300 decimal digits."""
+        of them print a count of more than 4300 decimal digits.  Their
+        parameters are fixed, as the cost of most of them lies near a
+        percentile; the seed picks only the decompose group, which costs a
+        few milliseconds whichever it is."""
         rng, lib = self.rng, self.lib
-        ops = [self._cli_count("linear", {"q": rng.choice((2, 3, 4))}, n)
-               for n in LINEAR_LENGTHS[:2]]
-        q = rng.choice((2, 3, 4))
-        ops.append(self._cli_range("linear", {"q": q}, *CLI_LINEAR_RANGE, "text"))
-        ops.append(self._cli_count("esd", {"q": rng.choice((2, 3))}, SD_LENGTHS[0]))
-        ops.append(self._cli_range("hsd", {"q": rng.choice((4, 9))},
-                                   *CLI_HSD_RANGE, "json"))
-        kind = rng.choice(sorted(QA_LENGTHS))
-        spec = rng.choice(SMALL_GROUPS)
+        ops = [self._cli_count("linear", {"q": q}, n)
+               for q, n in zip((3, 4), LINEAR_LENGTHS[:2])]
+        ops.append(self._cli_range("linear", {"q": 2}, *CLI_LINEAR_RANGE, "text"))
+        ops.append(self._cli_count("esd", {"q": 3}, SD_LENGTHS[0]))
+        ops.append(self._cli_range("hsd", {"q": 9}, *CLI_HSD_RANGE, "json"))
         ops.append(self._cli_count(
-            kind, {"p": 3, "m": QA_FUNCTIONS[kind][1], "A": spec},
-            rng.choice(QA_LENGTHS[kind])))
+            "qa-esd", {"p": 3, "m": QA_FUNCTIONS["qa-esd"][1], "A": SMALL_GROUPS[4]},
+            QA_LENGTHS["qa-esd"][0]))
         spec = rng.choice(DECOMPOSE_GROUPS)
         want = self.golden[f"decompose/{spec}"]
 
