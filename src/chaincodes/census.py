@@ -4,9 +4,15 @@ The census oracle never touches the standard-form machinery: a submodule of
 R^n is a subspace of the prime-field vector space GF(p)^(e*m*n) closed under
 multiplication by u and by the field generator, so the enumeration does a
 breadth-first search over single-generator extensions with canonical RREF
-bases over GF(p) as fingerprints.  Every submodule is generated by vectors
+bases over GF(p) as search keys.  Every submodule is generated by vectors
 whose leading nonzero coordinate is a plain power of u, which keeps the
 candidate set small without giving up exhaustiveness.
+
+The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
+adding a row are a few big-int operations, multiplication by u and by the
+field generator are lane shifts, and a row's base-p reading is the packed
+base-|R| code of its vector, so fingerprints (sorted codeword codes) come
+out of the row span without decoding any codeword.
 
 Self-duality is likewise decided by raw orthogonality counting, so these
 censuses independently confirm the closed-form counts and the standard-form
@@ -20,6 +26,7 @@ diagonal choices.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -35,106 +42,156 @@ DEFAULT_ORACLE_BOUND = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# prime-field linear algebra on coefficient rows (tuples of ints mod p)
-
-def _row_reduce(p: int, basis, pivots, row):
-    for brow, bp in zip(basis, pivots):
-        c = row[bp]
-        if c:
-            row = tuple((x - c * y) % p for x, y in zip(row, brow))
-    return row
-
-
-def _row_insert(p: int, basis: list, pivots: list, row) -> bool:
-    """Insert a row into a reduced basis; returns False when dependent."""
-    row = _row_reduce(p, basis, pivots, row)
-    if not any(row):
-        return False
-    pc = next(i for i, x in enumerate(row) if x)
-    c = row[pc]
-    if c != 1:
-        inv = pow(c, p - 2, p)
-        row = tuple(x * inv % p for x in row)
-    for idx, brow in enumerate(basis):
-        c = brow[pc]
-        if c:
-            basis[idx] = tuple((x - c * y) % p for x, y in zip(brow, row))
-    pos = 0
-    while pos < len(pivots) and pivots[pos] < pc:
-        pos += 1
-    basis.insert(pos, row)
-    pivots.insert(pos, pc)
-    return True
-
+# prime-field linear algebra on packed coefficient rows
 
 class _FpView:
-    """Encode vectors over R^n as coefficient rows over GF(p)."""
+    """Vectors over R^n as GF(p) coefficient rows, each packed into one int.
+
+    Coordinate i = (k*e + t)*m + j of a row is the x^j u^t coefficient of
+    entry k, and it sits in lane i: bits [i*L, (i+1)*L) of the int.  A ring
+    code is sum c_{t,j} p^(t*m + j), so the base-|R| code of a vector is the
+    base-p reading sum c_i p^i of its row.
+
+    The lane width L serves two jobs.  Lanes holding up to p^2 - 1 (a
+    reduced row plus a multiple of another) are reduced mod p all at once
+    by a multiply-shift (Barrett) division, which needs L bits for
+    (p^2 - 1) * magic.  Multiplying a reduced row by
+    sum_i p^i * 2^((w-1-i)*L) collects its base-p reading in lane w - 1
+    with nothing carried in from below, which needs 2^L >= p^w.  So a row
+    takes about w^2 * log2(p) bits: a few hundred at census sizes, where
+    p^w = |R|^n is at most the oracle bound.
+    """
 
     def __init__(self, ring: ChainRing, n: int):
+        f = ring.field
+        p, m, e = f.p, f.m, ring.e
+        w = n * e * m
         self.ring = ring
         self.n = n
-        self.p = ring.field.p
-        self.width = n * ring.e * ring.field.m
-        # ring codes of u^t x^j: multiplying by all of them spans R-multiples
-        f = ring.field
-        self.multipliers = tuple(p_j * ring.q ** t
-                                 for t in range(ring.e)
-                                 for p_j in (f.p ** j for j in range(f.m)))
+        self.p = p
+        self.digits = e * m                      # lanes per ring entry
+        # Barrett: floor(x / p) == (x * magic) >> shift for 0 <= x < p^2
+        shift = (p * p - 1).bit_length() + p.bit_length()
+        magic = -(-(1 << shift) // p)
+        lane = max(((p * p - 1) * magic).bit_length(), (p ** w - 1).bit_length())
+        self.lane = lane
+        self.lane_mask = (1 << lane) - 1
+        self._shift = shift
+        self._magic = magic
+        self._quot_mask = sum(((1 << (lane - shift)) - 1) << (i * lane)
+                              for i in range(w))
+        self._gather = sum(p ** i << ((w - 1 - i) * lane) for i in range(w))
+        self._gather_shift = (w - 1) * lane
+        # multiplying by u moves each coefficient up m lanes within its
+        # entry; the u^(e-1) coefficients fall off the top
+        self._u_keep = sum(self.lane_mask << (i * lane)
+                           for i in range(w) if i % self.digits >= m)
+        # multiplying by x moves each coefficient up one lane within its
+        # (entry, u-power) group; x^m folds back as -(f_0 + ... + f_(m-1) x^(m-1))
+        self._x_top = sum(self.lane_mask << (i * lane)
+                          for i in range(w) if i % m == m - 1)
+        self._x_fold = sum((-c % p) << (j * lane)
+                           for j, c in enumerate(f.modulus[:m]))
 
-    def encode(self, vec) -> tuple[int, ...]:
-        ring, f = self.ring, self.ring.field
-        out: list[int] = []
+    # -- lanes ---------------------------------------------------------------
+
+    def reduce(self, x: int) -> int:
+        """Every lane mod p, for lanes holding at most p^2 - 1."""
+        quot = ((x * self._magic) >> self._shift) & self._quot_mask
+        return x - self.p * quot
+
+    def code(self, row: int) -> int:
+        """Base-p reading of a reduced row: the vector's code in base |R|."""
+        return ((row * self._gather) >> self._gather_shift) & self.lane_mask
+
+    def encode(self, vec) -> int:
+        """Packed row of a vector of ring codes."""
+        p, lane = self.p, self.lane
+        row = 0
+        pos = 0
         for r in vec:
-            for d in ring.decode(r):
-                out.extend(f.decode(d))
-        return tuple(out)
+            for _ in range(self.digits):
+                r, c = divmod(r, p)
+                row |= c << pos
+                pos += lane
+        return row
 
-    def decode(self, row) -> tuple[int, ...]:
-        ring, f = self.ring, self.ring.field
-        m, e = f.m, ring.e
+    def decode(self, row: int) -> tuple[int, ...]:
+        """Vector of ring codes of a reduced row."""
+        code, size = self.code(row), self.ring.size
         vec = []
-        i = 0
         for _ in range(self.n):
-            digits = []
-            for _ in range(e):
-                digits.append(f.encode(row[i:i + m]))
-                i += m
-            vec.append(ring.encode(digits))
+            code, r = divmod(code, size)
+            vec.append(r)
         return tuple(vec)
 
-    def closure_rows(self, vec) -> list[tuple[int, ...]]:
-        ring = self.ring
-        return [self.encode(tuple(ring.mul(mult, x) for x in vec))
-                for mult in self.multipliers]
+    # -- module structure ------------------------------------------------------
 
-    def module_basis(self, gens) -> tuple[list, list]:
-        """Reduced GF(p) basis (rows, pivots) of the R-span of the rows."""
+    def closure_rows(self, row: int) -> list[int]:
+        """Rows of u^t x^j times the vector, t < e and j < m."""
+        m, lane = self.ring.field.m, self.lane
+        out = []
+        for _ in range(self.ring.e):
+            xj = row
+            for j in range(m):
+                out.append(xj)
+                if j < m - 1:
+                    top = xj & self._x_top
+                    xj = self.reduce(((xj - top) << lane)
+                                     + (top >> ((m - 1) * lane)) * self._x_fold)
+            row = (row << (m * lane)) & self._u_keep
+        return out
+
+    def reduce_row(self, basis, pivots, row: int) -> int:
+        """The row minus its projection on a reduced echelon basis; pivots
+        are the bit offsets of the basis rows' leading lanes."""
+        p, mask = self.p, self.lane_mask
+        for brow, bp in zip(basis, pivots):
+            c = (row >> bp) & mask
+            if c:
+                row = self.reduce(row + (p - c) * brow)
+        return row
+
+    def insert_row(self, basis: list, pivots: list, row: int) -> bool:
+        """Insert a row into a reduced echelon basis, ordered by pivot;
+        returns False when it is dependent."""
+        row = self.reduce_row(basis, pivots, row)
+        if not row:
+            return False
+        p, mask = self.p, self.lane_mask
+        low = (row & -row).bit_length() - 1
+        pc = low - low % self.lane
+        c = (row >> pc) & mask
+        if c != 1:
+            row = self.reduce(row * pow(c, p - 2, p))
+        for idx, brow in enumerate(basis):
+            c = (brow >> pc) & mask
+            if c:
+                basis[idx] = self.reduce(brow + (p - c) * row)
+        pos = bisect.bisect(pivots, pc)
+        basis.insert(pos, row)
+        pivots.insert(pos, pc)
+        return True
+
+    def module_basis(self, gens) -> list[int]:
+        """Reduced GF(p) echelon basis of the R-span of the vectors; it is
+        canonical, one per submodule."""
         basis: list = []
         pivots: list = []
         for g in gens:
-            for row in self.closure_rows(g):
-                _row_insert(self.p, basis, pivots, row)
-        return basis, pivots
+            for row in self.closure_rows(self.encode(g)):
+                self.insert_row(basis, pivots, row)
+        return basis
 
-    def span_codes(self, basis) -> list[int]:
+    def fingerprint(self, basis) -> tuple[int, ...]:
         """Every vector in the GF(p)-span, encoded as a single integer in
-        base |R| (coordinate 0 least significant)."""
-        p = self.p
-        acc = [tuple([0] * self.width)]
+        base |R| (coordinate 0 least significant), sorted."""
+        reduce = self.reduce
+        acc = [0]
         for row in basis:
-            scaled = [tuple(c * x % p for x in row) for c in range(p)]
-            acc = [tuple(a + b for a, b in zip(w, s))
-                   for w in acc for s in scaled]
-            acc = [tuple(x % p for x in w) for w in acc]
-        size = self.ring.size
-        out = []
-        for w in acc:
-            vec = self.decode(w)
-            code = 0
-            for x in reversed(vec):
-                code = code * size + x
-            out.append(code)
-        return out
+            multiples = [reduce(c * row) for c in range(self.p)]
+            acc = [reduce(w + s) for w in acc for s in multiples]
+        return tuple(sorted(map(self.code, acc)))
 
 
 def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
@@ -142,8 +199,7 @@ def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
     into one integer.  Computed straight from the generators by prime-field
     closure, independent of the standard-form machinery."""
     view = _FpView(code.ring, code.n)
-    basis, _ = view.module_basis(code.gens)
-    return tuple(sorted(view.span_codes(basis)))
+    return view.fingerprint(view.module_basis(code.gens))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +256,16 @@ def _check_bound(ring: ChainRing, n: int, bound: int) -> None:
             f"oracle bound {bound}")
 
 
+def _bounded(enumerator, ring: ChainRing, n: int, *args, bound: int):
+    """enumerator(ring, n, *args) under the caller's bound.  The census does
+    not depend on the bound, so whenever the default bound admits it the call
+    is keyed like the plain one and shares its cache entry."""
+    _check_bound(ring, n, bound)
+    if ring.size ** n <= DEFAULT_ORACLE_BOUND:
+        return enumerator(ring, n, *args)
+    return enumerator(ring, n, *args, bound=bound)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_submodules(ring: ChainRing, n: int, *,
                          bound: int = DEFAULT_ORACLE_BOUND) -> Census:
@@ -208,21 +274,25 @@ def enumerate_submodules(ring: ChainRing, n: int, *,
         raise ValueError("need n >= 1")
     _check_bound(ring, n, bound)
     view = _FpView(ring, n)
-    p = view.p
-    cands = [(view.encode(v), view.closure_rows(v))
-             for v in _normalized_candidates(ring, n)]
+    cands = []
+    for v in _normalized_candidates(ring, n):
+        row = view.encode(v)
+        cands.append((row, view.closure_rows(row)))
 
     found: dict[tuple, tuple[list, list]] = {(): ([], [])}
     queue = [()]
     while queue:
         key = queue.pop()
         basis, pivots = found[key]
+        cosets = set()    # v = v' mod the submodule gives the same extension
         for vec_row, closure in cands:
-            if not any(_row_reduce(p, basis, pivots, vec_row)):
-                continue  # already inside this submodule
+            rest = view.reduce_row(basis, pivots, vec_row)
+            if not rest or rest in cosets:
+                continue  # inside this submodule, or a tried coset of it
+            cosets.add(rest)
             nb, np_ = list(basis), list(pivots)
             for row in closure:
-                _row_insert(p, nb, np_, row)
+                view.insert_row(nb, np_, row)
             nkey = tuple(nb)
             if nkey not in found:
                 found[nkey] = (nb, np_)
@@ -230,10 +300,8 @@ def enumerate_submodules(ring: ChainRing, n: int, *,
 
     entries = []
     for basis, _ in found.values():
-        gens = [view.decode(row) for row in basis]
-        code = LinearCode(ring, n, gens)
-        fp = tuple(sorted(view.span_codes(basis)))
-        entries.append((fp, code))
+        code = LinearCode(ring, n, [view.decode(row) for row in basis])
+        entries.append((view.fingerprint(basis), code))
     return _build_census(ring, n, "all", entries)
 
 
@@ -271,7 +339,7 @@ def enumerate_self_dual(ring: ChainRing, n: int, inner: str = EUCLIDEAN, *,
     _check_inner(inner)
     if inner == HERMITIAN and not ring.field.has_conjugation:
         raise ValueError("Hermitian census needs a square field order")
-    full = enumerate_submodules(ring, n, bound=bound)
+    full = _bounded(enumerate_submodules, ring, n, bound=bound)
     entries = [(fp, code) for fp, code in zip(full.fingerprints, full.codes)
                if _scan_self_dual(ring, n, code.gens, len(fp), inner)]
     return _build_census(ring, n, f"self-dual-{inner}", entries)
@@ -282,7 +350,7 @@ def validate_generalized_count(q: int, e: int, n: int, *,
     """Census-check the conjectural chain-sum count for e != 3 and register
     the validation so counting.count_linear will release the value."""
     expected = counting.linear_count_sum(q, e, n)
-    census = enumerate_submodules(chain_ring(q, e), n, bound=bound)
+    census = _bounded(enumerate_submodules, chain_ring(q, e), n, bound=bound)
     if census.size != expected:
         raise ValueError(
             f"generalized count mismatch at (q={q}, e={e}, n={n}): "
@@ -294,19 +362,24 @@ def validate_generalized_count(q: int, e: int, n: int, *,
 # ---------------------------------------------------------------------------
 # residue-field censuses (the e = 1 special case, re-expressed as FieldCodes)
 
-def _field_ring(field: Field) -> ChainRing:
-    return ChainRing(field, 1)
+def _ring_over(field: Field, e: int) -> ChainRing:
+    """GF(q)[u]/(u^e) over the field; the canonical field's ring comes from
+    the cached factory, so its tables are built once."""
+    if field == field_make(field.p, field.m):
+        return chain_ring(field.q, e)
+    return ChainRing(field, e)
 
 
 def enumerate_field_codes(field: Field, n: int, *,
                           bound: int = DEFAULT_ORACLE_BOUND) -> tuple[FieldCode, ...]:
-    census = enumerate_submodules(_field_ring(field), n, bound=bound)
+    census = _bounded(enumerate_submodules, _ring_over(field, 1), n, bound=bound)
     return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
 
 
 def enumerate_field_self_dual(field: Field, n: int, inner: str = EUCLIDEAN, *,
                               bound: int = DEFAULT_ORACLE_BOUND) -> tuple[FieldCode, ...]:
-    census = enumerate_self_dual(_field_ring(field), n, inner, bound=bound)
+    census = _bounded(enumerate_self_dual, _ring_over(field, 1), n, inner,
+                      bound=bound)
     return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
 
 
@@ -409,7 +482,7 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
         raise ValueError("c0 must be a subcode of c1")
     k = c0.dim
     l = n // 2 - k
-    ring = ChainRing(f, 3)
+    ring = _ring_over(f, 3)
 
     # complete c0's basis to a basis of c1; the completion is reduced to
     # zero on c0's pivot columns, then echelonized on its own pivots
@@ -474,7 +547,7 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     field = field_make(p, m)
     if not field.has_conjugation:
         raise ValueError("Hermitian enumeration needs a square field order")
-    ring = ChainRing(field, 3)
+    ring = chain_ring(q, 3)
     if n % 2:
         return _build_census(ring, n, f"self-dual-{HERMITIAN}-constructive", [])
     entries = []
@@ -520,6 +593,9 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
         return fmat_add(f, mat, dag(mat))
 
     q = f.q
+    # distinct spans are told apart by their canonical GF(p) basis; only the
+    # survivors are fingerprinted
+    view = _FpView(ring, n)
     seen: dict[tuple, LinearCode] = {}
 
     def level0_blocks(k: int, l: int):
@@ -590,10 +666,10 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                             code = _assemble_e3_code(
                                 ring, n, perm, k, l, A2, A30, A31,
                                 A40, A41, A42, B3, B40, B41, C4)
-                            fp = code_fingerprint(code)
-                            if fp not in seen:
-                                seen[fp] = code
+                            basis = view.module_basis(code.gens)
+                            seen.setdefault(tuple(basis), code)
                     # a standard form of any self-dual code appears under
                     # some sorted block choice, so this sweep is exhaustive
     return _build_census(ring, n, label,
-                         [(fp, code) for fp, code in seen.items()])
+                         [(view.fingerprint(basis), code)
+                          for basis, code in seen.items()])

@@ -25,6 +25,24 @@ from .quasiabelian import (AbelianGroup, decompose, count_qa, count_qa_esd,
                            count_qa_hsd, algebra_elements, cyclic_to_chain)
 
 
+# CPython refuses int -> str conversions above a digit limit (4300 by
+# default, 640 at the lowest setting); counts are converted in pieces of at
+# most this many digits instead of lifting the limit.
+_DIGIT_CHUNK = 600
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal string of an integer of any size."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    digits = value.bit_length() * 30103 // 100000 + 1    # >= len(str(value))
+    if digits <= _DIGIT_CHUNK:
+        return str(value)
+    half = digits // 2
+    high, low = divmod(value, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 class UsageError(Exception):
     """Bad flags or missing parameters; maps to exit code 1."""
 
@@ -141,11 +159,11 @@ def cmd_count(args) -> int:
     param_str = ",".join(f"{k}={v}" for k, v in params.items())
     if args.format == "json":
         payload = {"kind": kind, "params": {k: str(v) for k, v in params.items()},
-                   "counts": [{"n": n, "count": str(v)} for n, v in rows]}
+                   "counts": [{"n": n, "count": _decimal(v)} for n, v in rows]}
         print(json.dumps(payload, sort_keys=True))
     else:
         for n, v in rows:
-            print(f"{kind}({param_str},n={n}) = {v}")
+            print(f"{kind}({param_str},n={n}) = {_decimal(v)}")
     return 0
 
 
@@ -292,7 +310,8 @@ def cmd_verify(args) -> int:
     for name, expected, thunk in checks:
         t0 = time.perf_counter()
         try:
-            got = str(thunk())
+            value = thunk()
+            got = _decimal(value) if isinstance(value, int) else str(value)
         except Exception as exc:  # a crashed check is a failed check
             got = f"error: {exc}"
         dt = time.perf_counter() - t0

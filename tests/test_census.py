@@ -3,10 +3,11 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers, sampled_from
+from hypothesis.strategies import data, integers, lists, sampled_from
 
 from chaincodes.census import (
     Census,
+    _FpView,
     code_fingerprint,
     enumerate_field_codes,
     enumerate_field_self_dual,
@@ -18,10 +19,62 @@ from chaincodes.census import (
     hermitian_sd_extend,
     validate_generalized_count,
 )
-from chaincodes.chainring import chain_ring
+from chaincodes.chainring import ChainRing, chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN, FieldCode, LinearCode
-from chaincodes.counting import count_esd, count_hsd, count_linear, sigma_e
+from chaincodes.counting import (count_esd, count_hsd, count_linear,
+                                 gaussian_binomial, sigma_e)
 from chaincodes.gf import field_make
+
+
+# ---------------------------------------------------------------------------
+# packed GF(p) rows
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_from([2, 3, 5, 17, 257]), integers(1, 24), data())
+def test_lane_reduction_and_base_p_reading(p, width, draw):
+    view = _FpView(chain_ring(p, 1), width)
+    lanes = draw.draw(lists(integers(0, p * p - 1), min_size=width,
+                            max_size=width))
+    packed = sum(x << (i * view.lane) for i, x in enumerate(lanes))
+    reduced = view.reduce(packed)
+    assert [(reduced >> (i * view.lane)) & view.lane_mask
+            for i in range(width)] == [x % p for x in lanes]
+    assert reduced >> (width * view.lane) == 0
+    assert view.code(reduced) == sum(x % p * p ** i for i, x in enumerate(lanes))
+
+
+def test_packed_rows_round_trip_ring_vectors():
+    ring = chain_ring(9, 3)
+    view = _FpView(ring, 2)
+    for vec in [(0, 0), (1, 0), (0, 728), (ring.q, 5), (364, 81)]:
+        row = view.encode(vec)
+        assert view.decode(row) == vec
+        assert view.code(row) == vec[0] + vec[1] * ring.size
+
+
+def test_closure_rows_are_the_ring_multiples():
+    ring = chain_ring(9, 3)
+    view = _FpView(ring, 2)
+    vec = (5, 100)
+    mults = [ring.q ** t * ring.field.p ** j
+             for t in range(ring.e) for j in range(ring.field.m)]
+    assert view.closure_rows(view.encode(vec)) == [
+        view.encode(tuple(ring.mul(c, x) for x in vec)) for c in mults]
+
+
+@pytest.mark.parametrize("q,n,gens", [
+    (2, 3, [(1, 2, 7), (0, 4, 6)]),
+    (4, 2, [(1, 13), (0, 20)]),
+    (9, 2, [(9, 50), (0, 81)]),
+    (9, 2, [(1, 300)]),
+])
+def test_fingerprint_is_sorted_packed_codewords(q, n, gens):
+    code = LinearCode(chain_ring(q, 3), n, gens)
+    size = code.ring.size
+    packed = sorted(sum(x * size ** k for k, x in enumerate(w))
+                    for w in code.codewords())
+    assert code_fingerprint(code) == tuple(packed)
+    assert len(packed) == code.cardinality()
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +90,16 @@ def test_submodule_census_sizes(q, n, expected):
     assert len(census.fingerprint_set()) == expected
 
 
+def test_prime_field_census_counts_every_subspace():
+    census = enumerate_submodules(chain_ring(17, 1), 3)
+    assert census.size == 616 == sum(gaussian_binomial(3, k, 17)
+                                     for k in range(4))
+
+
 def test_census_codes_are_pairwise_distinct_and_complete():
     ring = chain_ring(2, 3)
     census = enumerate_submodules(ring, 2)
-    # fingerprints are the sorted codeword sets, so distinct means unequal
+    # fingerprints are the sorted packed codewords, so distinct means unequal
     seen = set()
     for code in census.codes:
         fp = code_fingerprint(code)
@@ -66,6 +125,19 @@ def test_census_bound_guard():
         enumerate_submodules(chain_ring(2, 3), 2, bound=10)
     with pytest.raises(ValueError):
         enumerate_self_dual(chain_ring(9, 3), 4, HERMITIAN)
+    enumerate_submodules(chain_ring(2, 3), 2)
+    with pytest.raises(ValueError):     # a cached census does not skip the guard
+        enumerate_self_dual(chain_ring(2, 3), 2, EUCLIDEAN, bound=10)
+
+
+def test_self_dual_census_reuses_the_submodule_census():
+    ring = chain_ring(2, 3)
+    enumerate_submodules.cache_clear()
+    enumerate_self_dual.cache_clear()
+    enumerate_submodules(ring, 2)
+    hits = enumerate_submodules.cache_info().hits
+    assert enumerate_self_dual(ring, 2, EUCLIDEAN).size == 3
+    assert enumerate_submodules.cache_info().hits > hits
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +179,20 @@ def test_constructive_census_without_oracle_support():
     for code in census.codes:
         assert code.is_self_dual(HERMITIAN)
     assert len(census.fingerprint_set()) == 40
+
+
+def test_constructive_census_builds_its_ring_once(monkeypatch):
+    enumerate_field_self_dual(field_make(2, 2), 2, HERMITIAN)
+    builds = []
+    build = ChainRing._build_tables
+
+    def counted(ring):
+        builds.append(ring)
+        build(ring)
+    monkeypatch.setattr(ChainRing, "_build_tables", counted)
+    enumerate_hsd_constructive.cache_clear()
+    assert enumerate_hsd_constructive(4, 2).size == 15
+    assert len(builds) <= 1
 
 
 def test_constructive_census_rejects_bad_parameters():

@@ -7,6 +7,16 @@ from chaincodes import cli
 from chaincodes.chainring import chain_ring
 from chaincodes.cli import main
 from chaincodes.codes import HERMITIAN, LinearCode, dumps_code, loads_code
+from chaincodes.counting import count_hsd
+
+
+def parse_decimal(text):
+    """int(text) in pieces below the interpreter's digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 def run(capsys, *argv):
@@ -49,6 +59,24 @@ def test_count_json_uses_decimal_strings(capsys):
     assert doc["params"] == {"q": "3"}
     assert [c["count"] for c in doc["counts"]] == ["0", "0", "0", "176"]
     assert all(isinstance(c["count"], str) for c in doc["counts"])
+
+
+def test_count_prints_values_over_the_digit_limit(capsys):
+    code, out, err = run(capsys, "count", "hsd", "--q", "4", "--n", "300")
+    assert code == 0 and err == ""
+    head, _, digits = out.rstrip("\n").partition(" = ")
+    assert head == "hsd(q=4,n=300)"
+    assert len(digits) > 4300 and digits.isdigit()
+    assert parse_decimal(digits) == count_hsd(4, 300)
+
+
+def test_decimal_helper_is_exact():
+    for value in [0, 7, 10 ** 599 - 1, 10 ** 600, 10 ** 601 + 1, 2 ** 4000,
+                  10 ** 5000, 3 ** 20000, 10 ** 9000 - 1]:
+        text = cli._decimal(value)
+        assert text.isdigit() and (text == "0" or text[0] != "0")
+        assert parse_decimal(text) == value
+        assert cli._decimal(-value) == ("-" + text if value else "0")
 
 
 def test_count_linear_and_gaussian(capsys):
