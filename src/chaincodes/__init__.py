@@ -13,10 +13,9 @@ from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, StandardForm,
                     code_from_json, code_to_json, dumps_code,
                     field_code_from_json, field_code_to_json, field_rref,
                     inner_product, loads_code)
-from .counting import (CountResult, count_esd, count_hsd, count_linear,
-                       gaussian_binomial, generalized_is_validated,
-                       linear_count_sum, register_generalized_validation,
-                       sigma_e, sigma_h)
+from .counting import (count_esd, count_hsd, count_linear, gaussian_binomial,
+                       generalized_is_validated, linear_count_sum,
+                       register_generalized_validation, sigma_e, sigma_h)
 from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
                      enumerate_field_codes, enumerate_field_self_dual,
                      enumerate_hsd_constructive, enumerate_sd_standard_forms,
@@ -40,7 +39,7 @@ __all__ = [
     "EUCLIDEAN", "HERMITIAN", "FieldCode", "LinearCode", "StandardForm",
     "code_from_json", "code_to_json", "dumps_code", "field_code_from_json",
     "field_code_to_json", "field_rref", "inner_product", "loads_code",
-    "CountResult", "count_esd", "count_hsd", "count_linear",
+    "count_esd", "count_hsd", "count_linear",
     "gaussian_binomial", "generalized_is_validated", "linear_count_sum",
     "register_generalized_validation", "sigma_e", "sigma_h",
     "Census", "DEFAULT_ORACLE_BOUND", "code_fingerprint",

@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from .gf import Field, field_make, factor_prime_power
 from .chainring import ChainRing, chain_ring
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
-                    code_to_json, field_rref, fmat, fmat_add, fmat_dagger,
-                    fmat_inv, fmat_mul, fmat_neg, inner_product)
+                    _unpermute, code_to_json, field_rref, fmat, fmat_add,
+                    fmat_dagger, fmat_identity, fmat_inv, fmat_mul, fmat_neg,
+                    inner_product)
 from . import counting
 
 DEFAULT_ORACLE_BOUND = 1 << 24
@@ -455,13 +456,7 @@ def _assemble_e3_code(ring: ChainRing, n: int, perm, k: int, l: int,
         row += [q * q if j == i else 0 for j in range(l)]
         row += [q * q * C4[i][j] for j in range(k)]
         rows.append(row)
-    gens = []
-    for row in rows:
-        vec = [0] * n
-        for pos, entry in enumerate(row):
-            vec[perm[pos]] = entry
-        gens.append(vec)
-    return LinearCode(ring, n, gens)
+    return LinearCode(ring, n, [_unpermute(perm, row) for row in rows])
 
 
 def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
@@ -601,10 +596,8 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     def level0_blocks(k: int, l: int):
         """All (A2, A30, A40, B3, B40, C4) over GF(q) passing the
         valuation-0 part of the congruences."""
-        ident_k = tuple(tuple(1 if j == i else 0 for j in range(k))
-                        for i in range(k))
-        ident_l = tuple(tuple(1 if j == i else 0 for j in range(l))
-                        for i in range(l))
+        ident_k = fmat_identity(k)
+        ident_l = fmat_identity(l)
         for B3 in _all_matrices(q, l, l):
             for B40 in _all_matrices(q, l, k):
                 g = fmat_add(f, ident_l, fmat_mul(f, B3, dag(B3)))

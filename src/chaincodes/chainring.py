@@ -5,6 +5,12 @@ field codes of the u-coefficients, u^0 first.  Every element factors as
 u^v * w with w a unit, so the ideals form the chain (1) > (u) > ... > (u^e)
 and `valuation` returns v (with e for the zero element).
 
+A ring code is also the base-p digit string sum c_(t,j) p^(t*m + j) of
+the x^j u^t coefficients, so ring addition and negation are the field's
+carry-free digit arithmetic (`gf.digit_add`, `gf.digit_neg`) over all
+e*m digits at once.  Elements compare with plain ints as field elements do: an
+element equals k only when k lies in range(p) and is its code.
+
 Conjugation lifts the order-2 field automorphism coefficient-wise; it is
 only available when q is a square.
 """
@@ -12,7 +18,8 @@ from __future__ import annotations
 
 import functools
 
-from .gf import Field, FieldElement, field_make, factor_prime_power, DEFAULT_MAX_ORDER
+from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, field_make,
+                 factor_prime_power, DEFAULT_MAX_ORDER)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
@@ -76,30 +83,10 @@ class ChainRing:
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return self._add_table[a][b]
-        return self._add_slow(a, b)
-
-    def _add_slow(self, a: int, b: int) -> int:
-        f = self.field
-        q = self.q
-        r = 0
-        shift = 1
-        for _ in range(self.e):
-            r += f.add(a % q, b % q) * shift
-            a //= q
-            b //= q
-            shift *= q
-        return r
+        return digit_add(a, b, self.field.p)
 
     def neg(self, a: int) -> int:
-        f = self.field
-        q = self.q
-        r = 0
-        shift = 1
-        for _ in range(self.e):
-            r += f.neg(a % q) * shift
-            a //= q
-            shift *= q
-        return r
+        return digit_neg(a, self.field.p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -132,7 +119,8 @@ class ChainRing:
 
     def _build_tables(self) -> None:
         n = self.size
-        self._add_table = [[self._add_slow(a, b) for b in range(n)] for a in range(n)]
+        p = self.field.p
+        self._add_table = [[digit_add(a, b, p) for b in range(n)] for a in range(n)]
         self._mul_table = [[self._mul_slow(a, b) for b in range(n)] for a in range(n)]
         self._val_table = [self._valuation_slow(a) for a in range(n)]
 
@@ -260,14 +248,14 @@ def chain_ring(q: int, e: int) -> ChainRing:
     return ChainRing(field_make(p, m), e)
 
 
-class ChainRingElement:
+class ChainRingElement(_Element):
     """A ring element bound to its ChainRing; supports +, -, *."""
 
-    __slots__ = ("ring", "code")
+    __slots__ = ()
 
-    def __init__(self, ring: ChainRing, code: int):
-        self.ring = ring
-        self.code = ring.check(code)
+    @property
+    def ring(self) -> ChainRing:
+        return self._parent
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
@@ -287,37 +275,6 @@ class ChainRingElement:
             return other % self.ring.field.p
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return ChainRingElement(self.ring, self.ring.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return ChainRingElement(self.ring, self.ring.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return ChainRingElement(self.ring, self.ring.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return ChainRingElement(self.ring, self.ring.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ChainRingElement(self.ring, self.ring.neg(self.code))
-
     @property
     def valuation(self) -> int:
         return self.ring.valuation(self.code)
@@ -328,22 +285,6 @@ class ChainRingElement:
 
     def inverse(self) -> ChainRingElement:
         return ChainRingElement(self.ring, self.ring.unit_inverse(self.code))
-
-    def conjugate(self) -> ChainRingElement:
-        return ChainRingElement(self.ring, self.ring.conjugate(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ChainRingElement):
-            return self.ring == other.ring and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.ring.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.code))
 
     def __repr__(self) -> str:
         f = self.ring.field

@@ -14,7 +14,6 @@ held in reduced row echelon form); torsion codes of a LinearCode land there.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 from .gf import Field, FieldElement
@@ -74,13 +73,15 @@ class StandardForm:
         return tuple(counts)
 
     def unpermuted_rows(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for row in self.rows:
-            vec = [0] * self.n
-            for pos, entry in enumerate(row):
-                vec[self.perm[pos]] = entry
-            out.append(tuple(vec))
-        return tuple(out)
+        return tuple(_unpermute(self.perm, row) for row in self.rows)
+
+
+def _unpermute(perm, row) -> tuple[int, ...]:
+    """The vector with row[pos] at coordinate perm[pos]."""
+    vec = [0] * len(perm)
+    for pos, entry in enumerate(row):
+        vec[perm[pos]] = entry
+    return tuple(vec)
 
 
 def _standard_form(ring: ChainRing, n: int, gens) -> StandardForm:
@@ -138,7 +139,7 @@ def _standard_form(ring: ChainRing, n: int, gens) -> StandardForm:
 class LinearCode:
     """Row span of a generator matrix over a chain ring."""
 
-    __slots__ = ("ring", "n", "gens", "_std", "_lock")
+    __slots__ = ("ring", "n", "gens", "_std")
 
     def __init__(self, ring: ChainRing, n: int, gens):
         if n < 1:
@@ -153,7 +154,6 @@ class LinearCode:
             packed.append(vec)
         self.gens: tuple[tuple[int, ...], ...] = tuple(packed)
         self._std: StandardForm | None = None
-        self._lock = threading.Lock()
 
     def _entry(self, x) -> int:
         if isinstance(x, ChainRingElement):
@@ -176,13 +176,10 @@ class LinearCode:
     # -- structure ------------------------------------------------------------
 
     def standard_form(self) -> StandardForm:
-        s = self._std
-        if s is None:
-            with self._lock:
-                if self._std is None:
-                    self._std = _standard_form(self.ring, self.n, self.gens)
-                s = self._std
-        return s
+        # deterministic, so two threads racing here only compute it twice
+        if self._std is None:
+            self._std = _standard_form(self.ring, self.n, self.gens)
+        return self._std
 
     @property
     def type_profile(self) -> tuple[int, ...]:
@@ -226,12 +223,8 @@ class LinearCode:
                 else:
                     nxt.extend(acc)
             acc = nxt
-        perm = std.perm
         for w in acc:
-            vec = [0] * n
-            for pos, entry in enumerate(w):
-                vec[perm[pos]] = entry
-            yield tuple(vec)
+            yield _unpermute(std.perm, w)
 
     def conjugate_code(self) -> LinearCode:
         conj = self.ring.conjugate
@@ -257,16 +250,9 @@ class LinearCode:
         if not 0 <= i < ring.e:
             raise ValueError(f"torsion index must be in 0..{ring.e - 1}")
         std = self.standard_form()
-        rows = []
-        for row, v in zip(std.rows, std.pivot_vals):
-            if v <= i:
-                rows.append(tuple(ring.residue(ring.shift_down(x, v)) for x in row))
-        vecs = []
-        for row in rows:
-            vec = [0] * self.n
-            for pos, entry in enumerate(row):
-                vec[std.perm[pos]] = entry
-            vecs.append(vec)
+        vecs = [_unpermute(std.perm,
+                           [ring.residue(ring.shift_down(x, v)) for x in row])
+                for row, v in zip(std.rows, std.pivot_vals) if v <= i]
         return FieldCode.from_rows(ring.field, self.n, vecs)
 
     def residue(self) -> FieldCode:
@@ -316,14 +302,7 @@ class LinearCode:
             g[i] = q ** (e - v)  # the element u^(e-v)
             back_solve(g, i)
             gens_std.append(g)
-
-        gens = []
-        for g in gens_std:
-            vec = [0] * n
-            for pos, entry in enumerate(g):
-                vec[std.perm[pos]] = entry
-            gens.append(vec)
-        return LinearCode(ring, n, gens)
+        return LinearCode(ring, n, [_unpermute(std.perm, g) for g in gens_std])
 
     def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
         _check_inner(inner)
@@ -578,38 +557,20 @@ def fmat_neg(field: Field, a):
     return tuple(tuple(field.neg(x) for x in r) for r in a)
 
 
-def fmat_t(a):
-    return tuple(zip(*a)) if a else ()
-
-
 def fmat_dagger(field: Field, a):
     """Conjugate transpose."""
     return tuple(tuple(field.conjugate(x) for x in col) for col in zip(*a)) if a else ()
 
 
 def fmat_inv(field: Field, a) -> tuple[tuple[int, ...], ...] | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular: [A | I] reduces
+    to [I | A^-1] exactly when A is invertible."""
     k = len(a)
-    aug = [list(row) + [1 if j == i else 0 for j in range(k)]
-           for i, row in enumerate(a)]
-    for c in range(k):
-        piv = None
-        for i in range(c, k):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = field.inv(aug[c][c])
-        if inv != 1:
-            aug[c] = [field.mul(inv, x) for x in aug[c]]
-        for i in range(k):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[k:]) for row in aug)
+    ident = fmat_identity(k)
+    rref = field_rref(field, 2 * k, [tuple(row) + e for row, e in zip(a, ident)])
+    if tuple(row[:k] for row in rref) != ident:
+        return None
+    return tuple(row[k:] for row in rref)
 
 
 # ---------------------------------------------------------------------------

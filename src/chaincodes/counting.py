@@ -14,7 +14,6 @@ brute-force census validation for the exact (q, e, n) has been registered
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .gf import factor_prime_power
@@ -148,16 +147,3 @@ def count_hsd(q: int, n: int) -> int:
                 for k in range(half + 1))
     return sig * total
 
-
-@dataclass(frozen=True)
-class CountResult:
-    """A count with its formula label and parameters, JSON-friendly with the
-    value carried as a decimal string so arbitrary precision survives."""
-    value: int
-    formula: str
-    params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"value": str(self.value), "formula": self.formula,
-                "params": {k: (str(v) if isinstance(v, int) else v)
-                           for k, v in self.params.items()}}

@@ -5,6 +5,14 @@ coefficients of its representative polynomial, constant term first.  The
 Field object owns the modulus and performs all arithmetic on these integer
 codes; FieldElement is a thin operator-overloading wrapper on top.
 
+Addition and negation are carry-free base-p digit arithmetic on the codes
+(`digit_add`, `digit_neg`; XOR and the identity when p = 2).  A chain-ring
+code is a base-p digit string too, so `chainring` uses the same two
+functions.  `_Element` holds the operators that FieldElement and
+ChainRingElement share.  An element equals a plain int k only when k lies
+in range(p) and is the element's code, which keeps `==` consistent with
+`hash`: an element hashes as its code.
+
 The modulus is canonical: the lexicographically smallest monic irreducible
 polynomial of degree m over GF(p), coefficients compared from the constant
 term upward.  Two fields built from the same (p, m) therefore agree element
@@ -114,6 +122,36 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# carry-free base-p digit arithmetic, shared by fields and chain rings
+
+def digit_add(a: int, b: int, p: int) -> int:
+    """Digitwise sum mod p of two base-p digit strings (no carries)."""
+    if p == 2:
+        return a ^ b
+    r = 0
+    shift = 1
+    while a or b:
+        r += (a + b) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return r
+
+
+def digit_neg(a: int, p: int) -> int:
+    """Digitwise negation mod p of a base-p digit string."""
+    if p == 2:
+        return a
+    r = 0
+    shift = 1
+    while a:
+        r += -a % p * shift
+        a //= p
+        shift *= p
+    return r
+
+
+# ---------------------------------------------------------------------------
 
 class Field:
     """GF(p^m) with elements coded as integers in range(p^m)."""
@@ -179,29 +217,14 @@ class Field:
     # -- arithmetic on codes -----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        r = 0
-        shift = 1
-        for _ in range(self.m):
-            r += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return r
+            return (a + b) % self.p
+        return digit_add(a, b, self.p)
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return -a % p
-        r = 0
-        shift = 1
-        for _ in range(self.m):
-            r += (-a % p) * shift
-            a //= p
-            shift *= p
-        return r
+            return -a % self.p
+        return digit_neg(a, self.p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -345,14 +368,81 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
     return " + ".join(reversed(terms)) if terms else "0"
 
 
-class FieldElement:
+class _Element:
+    """Operators shared by FieldElement and ChainRingElement.
+
+    `_parent` is the Field or ChainRing that does the arithmetic on codes.
+    A subclass supplies `_coerce`, its rule for turning an operand into a
+    code (or NotImplemented); every rule sends an int k to k mod p.
+    """
+
+    __slots__ = ("_parent", "code")
+
+    def __init__(self, parent, code: int):
+        self._parent = parent
+        self.code = parent.check(code)
+
+    def _new(self, code: int):
+        return type(self)(self._parent, code)
+
+    def __add__(self, other):
+        c = self._coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self._new(self._parent.add(self.code, c))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        c = self._coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self._new(self._parent.sub(self.code, c))
+
+    def __rsub__(self, other):
+        c = self._coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self._new(self._parent.sub(c, self.code))
+
+    def __mul__(self, other):
+        c = self._coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self._new(self._parent.mul(self.code, c))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._new(self._parent.neg(self.code))
+
+    def conjugate(self):
+        return self._new(self._parent.conjugate(self.code))
+
+    def __bool__(self) -> bool:
+        return self.code != 0
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._parent == other._parent and self.code == other.code
+        if isinstance(other, int):
+            # k equals only the element whose code is k, and only when k is
+            # its own residue mod p, so equal values hash alike
+            return self.code == other and self._coerce(other) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
+
+class FieldElement(_Element):
     """A field element bound to its Field; supports +, -, *, /, **."""
 
-    __slots__ = ("field", "code")
+    __slots__ = ()
 
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = field.check(code)
+    @property
+    def field(self) -> Field:
+        return self._parent
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -367,34 +457,6 @@ class FieldElement:
             return other % self.field.p  # lift a plain integer through GF(p)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         c = self._coerce(other)
         if c is NotImplemented:
@@ -404,30 +466,11 @@ class FieldElement:
     def __pow__(self, k: int):
         return FieldElement(self.field, self.field.pow(self.code, k))
 
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
     def inverse(self) -> FieldElement:
         return FieldElement(self.field, self.field.inv(self.code))
 
-    def conjugate(self) -> FieldElement:
-        return FieldElement(self.field, self.field.conjugate(self.code))
-
     def trace(self) -> FieldElement:
         return FieldElement(self.field, self.field.trace(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.code))
 
     def __repr__(self) -> str:
         return f"GF({self.field.q})({_poly_str(self.coeffs)})"

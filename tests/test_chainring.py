@@ -11,6 +11,8 @@ from chaincodes.gf import factor_prime_power, field_make
 MAX_EXAMPLES = 200
 
 SMALL_RINGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4), (5, 2)]
+# above the 256-element table limit: add, neg and mul take the slow path
+SLOW_RINGS = [(9, 3), (16, 3)]
 
 
 def brute_mul(ring, a, b):
@@ -59,7 +61,7 @@ def test_encode_decode_roundtrip():
 # ---------------------------------------------------------------------------
 # arithmetic
 
-@pytest.mark.parametrize("q,e", SMALL_RINGS)
+@pytest.mark.parametrize("q,e", SMALL_RINGS + SLOW_RINGS)
 def test_multiplication_matches_digit_convolution(q, e):
     r = chain_ring(q, e)
     els = list(r.elements())
@@ -69,7 +71,7 @@ def test_multiplication_matches_digit_convolution(q, e):
             assert r.mul(a, b) == brute_mul(r, a, b)
 
 
-@pytest.mark.parametrize("q,e", SMALL_RINGS)
+@pytest.mark.parametrize("q,e", SMALL_RINGS + SLOW_RINGS)
 def test_ring_axioms_on_slice(q, e):
     r = chain_ring(q, e)
     els = list(r.elements())
@@ -187,6 +189,21 @@ def test_from_coeffs_and_wrapper_arithmetic():
     assert b.valuation == 1 and not b.is_unit
     with pytest.raises(ZeroDivisionError):
         b.inverse()
+
+
+@pytest.mark.parametrize(
+    "parent", [field_make(2, 2), field_make(3, 2), chain_ring(3, 3)], ids=repr)
+def test_int_equality_agrees_with_hash(parent):
+    p = getattr(parent, "field", parent).p
+    size = len(parent.elements())
+    for code in parent.elements():
+        x = parent.element(code)
+        for k in range(-2 * p, size + 2 * p):
+            assert (x == k) == (k == code and k < p)
+            if x == k:
+                assert hash(x) == hash(k)
+    assert parent.element(1) in {1}
+    assert parent.element(p - 1) != -1
 
 
 @given(a=integers(min_value=0, max_value=26), b=integers(min_value=0, max_value=26))

@@ -1,11 +1,13 @@
 """Tests for linear codes over the chain ring and their residue-field shadows."""
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, sampled_from, tuples
 
+from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import chain_ring
 from chaincodes.codes import (
     EUCLIDEAN,
@@ -333,6 +335,13 @@ def test_fmat_inverse_and_dagger():
     assert fmat_inv(f, singular) is None
     dag = fmat_dagger(f, a)
     assert dag == fmat([(1, f.conjugate(x)), (f.conjugate(x), 1)])
+    f3 = field_make(3, 1)
+    for w, y, z, t in itertools.product(range(3), repeat=4):
+        m = fmat([(w, y), (z, t)])
+        inv = fmat_inv(f3, m)
+        assert (inv is None) == ((w * t - y * z) % 3 == 0)
+        if inv is not None:
+            assert fmat_mul(f3, m, inv) == fmat_identity(2)
 
 
 def test_fmat_mul_degenerate_shapes():
@@ -356,6 +365,20 @@ def test_linear_code_json_roundtrip():
     obj = json.loads(text)
     assert code_from_json(obj).equal(code)
     assert code_to_json(code) == obj
+
+
+def test_codes_and_censuses_pickle():
+    r = chain_ring(4, 3)
+    code = LinearCode(r, 3, [(r.u, 1, 7), (0, 5, r.u)])
+    fresh = pickle.loads(pickle.dumps(code))
+    std = code.standard_form()
+    cached = pickle.loads(pickle.dumps(code))
+    assert fresh.equal(code) and cached.equal(code)
+    assert cached.standard_form() == std
+    census = enumerate_submodules(chain_ring(2, 3), 2)
+    back = pickle.loads(pickle.dumps(census))
+    assert back.fingerprints == census.fingerprints
+    assert all(a.equal(b) for a, b in zip(back.codes, census.codes, strict=True))
 
 
 def test_field_code_json_roundtrip():

@@ -14,7 +14,6 @@ from chaincodes.census import (
 from chaincodes.chainring import chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN
 from chaincodes.counting import (
-    CountResult,
     count_esd,
     count_hsd,
     count_linear,
@@ -205,13 +204,3 @@ def test_count_domain_errors():
     with pytest.raises(ValueError):
         count_hsd(4, -2)
 
-
-# ---------------------------------------------------------------------------
-# result wrapper
-
-def test_count_result_serializes_values_as_strings():
-    res = CountResult(value=count_esd(3, 4) ** 2, formula="esd-square",
-                      params={"q": 3, "n": 4})
-    obj = res.to_json()
-    assert obj["value"] == str(176 * 176)
-    assert obj["params"] == {"q": "3", "n": "4"}

@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers, sampled_from
+from hypothesis.strategies import integers, lists, sampled_from
 
 from chaincodes.gf import (
     Field,
     canonical_modulus,
+    digit_add,
+    digit_neg,
     factor_prime_power,
     field_make,
     is_irreducible,
@@ -154,6 +156,26 @@ def test_frobenius_is_additive(q):
     for a in f.elements():
         for b in f.elements():
             assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
+
+
+DIGITS = lists(integers(min_value=0, max_value=6), max_size=12)
+
+
+@given(p=sampled_from([2, 3, 5, 7]), da=DIGITS, db=DIGITS)
+@settings(deadline=None, max_examples=MAX_EXAMPLES)
+def test_digit_core_matches_per_digit_reference(p, da, db):
+    da = [d % p for d in da]
+    db = [d % p for d in db]
+    width = max(len(da), len(db))
+    da += [0] * (width - len(da))
+    db += [0] * (width - len(db))
+
+    def number(digits):
+        return sum(d * p ** i for i, d in enumerate(digits))
+
+    a, b = number(da), number(db)
+    assert digit_add(a, b, p) == number([(x + y) % p for x, y in zip(da, db)])
+    assert digit_neg(a, p) == number([-x % p for x in da])
 
 
 @given(a=integers(min_value=0, max_value=48), k=integers(min_value=0, max_value=60))
