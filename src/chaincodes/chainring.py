@@ -6,10 +6,11 @@ u^v * w with w a unit, so the ideals form the chain (1) > (u) > ... > (u^e)
 and `valuation` returns v (with e for the zero element).
 
 A ring code is also the base-p digit string sum c_(t,j) p^(t*m + j) of
-the x^j u^t coefficients, so ring addition and negation are the field's
-carry-free digit arithmetic (`gf.digit_add`, `gf.digit_neg`) over all
-e*m digits at once.  Elements compare with plain ints as field elements do: an
-element equals k only when k lies in range(p) and is its code.
+the x^j u^t coefficients, so ring addition, subtraction and negation are
+the field's carry-free digit arithmetic (`gf.digit_add`, `gf.digit_sub`,
+`gf.digit_neg`) over all e*m digits at once.  Elements compare with plain
+ints as field elements do: an element equals k only when k lies in
+range(p) and is its code.
 
 Conjugation lifts the order-2 field automorphism coefficient-wise; it is
 only available when q is a square.
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import functools
 
-from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, field_make,
-                 factor_prime_power, DEFAULT_MAX_ORDER)
+from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, digit_sub,
+                 field_make, factor_prime_power, DEFAULT_MAX_ORDER)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
@@ -89,7 +90,7 @@ class ChainRing:
         return digit_neg(a, self.field.p)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return digit_sub(a, b, self.field.p)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:

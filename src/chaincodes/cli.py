@@ -128,6 +128,15 @@ def _lengths(args) -> list[int]:
     return [args.n]
 
 
+def _group(spec: str) -> AbelianGroup:
+    """--A as a group; only orders out of range are a precondition error."""
+    try:
+        orders = [int(part) for part in spec.split(",")] if spec.strip() else []
+    except ValueError:
+        raise UsageError(f"bad --A {spec!r}, expected integers a,b,...") from None
+    return AbelianGroup(orders)
+
+
 def cmd_count(args) -> int:
     kind = args.kind
     if kind == "gaussian":
@@ -148,7 +157,7 @@ def cmd_count(args) -> int:
         _need(args, "p", "A")
         m = 1 if args.m is None else args.m
         s = 1 if args.s is None else args.s
-        group = AbelianGroup.from_spec(args.A)
+        group = _group(args.A)
         params = {"p": args.p, "m": m, "s": s,
                   "A": ",".join(str(d) for d in group.invariants) or "1"}
         base = {"qa": count_qa, "qa-esd": count_qa_esd,
@@ -206,7 +215,7 @@ def cmd_code(args) -> int:
 
 def cmd_decompose(args) -> int:
     _need(args, "p")
-    group = AbelianGroup.from_spec(args.A)
+    group = _group(args.A)
     report = decompose(args.p, args.m, args.s, group)
     total = sum(c.size for c in report.classes)
     if args.format == "json":
@@ -301,6 +310,9 @@ def _full_checks() -> list[tuple[str, str, object]]:
         ("qa-hsd(p=3,m=2,s=1,A=2,n=2)", "1600",
          lambda: count_qa_hsd(3, 2, 1, z2, 2)),
         ("cyclic-to-chain isomorphism", "ok", _iso_check),
+        ("qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2", "ok",
+         lambda: ("ok" if count_qa_esd(3, 1, 1, z2, 200)
+                  == count_esd(3, 200) ** 2 else "mismatch")),
     ]
 
 

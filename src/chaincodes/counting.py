@@ -5,6 +5,15 @@ the number of linear codes of length n over the chain ring, the number of
 Euclidean/Hermitian self-dual codes over GF(q) (sigma counts), and the
 number of Euclidean/Hermitian self-dual codes over the e = 3 chain ring.
 
+A row [h, 0]_q, ..., [h, h]_q of Gaussian binomials comes from the ratio
+recurrence [h, k+1]_q = [h, k]_q (q^(h-k) - 1) / (q^(k+1) - 1); the
+self-dual counts sum one such row against powers of q.  The linear-code
+count is a sum over chains of column-span dimensions: Birkhoff and
+Delsarte's count of subgroups of an abelian p-group of type (e^n), which
+Honold & Landjev ("Linear codes over finite chain rings", EJC 7, 2000)
+carry over to chain rings.  It is evaluated as an e-level dynamic
+programme over the dimension, O(e n^2) big-integer operations.
+
 The linear-code sum also evaluates for other nilpotency indices e by
 letting the chain length run to e instead of 3.  That extension is a
 conjecture, not a certified formula, so `count_linear` refuses it until a
@@ -13,7 +22,6 @@ brute-force census validation for the exact (q, e, n) has been registered
 """
 from __future__ import annotations
 
-import itertools
 from math import isqrt
 
 from .gf import factor_prime_power
@@ -33,24 +41,38 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def gaussian_row(h: int, q: int) -> list[int]:
+    """[h, k]_q for k = 0..h, by [h, k+1]_q = [h, k]_q (q^(h-k) - 1) /
+    (q^(k+1) - 1); every division is exact."""
+    row = [1]
+    for k in range(h):
+        row.append(row[-1] * (q ** (h - k) - 1) // (q ** (k + 1) - 1))
+    return row
+
+
 def linear_count_sum(q: int, e: int, n: int) -> int:
     """The chain sum counting submodule codes: 1 plus, for every chain of
     column-span dimensions n >= h_1 >= ... >= h_t > 0 with t <= e, the
     product of Gaussian binomials [n - h_{j+1}, h_j - h_{j+1}]_q times
-    q^(h_{j+1} (n - h_j)).  Certified only for e = 3; see count_linear."""
+    q^(h_{j+1} (n - h_j)).  Certified only for e = 3; see count_linear.
+
+    With every chain padded by zeros to length e, the sum is e steps from
+    g = [1, 0, ..., 0] over dimensions 0..n, each step
+    g'[a] = sum_{b <= a} [n - b, a - b]_q q^(b (n - a)) g[b], then sum(g).
+    """
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     factor_prime_power(q)
-    total = 1
-    for t in range(1, e + 1):
-        for asc in itertools.combinations_with_replacement(range(1, n + 1), t):
-            hs = tuple(reversed(asc)) + (0,)
-            term = 1
-            for j in range(t):
-                term *= gaussian_binomial(n - hs[j + 1], hs[j] - hs[j + 1], q)
-                term *= q ** (hs[j + 1] * (n - hs[j]))
-            total += term
-    return total
+    g = gaussian_row(n, q)                    # g after the first step
+    for _ in range(e - 1):
+        g_next = [0] * (n + 1)
+        for b, x in enumerate(g):
+            weight = q ** (b * (n - b)) * x       # q^(b (n - a)) g[b] at a = b
+            for a, c in enumerate(gaussian_row(n - b, q), b):
+                g_next[a] += c * weight
+                weight //= q ** b
+        g = g_next
+    return sum(g)
 
 
 # census-backed validation records for the conjectural e != 3 evaluation
@@ -114,6 +136,15 @@ def sigma_h(q: int, n: int) -> int:
     return prod
 
 
+def _row_sum(h: int, q: int, c: int) -> int:
+    """sum_k [h, k]_q q^(c k), by Horner's rule in x = q^c."""
+    x = q ** c
+    total = 0
+    for g in reversed(gaussian_row(h, q)):
+        total = total * x + g
+    return total
+
+
 def count_esd(q: int, n: int) -> int:
     """Number of Euclidean self-dual codes of length n over GF(q)[u]/(u^3)."""
     factor_prime_power(q)
@@ -126,9 +157,7 @@ def count_esd(q: int, n: int) -> int:
         return 0
     half = n // 2
     exp_base = half if q % 2 == 0 else half - 1
-    total = sum(gaussian_binomial(half, k, q) * q ** (k * exp_base)
-                for k in range(half + 1))
-    return sig * total
+    return sig * _row_sum(half, q, exp_base)
 
 
 def count_hsd(q: int, n: int) -> int:
@@ -143,7 +172,5 @@ def count_hsd(q: int, n: int) -> int:
         return 0
     sig = sigma_h(q, n)  # validates squareness
     half = n // 2
-    total = sum(gaussian_binomial(half, k, q) * q ** (k * half)
-                for k in range(half + 1))
-    return sig * total
+    return sig * _row_sum(half, q, half)
 

@@ -5,13 +5,13 @@ coefficients of its representative polynomial, constant term first.  The
 Field object owns the modulus and performs all arithmetic on these integer
 codes; FieldElement is a thin operator-overloading wrapper on top.
 
-Addition and negation are carry-free base-p digit arithmetic on the codes
-(`digit_add`, `digit_neg`; XOR and the identity when p = 2).  A chain-ring
-code is a base-p digit string too, so `chainring` uses the same two
-functions.  `_Element` holds the operators that FieldElement and
-ChainRingElement share.  An element equals a plain int k only when k lies
-in range(p) and is the element's code, which keeps `==` consistent with
-`hash`: an element hashes as its code.
+Addition, subtraction and negation are carry-free base-p digit arithmetic
+on the codes (`digit_add`, `digit_sub`, `digit_neg`; XOR, XOR and the
+identity when p = 2).  A chain-ring code is a base-p digit string too, so
+`chainring` uses the same functions.  `_Element` holds the operators that
+FieldElement and ChainRingElement share.  An element equals a plain int k
+only when k lies in range(p) and is the element's code, which keeps `==`
+consistent with `hash`: an element hashes as its code.
 
 The modulus is canonical: the lexicographically smallest monic irreducible
 polynomial of degree m over GF(p), coefficients compared from the constant
@@ -138,6 +138,20 @@ def digit_add(a: int, b: int, p: int) -> int:
     return r
 
 
+def digit_sub(a: int, b: int, p: int) -> int:
+    """Digitwise difference mod p of two base-p digit strings (no borrows)."""
+    if p == 2:
+        return a ^ b
+    r = 0
+    shift = 1
+    while a or b:
+        r += (a - b) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return r
+
+
 def digit_neg(a: int, p: int) -> int:
     """Digitwise negation mod p of a base-p digit string."""
     if p == 2:
@@ -227,7 +241,9 @@ class Field:
         return digit_neg(a, self.p)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.m == 1:
+            return (a - b) % self.p
+        return digit_sub(a, b, self.p)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -88,10 +88,19 @@ class AbelianGroup:
                           for x, d in zip(a, self.invariants))) if a else 1
 
     def n_of_order(self, d: int) -> int:
-        """How many elements have order exactly d, by exhaustive scan."""
+        """How many elements have order exactly d: prod_i gcd(k, n_i)
+        elements satisfy k*a = 0, and Moebius inversion over k | d keeps
+        those of order exactly d."""
         if d < 1:
             raise ValueError("order must be >= 1")
-        return sum(1 for a in self.elements() if self.element_order(a) == d)
+        primes = [f for f in divisors(d) if is_prime(f)]
+        total = 0
+        for r in range(len(primes) + 1):
+            for drop in itertools.combinations(primes, r):
+                k = d // math.prod(drop)
+                total += (-1) ** r * math.prod(
+                    math.gcd(k, n) for n in self.invariants)
+        return total
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AbelianGroup)

@@ -81,6 +81,7 @@ def test_ring_axioms_on_slice(q, e):
         assert r.add(a, r.neg(a)) == 0
         for b in sample:
             assert r.add(a, b) == r.add(b, a)
+            assert r.sub(a, b) == r.add(a, r.neg(b))
             assert r.mul(a, b) == r.mul(b, a)
             for c in sample:
                 assert r.mul(a, r.add(b, c)) == r.add(r.mul(a, b), r.mul(a, c))

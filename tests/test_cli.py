@@ -114,6 +114,20 @@ def test_count_math_precondition_errors(capsys):
     assert run(capsys, "count", "qa", "--p", "4", "--A", "3", "--n", "1")[0] == 2
 
 
+def test_group_spec_parse_errors_are_usage_errors(capsys):
+    for spec in (",", "2,x", "2,,3", "Z5"):
+        code, _, err = run(capsys, "count", "qa", "--p", "3", "--A", spec,
+                           "--n", "2")
+        assert code == 1 and "bad --A" in err
+        code, _, err = run(capsys, "decompose", "--p", "3", "--A", spec)
+        assert code == 1 and "bad --A" in err
+    # specs that parse but name no group violate a precondition
+    for spec in ("0", "2,0"):
+        assert run(capsys, "count", "qa", "--p", "3", "--A", spec,
+                   "--n", "2")[0] == 2
+        assert run(capsys, "decompose", "--p", "3", "--A", spec)[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # code transforms
 
@@ -211,6 +225,15 @@ def test_verify_tiny_suite_passes_and_is_deterministic(capsys):
     assert out1.rstrip().endswith("14/14 checks passed")
     code2, out2, _ = run(capsys, "verify", "--suite", "tiny")
     assert code2 == 0 and out1 == out2
+
+
+def test_verify_full_suite_passes_with_large_length_identity(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "full")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2].startswith("qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2 ")
+    assert lines[-2].endswith("  pass")
+    assert lines[-1] == "29/29 checks passed"
 
 
 def test_verify_reports_mismatch_with_exit_three(capsys, monkeypatch):

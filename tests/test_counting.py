@@ -18,6 +18,7 @@ from chaincodes.counting import (
     count_hsd,
     count_linear,
     gaussian_binomial,
+    gaussian_row,
     generalized_is_validated,
     linear_count_sum,
     register_generalized_validation,
@@ -38,6 +39,22 @@ def subspace_dim_counts(q, n):
     for sub in field_subspaces(f, vectors, n):
         buckets[sub.dim] += 1
     return buckets
+
+
+def chain_sum_reference(q, e, n):
+    """The chain sum written out literally: 1 plus, for every chain
+    n >= h_1 >= ... >= h_t > 0 with t <= e, the product of
+    [n - h_(j+1), h_j - h_(j+1)]_q q^(h_(j+1) (n - h_j)) with h_(t+1) = 0."""
+    total = 1
+    for t in range(1, e + 1):
+        for asc in itertools.combinations_with_replacement(range(1, n + 1), t):
+            hs = tuple(reversed(asc)) + (0,)
+            term = 1
+            for j in range(t):
+                term *= gaussian_binomial(n - hs[j + 1], hs[j] - hs[j + 1], q)
+                term *= q ** (hs[j + 1] * (n - hs[j]))
+            total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +92,13 @@ def test_gaussian_binomial_pascal_identity(n, k, q):
     lhs = gaussian_binomial(n, k, q)
     rhs = q ** k * gaussian_binomial(n - 1, k, q) + gaussian_binomial(n - 1, k - 1, q)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_gaussian_row_matches_gaussian_binomial(q):
+    for h in range(31):
+        assert gaussian_row(h, q) == [gaussian_binomial(h, k, q)
+                                      for k in range(h + 1)]
 
 
 def test_gaussian_binomial_domain_errors():
@@ -119,6 +143,23 @@ def test_generalized_count_is_gated():
 def test_linear_count_sum_depth_one_is_subspace_total():
     for q, n in [(2, 3), (3, 2), (4, 2)]:
         assert linear_count_sum(q, 1, n) == sum(subspace_dim_counts(q, n))
+    for q in (2, 3, 4):
+        for n in range(1, 41):
+            assert linear_count_sum(q, 1, n) == sum(
+                gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_linear_count_sum_matches_literal_chain_sum(q):
+    for e in range(1, 6):
+        for n in range(1, 9):
+            assert linear_count_sum(q, e, n) == chain_sum_reference(q, e, n)
+
+
+def test_linear_count_sum_domain_errors():
+    for q, e, n in [(2, 3, 0), (2, 0, 2), (6, 3, 2), (1, 3, 2)]:
+        with pytest.raises(ValueError):
+            linear_count_sum(q, e, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from chaincodes.gf import (
     canonical_modulus,
     digit_add,
     digit_neg,
+    digit_sub,
     factor_prime_power,
     field_make,
     is_irreducible,
@@ -142,6 +143,7 @@ def test_field_axioms_exhaustive(q):
     for a in sample:
         for b in sample:
             assert f.add(a, b) == f.add(b, a)
+            assert f.sub(a, b) == f.add(a, f.neg(b))
             assert f.mul(a, b) == f.mul(b, a)
             for c in sample:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
@@ -175,6 +177,7 @@ def test_digit_core_matches_per_digit_reference(p, da, db):
 
     a, b = number(da), number(db)
     assert digit_add(a, b, p) == number([(x + y) % p for x, y in zip(da, db)])
+    assert digit_sub(a, b, p) == number([(x - y) % p for x, y in zip(da, db)])
     assert digit_neg(a, p) == number([-x % p for x in da])
 
 

@@ -1,4 +1,5 @@
 """Tests for group-algebra decomposition, cosets, and quasi-abelian counts."""
+import collections
 import itertools
 import math
 
@@ -69,13 +70,26 @@ def test_group_arithmetic():
         g.check((2, 0))
 
 
+def order_scan(group):
+    """Element scan: how many elements have each order."""
+    return collections.Counter(group.element_order(a) for a in group.elements())
+
+
 def test_order_statistics_partition_the_group():
-    for spec in ("2,4", "3,3", "6", "2,2,2", "15"):
+    # 20,50 / 8,125 / 12,18 / 4,4,2 have exponents that are not squarefree
+    for spec in ("2,4", "3,3", "6", "2,2,2", "15", "20,50", "8,125", "12,18",
+                 "4,4,2", "1"):
         g = AbelianGroup.from_spec(spec)
+        scanned = order_scan(g)
         counted = {d: g.n_of_order(d) for d in divisors(g.exponent)}
         assert sum(counted.values()) == g.order
-        for d, c in counted.items():
-            assert c == sum(1 for a in g.elements() if g.element_order(a) == d)
+        assert counted == {d: scanned[d] for d in counted}
+        # orders that do not divide the exponent occur nowhere
+        for d in range(1, 2 * g.exponent + 3):
+            if g.exponent % d:
+                assert g.n_of_order(d) == 0
+        with pytest.raises(ValueError):
+            g.n_of_order(0)
 
 
 def test_multiplicative_order_and_divisors():
