@@ -3,10 +3,12 @@
 The census oracle never touches the standard-form machinery: a submodule of
 R^n is a subspace of the prime-field vector space GF(p)^(e*m*n) closed under
 multiplication by u and by the field generator, so the enumeration does a
-breadth-first search over single-generator extensions with canonical RREF
-bases over GF(p) as search keys.  Every submodule is generated by vectors
-whose leading nonzero coordinate is a plain power of u, which keeps the
-candidate set small without giving up exhaustiveness.
+breadth-first search over covers M < M + Rv (quotient GF(q), the simple
+module) with canonical RREF bases over GF(p) as search keys.  Every
+submodule is reached because it has a composition series, and the
+extending vectors can be taken with a plain power of u as leading nonzero
+coordinate, which keeps the candidate set small (see
+`enumerate_submodules`).
 
 The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
 adding a row are a few big-int operations, multiplication by u and by the
@@ -270,15 +272,29 @@ def _bounded(enumerator, ring: ChainRing, n: int, *args, bound: int):
 @functools.lru_cache(maxsize=None)
 def enumerate_submodules(ring: ChainRing, n: int, *,
                          bound: int = DEFAULT_ORACLE_BOUND) -> Census:
-    """Every linear code of length n over the ring, by exhaustive search."""
+    """Every linear code of length n over the ring, by exhaustive search.
+
+    A found submodule M is extended only to its covers N = M + Rv, by
+    candidates v outside M with u*v inside M.  Then u*R*v lies in M, so N is
+    M plus the GF(p)-span of the x^j v (j < m) and N/M is GF(q), the simple
+    R-module.  Nothing is missed: every submodule N has a composition series
+    0 = N_0 < N_1 < ... < N_k = N with simple factors, and for any v in
+    N_(i+1) but not in N_i, u*v lies in N_i (u kills the factor) and
+    N_(i+1) = N_i + Rv.  A unit multiple of v spans the same Rv and has a
+    plain power of u as leading nonzero coordinate, so it is one of the
+    candidates, and the search climbs every step of the series.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_bound(ring, n, bound)
     view = _FpView(ring, n)
+    m = ring.field.m
     cands = []
     for v in _normalized_candidates(ring, n):
         row = view.encode(v)
-        cands.append((row, view.closure_rows(row)))
+        closure = view.closure_rows(row)
+        # rows of x^j v, and u*v (0 when e = 1, which every M contains)
+        cands.append((closure[:m], closure[m] if ring.e > 1 else 0))
 
     found: dict[tuple, tuple[list, list]] = {(): ([], [])}
     queue = [()]
@@ -286,13 +302,15 @@ def enumerate_submodules(ring: ChainRing, n: int, *,
         key = queue.pop()
         basis, pivots = found[key]
         cosets = set()    # v = v' mod the submodule gives the same extension
-        for vec_row, closure in cands:
-            rest = view.reduce_row(basis, pivots, vec_row)
+        for cover_rows, u_row in cands:
+            rest = view.reduce_row(basis, pivots, cover_rows[0])
             if not rest or rest in cosets:
                 continue  # inside this submodule, or a tried coset of it
             cosets.add(rest)
+            if u_row and view.reduce_row(basis, pivots, u_row):
+                continue  # M + Rv is not a cover of M
             nb, np_ = list(basis), list(pivots)
-            for row in closure:
+            for row in cover_rows:
                 view.insert_row(nb, np_, row)
             nkey = tuple(nb)
             if nkey not in found:

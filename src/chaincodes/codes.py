@@ -586,19 +586,37 @@ def code_to_json(code: LinearCode) -> dict:
             "modulus": list(f.modulus), "rows": rows}
 
 
+def _doc_int(x, what: str) -> int:
+    """A JSON integer of a code document.  Floats, strings and booleans are
+    malformed, not coerced: int() would truncate 2.9 and overflow on 1e400."""
+    if type(x) is not int:
+        raise ValueError(f"malformed code document: {what} must be an "
+                         f"integer, got {type(x).__name__}")
+    return x
+
+
+def _doc_field(obj: dict) -> Field:
+    return Field(_doc_int(obj["p"], "p"), _doc_int(obj["m"], "m"),
+                 tuple(_doc_int(c, "modulus coefficient")
+                       for c in obj["modulus"]))
+
+
+def _doc_element(field: Field, coeffs) -> int:
+    return field.encode([_doc_int(c, "coefficient") for c in coeffs])
+
+
 def code_from_json(obj: dict) -> LinearCode:
-    f = Field(int(obj["p"]), int(obj["m"]),
-              tuple(int(c) for c in obj["modulus"]))
-    ring = ChainRing(f, int(obj["e"]))
+    f = _doc_field(obj)
+    ring = ChainRing(f, _doc_int(obj["e"], "e"))
     gens = []
     for row in obj["rows"]:
         vec = []
         for entry in row:
             if len(entry) != ring.e:
                 raise ValueError("entry does not have e coefficient lists")
-            vec.append(ring.encode([f.encode(c) for c in entry]))
+            vec.append(ring.encode([_doc_element(f, c) for c in entry]))
         gens.append(vec)
-    return LinearCode(ring, int(obj["n"]), gens)
+    return LinearCode(ring, _doc_int(obj["n"], "n"), gens)
 
 
 def field_code_to_json(code: FieldCode) -> dict:
@@ -609,12 +627,12 @@ def field_code_to_json(code: FieldCode) -> dict:
 
 
 def field_code_from_json(obj: dict) -> FieldCode:
-    if int(obj["e"]) != 1:
+    if _doc_int(obj["e"], "e") != 1:
         raise ValueError("field codes must have e = 1")
-    f = Field(int(obj["p"]), int(obj["m"]),
-              tuple(int(c) for c in obj["modulus"]))
-    rows = [[f.encode(entry[0]) for entry in row] for row in obj["rows"]]
-    return FieldCode.from_rows(f, int(obj["n"]), rows)
+    f = _doc_field(obj)
+    rows = [[_doc_element(f, entry[0]) for entry in row]
+            for row in obj["rows"]]
+    return FieldCode.from_rows(f, _doc_int(obj["n"], "n"), rows)
 
 
 def dumps_code(code) -> str:
@@ -625,8 +643,7 @@ def dumps_code(code) -> str:
 def loads_code(text: str) -> LinearCode:
     """Parse the portable schema as a chain-ring code (works for any e;
     use field_code_from_json to reload an e = 1 file as a FieldCode)."""
-    obj = json.loads(text)
     try:
-        return code_from_json(obj)
-    except (KeyError, TypeError, IndexError) as exc:
+        return code_from_json(json.loads(text))
+    except (KeyError, TypeError, IndexError, RecursionError) as exc:
         raise ValueError(f"malformed code document: {exc}") from exc

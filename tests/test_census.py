@@ -7,7 +7,9 @@ from hypothesis.strategies import data, integers, lists, sampled_from
 
 from chaincodes.census import (
     Census,
+    _build_census,
     _FpView,
+    _normalized_candidates,
     code_fingerprint,
     enumerate_field_codes,
     enumerate_field_self_dual,
@@ -22,7 +24,7 @@ from chaincodes.census import (
 from chaincodes.chainring import ChainRing, chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN, FieldCode, LinearCode
 from chaincodes.counting import (count_esd, count_hsd, count_linear,
-                                 gaussian_binomial, sigma_e)
+                                 gaussian_binomial, linear_count_sum, sigma_e)
 from chaincodes.gf import field_make
 
 
@@ -88,6 +90,76 @@ def test_submodule_census_sizes(q, n, expected):
     assert census.size == expected
     assert census.size == count_linear(q, 3, n)
     assert len(census.fingerprint_set()) == expected
+
+
+def all_extensions_reference(ring, n):
+    """The submodule census by extending every found submodule M by every
+    untried coset v + M and closing under R: slower than the cover-only
+    search in `enumerate_submodules`, and kept as its reference."""
+    view = _FpView(ring, n)
+    cands = []
+    for v in _normalized_candidates(ring, n):
+        row = view.encode(v)
+        cands.append((row, view.closure_rows(row)))
+    found = {(): ([], [])}
+    queue = [()]
+    while queue:
+        basis, pivots = found[queue.pop()]
+        cosets = set()
+        for vec_row, closure in cands:
+            rest = view.reduce_row(basis, pivots, vec_row)
+            if not rest or rest in cosets:
+                continue
+            cosets.add(rest)
+            nb, np_ = list(basis), list(pivots)
+            for row in closure:
+                view.insert_row(nb, np_, row)
+            nkey = tuple(nb)
+            if nkey not in found:
+                found[nkey] = (nb, np_)
+                queue.append(nkey)
+    return _build_census(ring, n, "all", [
+        (view.fingerprint(basis),
+         LinearCode(ring, n, [view.decode(row) for row in basis]))
+        for basis, _ in found.values()])
+
+
+@pytest.mark.parametrize("q,e,n", [
+    (2, 3, 2), (2, 3, 3), (3, 3, 2), (4, 3, 2), (2, 2, 3), (4, 2, 2),
+    (2, 4, 2), (2, 5, 2), (9, 1, 2), (8, 1, 3),
+])
+def test_cover_search_matches_all_extensions_reference(q, e, n):
+    ring = chain_ring(q, e)
+    census = enumerate_submodules(ring, n)
+    ref = all_extensions_reference(ring, n)
+    assert census.size == ref.size
+    assert census.fingerprints == ref.fingerprints
+    # same codes in the same order, down to the generator rows
+    assert census.to_json() == ref.to_json()
+
+
+def test_cover_search_work_pin(monkeypatch):
+    """R(4,3)^2 takes 1,068 row insertions by covers and 48,600 by all
+    extensions; a return to the latter fails here."""
+    calls = []
+    insert = _FpView.insert_row
+
+    def counted(self, basis, pivots, row):
+        calls.append(row)
+        return insert(self, basis, pivots, row)
+    monkeypatch.setattr(_FpView, "insert_row", counted)
+    enumerate_submodules.cache_clear()
+    assert enumerate_submodules(chain_ring(4, 3), 2).size == 139
+    assert len(calls) <= 2000
+
+
+@pytest.mark.parametrize("q,e,n,expected", [
+    (2, 2, 3, 129), (4, 2, 2, 33), (5, 2, 2, 45), (2, 4, 2, 83),
+    (2, 5, 2, 177), (2, 1, 4, 67), (8, 1, 3, 148),
+])
+def test_census_confirms_chain_sum_off_e3(q, e, n, expected):
+    assert linear_count_sum(q, e, n) == expected
+    assert enumerate_submodules(chain_ring(q, e), n).size == expected
 
 
 def test_prime_field_census_counts_every_subspace():

@@ -1,12 +1,18 @@
 """Tests for the command-line front end."""
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chaincodes import cli
 from chaincodes.chainring import chain_ring
 from chaincodes.cli import main
-from chaincodes.codes import HERMITIAN, LinearCode, dumps_code, loads_code
+from chaincodes.codes import (HERMITIAN, LinearCode, code_to_json, dumps_code,
+                              loads_code)
 from chaincodes.counting import count_hsd
 
 
@@ -188,6 +194,80 @@ def test_code_rejects_bad_files(tmp_path, capsys):
     assert run(capsys, "code", "standard-form", str(garbled))[0] == 2
     code, _, err = run(capsys, "code", "check-sd", str(tmp_path / "absent.json"))
     assert code == 1 and "error" in err
+
+
+CODE_ACTIONS = [["standard-form"], ["dual"], ["check-sd"],
+                ["torsion", "--i", "1"]]
+
+
+def run_code_on_stdin(text, action):
+    """cli.main(["code", *action, "-"]) with the text on stdin; returns the
+    exit code and stderr."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["code", action[0], "-", *action[1:]])
+    return code, err.getvalue()
+
+
+VALID_DOC = code_to_json(LinearCode(chain_ring(4, 3), 2, [(1, 7)]))
+
+
+@pytest.mark.parametrize("action", CODE_ACTIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("key,raw", [
+    ("p", "1e400"), ("m", "1e400"), ("e", "1e400"), ("n", "1e400"),
+    ("modulus", "[1e400, 1, 1]"), ("rows", "[[[[1e400, 0], [0, 0], [0, 0]]]]"),
+    ("p", "2.9"), ("p", '"2"'), ("n", "true"),
+    ("rows", "[[[[1.5, 0], [0, 0], [0, 0]]]]"),
+])
+def test_code_actions_reject_non_integer_entries(key, raw, action):
+    obj = dict(VALID_DOC, **{key: "@"})
+    text = json.dumps(obj).replace('"@"', raw)
+    code, err = run_code_on_stdin(text, action)
+    assert code == 2
+    assert "malformed code document" in err
+
+
+JSON_NON_INTEGERS = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([1e400, -1e400, 2.0, 2.9, "2", "1e400"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one integer or coefficient list swapped for a
+    non-integer JSON value, or a valid document cut short."""
+    text = json.dumps(VALID_DOC)
+    kind = draw(st.sampled_from(["p", "m", "e", "n", "modulus", "rows",
+                                 "entry", "coeff", "cut"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    obj = json.loads(text)
+    # empty rows, in any container, are the zero code and well formed
+    value = draw(JSON_NON_INTEGERS.filter(lambda v: kind != "rows" or v))
+    if kind == "entry":
+        obj["rows"][0][draw(st.integers(0, 1))] = value
+    elif kind == "coeff":
+        coeffs = obj["rows"][0][1][draw(st.integers(0, 2))]
+        coeffs[draw(st.integers(0, 1))] = value
+    else:
+        obj[kind] = value
+    return json.dumps(obj).replace("Infinity", "1e400")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_documents(), st.sampled_from(CODE_ACTIONS))
+def test_malformed_code_documents_never_raise(text, action):
+    with pytest.raises(ValueError):
+        loads_code(text)
+    code, err = run_code_on_stdin(text, action)
+    assert code in (1, 2)
+    assert err.startswith("chaincodes: error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -394,3 +394,40 @@ def test_loads_code_rejects_garbage():
         loads_code("not json")
     with pytest.raises(ValueError):
         loads_code(json.dumps({"q": 4}))
+    with pytest.raises(ValueError, match="malformed code document"):
+        loads_code("[" * 100_000)          # nested past the recursion limit
+
+
+def _document_with(path, value):
+    """A valid R(4,3) document with the value at the given key path, as JSON
+    text; an infinite float is written as 1e400, which json reads as inf."""
+    r = chain_ring(4, 3)
+    obj = code_to_json(LinearCode(r, 2, [(1, r.u + 3)]))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(obj).replace("Infinity", "1e400")
+
+
+NON_INTEGER_ENTRIES = [
+    (("p",), float("inf")), (("m",), float("inf")), (("e",), float("inf")),
+    (("n",), float("inf")), (("modulus", 0), float("inf")),
+    (("rows", 0, 1, 0, 0), float("inf")),
+    (("p",), 2.9), (("p",), "2"), (("n",), True), (("rows", 0, 1, 0, 0), 1.5),
+]
+
+
+@pytest.mark.parametrize("path,value", NON_INTEGER_ENTRIES)
+def test_code_documents_accept_only_json_integers(path, value):
+    text = _document_with(path, value)
+    if value == float("inf"):
+        assert "1e400" in text
+    with pytest.raises(ValueError, match="malformed code document"):
+        loads_code(text)
+    obj = json.loads(text)
+    if path != ("e",):
+        obj["e"] = 1                     # reload it as a field code
+    obj["rows"] = [[entry[:1] for entry in row] for row in obj["rows"]]
+    with pytest.raises(ValueError, match="malformed code document"):
+        field_code_from_json(obj)
