@@ -2,9 +2,9 @@
 
 Exact arithmetic, standard forms, Euclidean and Hermitian duality,
 closed-form counts with brute-force censuses to back them, a constructive
-generator for Hermitian self-dual codes, and the cyclotomic-class
-machinery for counting quasi-abelian codes in semisimple-style
-decompositions of group algebras with cyclic Sylow p-subgroup.
+generator for Hermitian self-dual codes, and the per-divisor
+decomposition of group algebras with cyclic Sylow p-subgroup into chain
+rings that counts quasi-abelian codes.
 """
 from .gf import (DEFAULT_MAX_ORDER, Field, FieldElement, canonical_modulus,
                  factor_prime_power, field_make, is_irreducible, is_prime)
@@ -22,13 +22,11 @@ from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
                      enumerate_self_dual, enumerate_submodules,
                      field_subspaces, hermitian_sd_extend,
                      validate_generalized_count)
-from .quasiabelian import (AbelianGroup, ClassFactor, CyclotomicClass,
-                           DecompositionReport, GroupAlgebraElement,
-                           algebra_elements, chain_to_cyclic,
-                           coset_join, coset_representatives, coset_split,
-                           count_qa, count_qa_esd, count_qa_hsd,
-                           cyclic_to_chain, cyclotomic_class,
-                           cyclotomic_classes, decompose, divisors,
+from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
+                           GroupAlgebraElement, algebra_elements,
+                           chain_to_cyclic, coset_join, coset_representatives,
+                           coset_split, count_qa, count_qa_esd, count_qa_hsd,
+                           cyclic_to_chain, decompose, divisors,
                            is_good_pair, is_oddly_good_pair,
                            multiplicative_order, subgroup_closure)
 
@@ -47,10 +45,10 @@ __all__ = [
     "enumerate_hsd_constructive", "enumerate_sd_standard_forms",
     "enumerate_self_dual", "enumerate_submodules", "field_subspaces",
     "hermitian_sd_extend", "validate_generalized_count",
-    "AbelianGroup", "ClassFactor", "CyclotomicClass", "DecompositionReport",
+    "AbelianGroup", "DecompositionReport", "DivisorFactor",
     "GroupAlgebraElement", "algebra_elements", "chain_to_cyclic",
     "coset_join", "coset_representatives", "coset_split", "count_qa",
-    "count_qa_esd", "count_qa_hsd", "cyclic_to_chain", "cyclotomic_class",
-    "cyclotomic_classes", "decompose", "divisors", "is_good_pair",
-    "is_oddly_good_pair", "multiplicative_order", "subgroup_closure",
+    "count_qa_esd", "count_qa_hsd", "cyclic_to_chain", "decompose",
+    "divisors", "is_good_pair", "is_oddly_good_pair", "multiplicative_order",
+    "subgroup_closure",
 ]

@@ -25,6 +25,10 @@ from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, digit_sub,
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
 
+# cap on the bit length of q^e, checked before the power is built: a code
+# document may ask for any e
+_SIZE_BITS_LIMIT = 1 << 16
+
 
 class ChainRing:
     """GF(q)[u]/(u^e) with elements coded as integers in range(q^e)."""
@@ -35,6 +39,8 @@ class ChainRing:
     def __init__(self, field: Field, e: int):
         if e < 1:
             raise ValueError(f"e must be >= 1, got {e}")
+        if e * field.q.bit_length() > _SIZE_BITS_LIMIT:
+            raise ValueError(f"ring size q^e exceeds 2^{_SIZE_BITS_LIMIT}")
         self.field = field
         self.e = e
         self.q = field.q

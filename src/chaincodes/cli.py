@@ -14,8 +14,7 @@ import time
 
 from .gf import factor_prime_power, field_make
 from .chainring import chain_ring
-from .codes import (EUCLIDEAN, HERMITIAN, LinearCode, dumps_code, loads_code,
-                    field_code_from_json)
+from .codes import EUCLIDEAN, HERMITIAN, LinearCode, dumps_code, loads_code
 from .counting import (gaussian_binomial, count_linear, count_esd, count_hsd,
                        sigma_e, sigma_h)
 from .census import (enumerate_submodules, enumerate_self_dual,
@@ -217,7 +216,7 @@ def cmd_decompose(args) -> int:
     _need(args, "p")
     group = _group(args.A)
     report = decompose(args.p, args.m, args.s, group)
-    total = sum(c.size for c in report.classes)
+    total = sum(f.multiplicity * f.degree // report.m for f in report.factors)
     if args.format == "json":
         payload = report.to_json()
         payload["dimension_ok"] = total == group.order

@@ -586,37 +586,39 @@ def code_to_json(code: LinearCode) -> dict:
             "modulus": list(f.modulus), "rows": rows}
 
 
-def _doc_int(x, what: str) -> int:
-    """A JSON integer of a code document.  Floats, strings and booleans are
-    malformed, not coerced: int() would truncate 2.9 and overflow on 1e400."""
-    if type(x) is not int:
-        raise ValueError(f"malformed code document: {what} must be an "
-                         f"integer, got {type(x).__name__}")
+def _doc(x, kind: type, what: str):
+    """A JSON integer or list of a code document.  Other values are
+    malformed, not coerced: int() would truncate 2.9 and overflow on 1e400,
+    and a string or an object would iterate like a list."""
+    if type(x) is not kind:
+        raise ValueError(f"malformed code document: {what} must be "
+                         f"{kind.__name__}, got {type(x).__name__}")
     return x
 
 
 def _doc_field(obj: dict) -> Field:
-    return Field(_doc_int(obj["p"], "p"), _doc_int(obj["m"], "m"),
-                 tuple(_doc_int(c, "modulus coefficient")
-                       for c in obj["modulus"]))
+    return Field(_doc(obj["p"], int, "p"), _doc(obj["m"], int, "m"),
+                 tuple(_doc(c, int, "modulus coefficient")
+                       for c in _doc(obj["modulus"], list, "modulus")))
 
 
 def _doc_element(field: Field, coeffs) -> int:
-    return field.encode([_doc_int(c, "coefficient") for c in coeffs])
+    return field.encode([_doc(c, int, "coefficient")
+                         for c in _doc(coeffs, list, "coefficient list")])
 
 
 def code_from_json(obj: dict) -> LinearCode:
     f = _doc_field(obj)
-    ring = ChainRing(f, _doc_int(obj["e"], "e"))
+    ring = ChainRing(f, _doc(obj["e"], int, "e"))
     gens = []
-    for row in obj["rows"]:
+    for row in _doc(obj["rows"], list, "rows"):
         vec = []
-        for entry in row:
-            if len(entry) != ring.e:
+        for entry in _doc(row, list, "row"):
+            if len(_doc(entry, list, "entry")) != ring.e:
                 raise ValueError("entry does not have e coefficient lists")
             vec.append(ring.encode([_doc_element(f, c) for c in entry]))
         gens.append(vec)
-    return LinearCode(ring, _doc_int(obj["n"], "n"), gens)
+    return LinearCode(ring, _doc(obj["n"], int, "n"), gens)
 
 
 def field_code_to_json(code: FieldCode) -> dict:
@@ -627,12 +629,13 @@ def field_code_to_json(code: FieldCode) -> dict:
 
 
 def field_code_from_json(obj: dict) -> FieldCode:
-    if _doc_int(obj["e"], "e") != 1:
+    if _doc(obj["e"], int, "e") != 1:
         raise ValueError("field codes must have e = 1")
     f = _doc_field(obj)
-    rows = [[_doc_element(f, entry[0]) for entry in row]
-            for row in obj["rows"]]
-    return FieldCode.from_rows(f, _doc_int(obj["n"], "n"), rows)
+    rows = [[_doc_element(f, _doc(entry, list, "entry")[0])
+             for entry in _doc(row, list, "row")]
+            for row in _doc(obj["rows"], list, "rows")]
+    return FieldCode.from_rows(f, _doc(obj["n"], int, "n"), rows)
 
 
 def dumps_code(code) -> str:

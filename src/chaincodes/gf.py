@@ -175,10 +175,16 @@ class Field:
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
                  *, max_order: int = DEFAULT_MAX_ORDER):
+        # p and m are bounded before the trial division and the power they
+        # cost; a huge value is not echoed back
+        if p > max_order:
+            raise ValueError(f"characteristic exceeds bound {max_order}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
+        if m > max_order.bit_length():
+            raise ValueError(f"field order p^m exceeds bound {max_order}")
         q = p ** m
         if q > max_order:
             raise ValueError(f"field order {q} exceeds bound {max_order}")
@@ -355,14 +361,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(obj: dict, *, max_order: int = DEFAULT_MAX_ORDER) -> Field:
-        return Field(int(obj["p"]), int(obj["m"]),
-                     tuple(int(c) for c in obj["modulus"]), max_order=max_order)
 
 
 @functools.lru_cache(maxsize=None)

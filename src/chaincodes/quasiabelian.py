@@ -2,10 +2,14 @@
 
 For a prime p not dividing |A|, the group algebra F_{p^m}[A x Z_{p^s}]
 splits into a product of chain rings GF(p^{m_i})[u]/(u^{p^s}), one factor
-per orbit of A under multiplication by p^m.  Codes over the algebra that
-are modules over F_{p^m}[A x Z_{p^s}] correspond to tuples of linear codes
-over the factors, so counting them (plain, Euclidean self-dual, Hermitian
-self-dual) reduces to products of the per-ring counts in `counting`.
+per orbit of A under multiplication by q = p^m.  An orbit's size and its
+Euclidean and Hermitian types depend only on the order d of its elements,
+so `decompose` lists one record per divisor d of the exponent of A (field
+degree m * ord_d(q), multiplicity n_of_order(d) / ord_d(q)) without
+visiting the elements.  Codes over the algebra that are modules over
+F_{p^m}[A x Z_{p^s}] correspond to tuples of linear codes over the factors,
+so counting them (plain, Euclidean self-dual, Hermitian self-dual) reduces
+to products of the per-ring counts in `counting`.
 
 Groups are tuples of cyclic orders; elements are integer tuples with
 componentwise arithmetic.
@@ -15,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .chainring import ChainRing, ChainRingElement
 from .gf import Field, FieldElement, field_make, factor_prime_power, is_prime
@@ -26,7 +30,7 @@ from . import counting
 class AbelianGroup:
     """A finite abelian group given by a list of cyclic orders."""
 
-    __slots__ = ("invariants", "_elements")
+    __slots__ = ("invariants",)
 
     def __init__(self, invariants) -> None:
         inv = tuple(int(d) for d in invariants)
@@ -35,7 +39,6 @@ class AbelianGroup:
         # order-1 components contribute nothing; dropping them normalizes
         # the trivial group to the empty product
         self.invariants = tuple(d for d in inv if d > 1)
-        self._elements = None
 
     @classmethod
     def from_spec(cls, spec: str) -> "AbelianGroup":
@@ -58,11 +61,9 @@ class AbelianGroup:
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.invariants)
 
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._elements is None:
-            self._elements = tuple(itertools.product(
-                *(range(d) for d in self.invariants)))
-        return self._elements
+    def elements(self):
+        """Every element, in lexicographic order (only for small groups)."""
+        return itertools.product(*(range(d) for d in self.invariants))
 
     def check(self, a) -> tuple[int, ...]:
         a = tuple(a)
@@ -139,99 +140,56 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# orbits of A under multiplication by q and their symmetry types
+# the factorization of F_{p^m}[A x Z_{p^s}] into chain rings, by divisor
+#
+# The orbit {q^i a} of an element a of order d has ord_d(q) members, and
+# whether it contains -a (or -sqrt(q) a) is a question about the residues
+# mod d alone, so every orbit of order-d elements has the same degree and
+# types.  Both types ask whether a unit mod d lies in the cyclic group <q>
+# mod d, whose order t = ord_d(q) the caller has already computed.
 
-@dataclass(frozen=True)
-class CyclotomicClass:
-    """An orbit {q^i * a} of A under multiplication by q = p^m."""
-    group: AbelianGroup
-    q: int
-    rep: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def euclidean_type(self) -> str:
-        """"I" when a = -a, "II" when -a sits in the orbit but a != -a,
-        "III" when the orbit of -a is a different class."""
-        neg = self.group.neg(self.rep)
-        if neg == self.rep:
-            return "I"
-        return "II" if neg in self.members else "III"
-
-    def hermitian_type(self) -> str:
-        """"I'" when the orbit contains -sqrt(q)*a, else "II'"."""
-        r = math.isqrt(self.q)
-        if r * r != self.q:
-            raise ValueError("Hermitian types need a square multiplier order")
-        target = self.group.neg(self.group.smul(r, self.rep))
-        return "I'" if target in self.members else "II'"
+def _euclidean_type(d: int, q: int, t: int) -> str:
+    """"I" when a = -a (d <= 2), "II" when -a lies in the orbit of a,
+    "III" otherwise.  For d > 2, -1 has order 2, so it lies in <q> iff t is
+    even and q^(t/2), the one element of order 2 there, is -1."""
+    if d <= 2:
+        return "I"
+    return "II" if t % 2 == 0 and pow(q, t // 2, d) == d - 1 else "III"
 
 
-def cyclotomic_class(group: AbelianGroup, q: int, a) -> CyclotomicClass:
-    """The orbit of a under multiplication by q, with the lexicographically
-    smallest member as representative."""
+def _hermitian_type(d: int, r: int, t: int) -> str:
+    """"I'" when -r*a lies in the orbit of a under q = r^2, else "II'".
+    (-r)^2 = q, so -r has order t or 2t mod d and lies in the cyclic group
+    <q> of order t iff (-r)^t = 1."""
+    return "I'" if pow(-r % d, t, d) == 1 % d else "II'"
+
+
+def _check_coprime(j: int, q: int) -> None:
     p, _ = factor_prime_power(q)
-    if group.order % p == 0:
-        raise ValueError(
-            f"group order {group.order} not coprime to the characteristic {p}")
-    a = group.check(a)
-    members = [a]
-    cur = group.smul(q, a)
-    while cur != a:
-        members.append(cur)
-        cur = group.smul(q, cur)
-    members = tuple(sorted(members))
-    return CyclotomicClass(group, q, members[0], members)
-
-
-def cyclotomic_classes(group: AbelianGroup, q: int) -> list[CyclotomicClass]:
-    """The orbit partition of the whole group, sorted by representative."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for a in sorted(group.elements()):
-        if a in seen:
-            continue
-        cls = cyclotomic_class(group, q, a)
-        seen.update(cls.members)
-        out.append(cls)
-    return out
+    if math.gcd(j, p) != 1:
+        raise ValueError(f"need gcd({j}, {p}) = 1")
 
 
 def is_good_pair(j: int, q: int) -> bool:
-    """Whether j divides q^t + 1 for some t >= 1.  Since q^t mod j is
-    periodic with period ord_j(q), scanning that far decides it."""
-    p, _ = factor_prime_power(q)
-    if math.gcd(j, p) != 1:
-        raise ValueError(f"need gcd({j}, {p}) = 1")
-    target = (-1) % j
-    return any(pow(q, t, j) == target
-               for t in range(1, multiplicative_order(q, j) + 1))
+    """Whether j divides q^t + 1 for some t >= 1, i.e. -1 lies in <q> mod j."""
+    _check_coprime(j, q)
+    return _euclidean_type(j, q, multiplicative_order(q, j)) != "III"
 
 
 def is_oddly_good_pair(j: int, q: int) -> bool:
-    """Whether j divides q^t + 1 for some odd t >= 1; odd t up to twice
-    the order of q mod j covers every odd residue of the period."""
-    p, _ = factor_prime_power(q)
-    if math.gcd(j, p) != 1:
-        raise ValueError(f"need gcd({j}, {p}) = 1")
-    target = (-1) % j
-    return any(pow(q, t, j) == target
-               for t in range(1, 2 * multiplicative_order(q, j) + 1, 2))
+    """Whether j divides q^t + 1 for some odd t >= 1.  Then -q = q^(t+1)
+    lies in <q^2> mod j, and conversely -q = q^(2k) gives -1 = q^(2k-1)."""
+    _check_coprime(j, q)
+    return _hermitian_type(j, q, multiplicative_order(q * q, j)) == "I'"
 
-
-# ---------------------------------------------------------------------------
-# the factorization of F_{p^m}[A x Z_{p^s}] into chain rings
 
 @dataclass(frozen=True)
-class ClassFactor:
-    """One chain-ring factor GF(p^degree)[u]/(u^depth) of the algebra."""
-    rep: tuple[int, ...]
-    order: int
-    size: int
+class DivisorFactor:
+    """The multiplicity chain-ring factors GF(p^degree)[u]/(u^depth) of the
+    algebra that come from the orbits of elements of order divisor."""
+    divisor: int
     degree: int
+    multiplicity: int
     euclidean_type: str
     hermitian_type: str | None
 
@@ -242,46 +200,47 @@ class DecompositionReport:
     m: int
     s: int
     group: AbelianGroup
-    classes: tuple[ClassFactor, ...]
+    factors: tuple[DivisorFactor, ...]
 
     @property
     def depth(self) -> int:
         return self.p ** self.s
 
+    def _count_types(self, attr: str, labels) -> tuple[int, ...]:
+        return tuple(sum(f.multiplicity for f in self.factors
+                         if getattr(f, attr) == label) for label in labels)
+
     def count_euclidean_types(self) -> tuple[int, int, int]:
-        types = [c.euclidean_type for c in self.classes]
-        return types.count("I"), types.count("II"), types.count("III")
+        return self._count_types("euclidean_type", ("I", "II", "III"))
 
     def count_hermitian_types(self) -> tuple[int, int]:
         if self.m % 2:
             raise ValueError("Hermitian types need an even field degree")
-        types = [c.hermitian_type for c in self.classes]
-        return types.count("I'"), types.count("II'")
+        return self._count_types("hermitian_type", ("I'", "II'"))
 
     def grouped_factors(self) -> list[tuple[int, int, int, str, str | None]]:
         """(divisor, field degree, multiplicity, euclidean type, hermitian
-        type) with identical factors merged."""
-        key = lambda c: (c.order, c.degree, c.euclidean_type, c.hermitian_type)
-        out = []
-        for (d, deg, te, th), grp in itertools.groupby(
-                sorted(self.classes, key=key), key=key):
-            out.append((d, deg, sum(1 for _ in grp), te, th))
-        return out
+        type) per divisor."""
+        return [astuple(f) for f in self.factors]
 
     def factor_rings(self, *, max_order: int = DEFAULT_MAX_ORDER) -> list[ChainRing]:
-        """The actual chain rings, one per class, in class order."""
-        return [ChainRing(field_make(self.p, c.degree, max_order=max_order),
-                          self.depth)
-                for c in self.classes]
+        """The actual chain rings in divisor order, multiplicity copies each."""
+        rings = []
+        for f in self.factors:
+            rings += [ChainRing(field_make(self.p, f.degree, max_order=max_order),
+                                self.depth)] * f.multiplicity
+        return rings
 
     def to_text(self) -> str:
+        total = sum(f.multiplicity for f in self.factors)
         head = (f"GF({self.p ** self.m})[A x Z{self.depth}] with "
-                f"A = {self.group!r}: {len(self.classes)} factors")
+                f"A = {self.group!r}: {total} factors")
         lines = [head, "divisor  field  depth  count  type"]
-        for d, deg, mult, te, th in self.grouped_factors():
-            label = te if th is None else f"{te}/{th}"
-            lines.append(f"{d:<7d}  {self.p ** deg:<5d}  {self.depth:<5d}  "
-                         f"{mult:<5d}  {label}")
+        for f in self.factors:
+            th = f.hermitian_type
+            label = f.euclidean_type if th is None else f"{f.euclidean_type}/{th}"
+            lines.append(f"{f.divisor:<7d}  {self.p ** f.degree:<5d}  "
+                         f"{self.depth:<5d}  {f.multiplicity:<5d}  {label}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -289,37 +248,44 @@ class DecompositionReport:
             "p": self.p, "m": self.m, "s": self.s,
             "group": list(self.group.invariants),
             "factors": [
-                {"divisor": d, "field_order": self.p ** deg,
-                 "depth": self.depth, "multiplicity": mult,
-                 "euclidean_type": te, "hermitian_type": th}
-                for d, deg, mult, te, th in self.grouped_factors()],
+                {"divisor": f.divisor, "field_order": self.p ** f.degree,
+                 "depth": self.depth, "multiplicity": f.multiplicity,
+                 "euclidean_type": f.euclidean_type,
+                 "hermitian_type": f.hermitian_type}
+                for f in self.factors],
         }
 
 
-def decompose(p: int, m: int, s: int, group: AbelianGroup) -> DecompositionReport:
-    """Split F_{p^m}[A x Z_{p^s}] into chain-ring factors, one per orbit of
-    A under multiplication by p^m, each GF(p^{m * orbit size})[u]/(u^{p^s})."""
+def _chain_depth(p: int, m: int, s: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 and s >= 1")
+    return p ** s
+
+
+def decompose(p: int, m: int, s: int, group: AbelianGroup) -> DecompositionReport:
+    """Split F_{p^m}[A x Z_{p^s}] into chain-ring factors, one per orbit of
+    A under multiplication by q = p^m, each GF(p^{m * orbit size})[u]/(u^{p^s}).
+    The n_of_order(d) elements of order d fall into orbits of ord_d(q)
+    members each, so one record per divisor d of exp(A) lists them all."""
+    _chain_depth(p, m, s)
     if group.order % p == 0:
         raise ValueError(
             f"group order {group.order} not coprime to the characteristic {p}")
     q = p ** m
-    facs = []
-    for cls in cyclotomic_classes(group, q):
-        facs.append(ClassFactor(
-            rep=cls.rep,
-            order=group.element_order(cls.rep),
-            size=cls.size,
-            degree=m * cls.size,
-            euclidean_type=cls.euclidean_type(),
-            hermitian_type=cls.hermitian_type() if m % 2 == 0 else None))
-    report = DecompositionReport(p, m, s, group, tuple(facs))
-    if sum(c.size for c in report.classes) != group.order:
-        raise AssertionError("orbits do not partition the group")
-    return report
+    factors = []
+    for d in divisors(group.exponent):
+        t = multiplicative_order(q, d)
+        count = group.n_of_order(d)
+        if count % t:
+            raise AssertionError("orbit size does not divide the order count")
+        factors.append(DivisorFactor(
+            divisor=d, degree=m * t, multiplicity=count // t,
+            euclidean_type=_euclidean_type(d, q, t),
+            hermitian_type=(_hermitian_type(d, p ** (m // 2), t)
+                            if m % 2 == 0 else None)))
+    return DecompositionReport(p, m, s, group, tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +396,7 @@ class GroupAlgebraElement:
 def algebra_elements(group: AbelianGroup, field: Field):
     """Every element of field[group], in a deterministic order.  Only
     sensible for tiny groups and fields."""
-    gs = sorted(group.elements())
+    gs = list(group.elements())
     for codes in itertools.product(range(field.q), repeat=len(gs)):
         yield GroupAlgebraElement(group, field, dict(zip(gs, codes)))
 
@@ -473,7 +439,7 @@ def coset_representatives(group: AbelianGroup, sub) -> list[tuple[int, ...]]:
     eset = set(elems)
     reps = []
     assigned: set[tuple[int, ...]] = set()
-    for g in sorted(group.elements()):
+    for g in group.elements():
         if g in assigned:
             continue
         reps.append(g)
@@ -579,25 +545,41 @@ def chain_to_cyclic(ring: ChainRing, group: AbelianGroup,
 # ---------------------------------------------------------------------------
 # closed-form counts of quasi-abelian codes and their self-dual subfamilies
 
-def _chain_depth(p: int, s: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if s < 1:
-        raise ValueError("need s >= 1")
-    return p ** s
+def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
+           kind: str | None, linear, esd=None, hsd=None, *,
+           gated: bool) -> int:
+    """Validate the arguments, decompose, and multiply per-factor counts.
 
-
-def _divisor_data(p: int, m: int, group: AbelianGroup):
-    if group.order % p == 0:
+    With kind None every factor carries a free linear code.  Otherwise kind
+    names the factor type that decides: type I factors hold Euclidean
+    self-dual codes, types II and I' Hermitian self-dual ones, and types
+    III and II' pair each orbit with its dual orbit, so each pair carries
+    one free linear code.  Gated counts have closed forms only for depth 3.
+    """
+    e = _chain_depth(p, m, s)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if kind == "hermitian_type" and m % 2:
+        raise ValueError("Hermitian counts need an even field degree")
+    if gated and e != 3:
         raise ValueError(
-            f"group order {group.order} not coprime to the characteristic {p}")
-    q = p ** m
-    for d in divisors(group.exponent):
-        ord_d = multiplicative_order(q, d)
-        count = group.n_of_order(d)
-        if count % ord_d:
-            raise AssertionError("orbit size does not divide the order count")
-        yield d, ord_d, count
+            f"self-dual counts for depth {e} need explicit providers; "
+            f"closed forms ship only for depth 3")
+    total = 1
+    for f in decompose(p, m, s, group).factors:
+        qf = p ** f.degree
+        label = getattr(f, kind) if kind else None
+        if label is None:
+            total *= linear(qf, e, n) ** f.multiplicity
+        elif label == "I":
+            total *= esd(qf, n) ** f.multiplicity
+        elif label in ("II", "I'"):
+            total *= hsd(qf, n) ** f.multiplicity
+        else:
+            if f.multiplicity % 2:
+                raise AssertionError("paired orbits failed to pair up")
+            total *= linear(qf, e, n) ** (f.multiplicity // 2)
+    return total
 
 
 def count_qa(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
@@ -609,14 +591,8 @@ def count_qa(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
     linear_provider(q, e, n) overrides the per-ring code count; the default
     is `counting.count_linear`, certified for depth p^s = 3.
     """
-    e = _chain_depth(p, s)
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    provider = linear_provider or counting.count_linear
-    total = 1
-    for d, ord_d, count in _divisor_data(p, m, group):
-        total *= provider(p ** (m * ord_d), e, n) ** (count // ord_d)
-    return total
+    return _count(p, m, s, group, n, None,
+                  linear_provider or counting.count_linear, gated=False)
 
 
 def count_qa_esd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
@@ -630,29 +606,11 @@ def count_qa_esd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
     divisors pair factors with their duals, contributing a free linear code
     per pair.  Default providers are the depth-3 closed forms.
     """
-    e = _chain_depth(p, s)
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    if e != 3 and not (linear_provider and esd_provider and hsd_provider):
-        raise ValueError(
-            f"self-dual counts for depth {e} need explicit providers; "
-            f"closed forms ship only for depth 3")
-    linear = linear_provider or counting.count_linear
-    esd = esd_provider or (lambda q, nn: counting.count_esd(q, nn))
-    hsd = hsd_provider or (lambda q, nn: counting.count_hsd(q, nn))
-    q = p ** m
-    total = 1
-    for d, ord_d, count in _divisor_data(p, m, group):
-        if is_good_pair(d, q):
-            if ord_d == 1:
-                total *= esd(q, n) ** count
-            else:
-                total *= hsd(p ** (m * ord_d), n) ** (count // ord_d)
-        else:
-            if count % (2 * ord_d):
-                raise AssertionError("bad-divisor orbits failed to pair up")
-            total *= linear(p ** (m * ord_d), e, n) ** (count // (2 * ord_d))
-    return total
+    return _count(p, m, s, group, n, "euclidean_type",
+                  linear_provider or counting.count_linear,
+                  esd_provider or counting.count_esd,
+                  hsd_provider or counting.count_hsd,
+                  gated=not (linear_provider and esd_provider and hsd_provider))
 
 
 def count_qa_hsd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
@@ -664,24 +622,7 @@ def count_qa_hsd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
     good" divisor) the factors must be Hermitian self-dual; otherwise
     factors pair with duals and each pair contributes a free linear code.
     """
-    e = _chain_depth(p, s)
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    if m % 2:
-        raise ValueError("Hermitian counts need an even field degree")
-    if e != 3 and not (linear_provider and hsd_provider):
-        raise ValueError(
-            f"self-dual counts for depth {e} need explicit providers; "
-            f"closed forms ship only for depth 3")
-    linear = linear_provider or counting.count_linear
-    hsd = hsd_provider or (lambda q, nn: counting.count_hsd(q, nn))
-    root = p ** (m // 2)
-    total = 1
-    for d, ord_d, count in _divisor_data(p, m, group):
-        if is_oddly_good_pair(d, root):
-            total *= hsd(p ** (m * ord_d), n) ** (count // ord_d)
-        else:
-            if count % (2 * ord_d):
-                raise AssertionError("paired orbits failed to pair up")
-            total *= linear(p ** (m * ord_d), e, n) ** (count // (2 * ord_d))
-    return total
+    return _count(p, m, s, group, n, "hermitian_type",
+                  linear_provider or counting.count_linear,
+                  hsd=hsd_provider or counting.count_hsd,
+                  gated=not (linear_provider and hsd_provider))

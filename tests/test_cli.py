@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -229,6 +230,32 @@ def test_code_actions_reject_non_integer_entries(key, raw, action):
     assert "malformed code document" in err
 
 
+@pytest.mark.parametrize("action", CODE_ACTIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("rows", ['""', "{}", '"ab"', '[""]', '[{"a": 1}]',
+                                  '[[{"a": 1, "b": 2, "c": 3}, "xyz"]]'])
+def test_code_actions_reject_rows_that_are_not_lists(rows, action):
+    text = json.dumps(dict(VALID_DOC, rows="@")).replace('"@"', rows)
+    code, err = run_code_on_stdin(text, action)
+    assert code == 2
+    assert "malformed code document" in err
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("e", "100000000000"), ("p", "1" + "0" * 38 + "7"), ("m", "10" * 20)])
+def test_huge_sizes_in_code_documents_are_refused_promptly(key, raw):
+    text = json.dumps(dict(VALID_DOC, **{key: "@"})).replace('"@"', raw)
+    start = time.perf_counter()
+    code, err = run_code_on_stdin(text, ["check-sd"])
+    assert code == 2
+    assert err.startswith("chaincodes: error: ")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_empty_rows_are_the_zero_code():
+    text = json.dumps(dict(VALID_DOC, rows=[]))
+    assert loads_code(text).cardinality() == 1
+
+
 JSON_NON_INTEGERS = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
     | st.sampled_from([1e400, -1e400, 2.0, 2.9, "2", "1e400"]),
@@ -247,8 +274,8 @@ def malformed_documents(draw):
     if kind == "cut":
         return text[:draw(st.integers(0, len(text) - 1))]
     obj = json.loads(text)
-    # empty rows, in any container, are the zero code and well formed
-    value = draw(JSON_NON_INTEGERS.filter(lambda v: kind != "rows" or v))
+    # an empty list of rows is the zero code and well formed
+    value = draw(JSON_NON_INTEGERS.filter(lambda v: kind != "rows" or v != []))
     if kind == "entry":
         obj["rows"][0][draw(st.integers(0, 1))] = value
     elif kind == "coeff":

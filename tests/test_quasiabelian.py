@@ -2,6 +2,7 @@
 import collections
 import itertools
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis.strategies import integers, sampled_from
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import ChainRing, chain_ring
 from chaincodes.counting import count_esd, count_hsd, count_linear
-from chaincodes.gf import field_make
+from chaincodes.gf import DEFAULT_MAX_ORDER, factor_prime_power, field_make
 from chaincodes.quasiabelian import (
     AbelianGroup,
     GroupAlgebraElement,
@@ -23,8 +24,6 @@ from chaincodes.quasiabelian import (
     count_qa_esd,
     count_qa_hsd,
     cyclic_to_chain,
-    cyclotomic_class,
-    cyclotomic_classes,
     decompose,
     divisors,
     is_good_pair,
@@ -103,7 +102,76 @@ def test_multiplicative_order_and_divisors():
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic classes
+# cyclotomic classes: the orbit-scan reference for the per-divisor records
+
+@dataclass(frozen=True)
+class CyclotomicClass:
+    """An orbit {q^i * a} of A under multiplication by q = p^m."""
+    group: AbelianGroup
+    q: int
+    rep: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def euclidean_type(self) -> str:
+        """"I" when a = -a, "II" when -a sits in the orbit but a != -a,
+        "III" when the orbit of -a is a different class."""
+        neg = self.group.neg(self.rep)
+        if neg == self.rep:
+            return "I"
+        return "II" if neg in self.members else "III"
+
+    def hermitian_type(self) -> str:
+        """"I'" when the orbit contains -sqrt(q)*a, else "II'"."""
+        r = math.isqrt(self.q)
+        if r * r != self.q:
+            raise ValueError("Hermitian types need a square multiplier order")
+        target = self.group.neg(self.group.smul(r, self.rep))
+        return "I'" if target in self.members else "II'"
+
+
+def cyclotomic_class(group, q, a):
+    """The orbit of a under multiplication by q, with the lexicographically
+    smallest member as representative."""
+    p, _ = factor_prime_power(q)
+    if group.order % p == 0:
+        raise ValueError(
+            f"group order {group.order} not coprime to the characteristic {p}")
+    a = group.check(a)
+    members = [a]
+    cur = group.smul(q, a)
+    while cur != a:
+        members.append(cur)
+        cur = group.smul(q, cur)
+    members = tuple(sorted(members))
+    return CyclotomicClass(group, q, members[0], members)
+
+
+def cyclotomic_classes(group, q):
+    """The orbit partition of the whole group, sorted by representative."""
+    seen = set()
+    out = []
+    for a in sorted(group.elements()):
+        if a in seen:
+            continue
+        cls = cyclotomic_class(group, q, a)
+        seen.update(cls.members)
+        out.append(cls)
+    return out
+
+
+def scan_grouped(p, m, group):
+    """decompose's grouped_factors rebuilt from the orbit scan: classes with
+    equal (order, degree, types) merged, sorted."""
+    classes = cyclotomic_classes(group, p ** m)
+    key = collections.Counter(
+        (group.element_order(c.rep), m * c.size, c.euclidean_type(),
+         c.hermitian_type() if m % 2 == 0 else None) for c in classes)
+    return [(d, deg, mult, te, th)
+            for (d, deg, te, th), mult in sorted(key.items())]
 
 def test_classes_partition_z7_under_doubling():
     g = AbelianGroup.from_spec("7")
@@ -159,8 +227,8 @@ def test_type_three_classes_pair_up():
 # good pairs
 
 def test_good_pair_table_against_direct_scan():
-    for j in range(1, 21):
-        for q in (2, 3, 4, 5, 8, 9):
+    for j in range(1, 200):
+        for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81):
             if math.gcd(j, q) != 1:
                 continue
             assert is_good_pair(j, q) == order_scan_good(j, q)
@@ -212,8 +280,52 @@ def test_decomposition_dimensions_add_up():
     for p, m, spec in [(2, 1, "7"), (2, 2, "3,3"), (3, 1, "2,4"), (5, 1, "6")]:
         g = AbelianGroup.from_spec(spec)
         rep = decompose(p, m, 1, g)
-        assert sum(c.degree for c in rep.classes) == m * g.order
+        assert sum(f.degree * f.multiplicity for f in rep.factors) == m * g.order
         assert rep.count_euclidean_types()[2] % 2 == 0
+
+
+# 20,50 / 8,125 / 12,18 / 4,4,2 / 9,27 have exponents that are not squarefree
+SCAN_CASES = [
+    (2, 1, "7"), (2, 1, "9"), (2, 1, "15"), (2, 1, "21"), (2, 1, "7,9"),
+    (2, 1, "3,5,7"), (2, 1, "125"), (2, 1, "9,27"), (2, 2, "3,3"),
+    (2, 2, "15"), (2, 2, "5,5"), (2, 4, "17"), (2, 2, "45"), (2, 3, "7,7"),
+    (3, 1, "2,4"), (3, 1, "8"), (3, 1, "20,50"), (3, 1, "8,125"),
+    (3, 2, "2"), (3, 2, "20,50"), (3, 2, "5"), (3, 2, "4,4,2"), (3, 4, "10"),
+    (3, 1, "1"), (5, 1, "6"), (5, 2, "12,18"), (5, 4, "6"), (5, 1, "12,18"),
+    (7, 1, "8,12"), (7, 2, "8,12"), (7, 2, "20"), (11, 2, "3,5"),
+    (13, 1, "21"), (2, 6, "9,7"), (2, 1, "5,5"), (3, 1, "16"), (5, 1, "4,4"),
+    (3, 2, "8"),
+]
+
+
+@pytest.mark.parametrize("p,m,spec", SCAN_CASES, ids=str)
+def test_decompose_matches_orbit_scan(p, m, spec):
+    g = AbelianGroup.from_spec(spec)
+    rep = decompose(p, m, 1, g)
+    classes = cyclotomic_classes(g, p ** m)
+    assert rep.grouped_factors() == scan_grouped(p, m, g)
+    types = [c.euclidean_type() for c in classes]
+    assert rep.count_euclidean_types() == (
+        types.count("I"), types.count("II"), types.count("III"))
+    if m % 2 == 0:
+        htypes = [c.hermitian_type() for c in classes]
+        assert rep.count_hermitian_types() == (
+            htypes.count("I'"), htypes.count("II'"))
+    scanned = collections.Counter(p ** (m * c.size) for c in classes)
+    if max(scanned) <= DEFAULT_MAX_ORDER:
+        rings = rep.factor_rings()
+        assert collections.Counter(r.field.q for r in rings) == scanned
+        assert all(r.e == p for r in rings)
+    else:
+        with pytest.raises(ValueError):
+            rep.factor_rings()
+
+
+def test_decompose_large_group_without_element_scan():
+    rep = decompose(2, 1, 1, AbelianGroup.from_spec("999,1001"))
+    assert sum(f.multiplicity for f in rep.factors) == 7743
+    assert sum(f.degree * f.multiplicity for f in rep.factors) == 999999
+    assert [f.divisor for f in rep.factors] == divisors(999999)
 
 
 def test_hermitian_type_counts_need_even_degree():
