@@ -3,18 +3,18 @@
 The census oracle never touches the standard-form machinery: a submodule of
 R^n is a subspace of the prime-field vector space GF(p)^(e*m*n) closed under
 multiplication by u and by the field generator, so the enumeration does a
-breadth-first search over covers M < M + Rv (quotient GF(q), the simple
-module) with canonical RREF bases over GF(p) as search keys.  Every
-submodule is reached because it has a composition series, and the
-extending vectors can be taken with a plain power of u as leading nonzero
-coordinate, which keeps the candidate set small (see
-`enumerate_submodules`).
+search over covers M < M + Rv (quotient GF(q), the simple module) with
+canonical RREF bases over GF(p) as search keys.  Every submodule is reached
+because it has a composition series.  The covers of M are the GF(q)-lines
+of S/M, where S = {v : u*v in M} comes out of one elimination per M, so no
+vector outside S is ever tried (see `enumerate_submodules`).
 
 The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
 adding a row are a few big-int operations, multiplication by u and by the
 field generator are lane shifts, and a row's base-p reading is the packed
 base-|R| code of its vector, so fingerprints (sorted codeword codes) come
-out of the row span without decoding any codeword.
+out of the row span without decoding any codeword; for p = 2 they are the
+XOR closure of the basis rows' codes.
 
 Self-duality is likewise decided by raw orthogonality counting, so these
 censuses independently confirm the closed-form counts and the standard-form
@@ -72,6 +72,7 @@ class _FpView:
         self.ring = ring
         self.n = n
         self.p = p
+        self.m = m
         self.digits = e * m                      # lanes per ring entry
         # Barrett: floor(x / p) == (x * magic) >> shift for 0 <= x < p^2
         shift = (p * p - 1).bit_length() + p.bit_length()
@@ -84,7 +85,7 @@ class _FpView:
         self._quot_mask = sum(((1 << (lane - shift)) - 1) << (i * lane)
                               for i in range(w))
         self._gather = sum(p ** i << ((w - 1 - i) * lane) for i in range(w))
-        self._gather_shift = (w - 1) * lane
+        self._gather_shift = (w - 1) * lane      # offset of the top lane
         # multiplying by u moves each coefficient up m lanes within its
         # entry; the u^(e-1) coefficients fall off the top
         self._u_keep = sum(self.lane_mask << (i * lane)
@@ -130,20 +131,94 @@ class _FpView:
 
     # -- module structure ------------------------------------------------------
 
+    def x_rows(self, row: int) -> list[int]:
+        """Rows of x^j times the vector, j < m."""
+        m, lane = self.m, self.lane
+        out = [row]
+        for _ in range(m - 1):
+            top = row & self._x_top
+            row = self.reduce(((row - top) << lane)
+                              + (top >> ((m - 1) * lane)) * self._x_fold)
+            out.append(row)
+        return out
+
     def closure_rows(self, row: int) -> list[int]:
         """Rows of u^t x^j times the vector, t < e and j < m."""
-        m, lane = self.ring.field.m, self.lane
-        out = []
-        for _ in range(self.ring.e):
-            xj = row
-            for j in range(m):
-                out.append(xj)
-                if j < m - 1:
-                    top = xj & self._x_top
-                    xj = self.reduce(((xj - top) << lane)
-                                     + (top >> ((m - 1) * lane)) * self._x_fold)
-            row = (row << (m * lane)) & self._u_keep
+        step, keep = self.m * self.lane, self._u_keep
+        rows = self.x_rows(row)
+        out = list(rows)
+        for _ in range(self.ring.e - 1):
+            rows = [(r << step) & keep for r in rows]
+            out += rows
         return out
+
+    def socle_lines(self, basis, pivots) -> list[int]:
+        """One vector per GF(q)-line of S/M, where M is the submodule with
+        this reduced echelon basis and S = {v : u*v in M}.
+
+        M and the span C of the unit rows off its pivot lanes are both
+        GF(q)-subspaces (pivot lanes come in whole blocks of m lanes, the
+        GF(q)-coordinates), so reduction mod M is a GF(q)-linear projection
+        onto C and S/M is the kernel K of v -> u*v mod M on C.  K comes out
+        of one elimination over the unit rows of C, from the top lane down,
+        each paired with its image: u*e_i is e_(i+m), which reduces mod M to
+        itself off the pivots and to e_P - r_P on the pivot P of the basis
+        row r_P.  A source whose image cancels is a kernel row with its
+        pivot on its own lane, so K's reduced echelon basis builds up as it
+        goes.  K is x-closed, so its rows come in blocks of m: a row g with
+        the field element 1 in its leading block, followed by x g, ...,
+        x^(m-1) g.  The lines of K are then g plus any GF(p) combination of
+        the rows of later blocks, once per leading block.  Every line vector
+        is zero on M's pivots and has 1 in its leading block, so its rows
+        x^j v are already reduced against M and against each other.
+        """
+        p, lane, mask, m, reduce = self.p, self.lane, self.lane_mask, self.m, self.reduce
+        pivot_row = dict(zip(pivots, basis))
+        step = m * lane
+        images: dict[int, tuple[int, int]] = {}   # pivot bit -> (image, source)
+        kernel: list[tuple[int, int]] = []        # (row, pivot bit), pivots descending
+        for bit in range(self._gather_shift, -1, -lane):
+            if bit in pivot_row:
+                continue
+            src = 1 << bit
+            if (bit // lane) % self.digits < self.digits - m:
+                target = bit + step
+                row = pivot_row.get(target)
+                img = 1 << target if row is None else reduce(
+                    (p - 1) * (row - (1 << target)))
+            else:
+                img = 0                            # u*e_i = 0 at the top u-power
+            while img:
+                low = (img & -img).bit_length() - 1
+                pc = low - low % lane
+                c = (img >> pc) & mask
+                hit = images.get(pc)
+                if hit is None:
+                    inv = pow(c, p - 2, p)
+                    images[pc] = (reduce(img * inv), reduce(src * inv))
+                    break
+                bimg, bsrc = hit
+                img = reduce(img + (p - c) * bimg)
+                src = reduce(src + (p - c) * bsrc)
+            else:
+                # every kernel row so far pivots above this lane and is zero here
+                for krow, kbit in kernel:
+                    c = (src >> kbit) & mask
+                    if c:
+                        src = reduce(src + (p - c) * krow)
+                kernel.append((src, bit))
+        rows = [row for row, _ in reversed(kernel)]
+        lines = []
+        for lead in range(0, len(rows), m):
+            acc = [rows[lead]]
+            for row in rows[lead + m:]:
+                if p == 2:
+                    acc += [v ^ row for v in acc]
+                else:
+                    multiples = [reduce(c * row) for c in range(p)]
+                    acc = [reduce(v + s) for v in acc for s in multiples]
+            lines += acc
+        return lines
 
     def reduce_row(self, basis, pivots, row: int) -> int:
         """The row minus its projection on a reduced echelon basis; pivots
@@ -188,13 +263,25 @@ class _FpView:
 
     def fingerprint(self, basis) -> tuple[int, ...]:
         """Every vector in the GF(p)-span, encoded as a single integer in
-        base |R| (coordinate 0 least significant), sorted."""
-        reduce = self.reduce
+        base |R| (coordinate 0 least significant), sorted.
+
+        For p = 2 a row's code is its lanes read as bits, so the span is
+        the XOR closure of the basis rows' codes.  For odd p the closure
+        runs on the packed rows, with the lane reduction and the base-p
+        reading written out inline."""
+        if self.p == 2:
+            acc = [0]
+            for c in map(self.code, basis):
+                acc += [x ^ c for x in acc]
+            return tuple(sorted(acc))
+        p, magic, shift, quot_mask = self.p, self._magic, self._shift, self._quot_mask
         acc = [0]
         for row in basis:
-            multiples = [reduce(c * row) for c in range(self.p)]
-            acc = [reduce(w + s) for w in acc for s in multiples]
-        return tuple(sorted(map(self.code, acc)))
+            multiples = [self.reduce(c * row) for c in range(p)]
+            acc = [(x := v + s) - p * (((x * magic) >> shift) & quot_mask)
+                   for v in acc for s in multiples]
+        gather, gather_shift, mask = self._gather, self._gather_shift, self.lane_mask
+        return tuple(sorted([((v * gather) >> gather_shift) & mask for v in acc]))
 
 
 def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
@@ -239,19 +326,6 @@ def _build_census(ring: ChainRing, n: int, label: str, entries) -> Census:
                   tuple(c for _, c in pairs), tuple(fp for fp, _ in pairs))
 
 
-def _normalized_candidates(ring: ChainRing, n: int):
-    """Vectors whose leading nonzero coordinate is exactly u^v.  Every
-    nonzero vector is a unit multiple of one of these, so extending by them
-    reaches every submodule."""
-    out = []
-    for lead in range(n):
-        for v in range(ring.e):
-            head = ring.q ** v
-            for tail in itertools.product(range(ring.size), repeat=n - 1 - lead):
-                out.append((0,) * lead + (head,) + tail)
-    return out
-
-
 def _check_bound(ring: ChainRing, n: int, bound: int) -> None:
     if ring.size ** n > bound:
         raise ValueError(
@@ -274,43 +348,29 @@ def enumerate_submodules(ring: ChainRing, n: int, *,
                          bound: int = DEFAULT_ORACLE_BOUND) -> Census:
     """Every linear code of length n over the ring, by exhaustive search.
 
-    A found submodule M is extended only to its covers N = M + Rv, by
-    candidates v outside M with u*v inside M.  Then u*R*v lies in M, so N is
-    M plus the GF(p)-span of the x^j v (j < m) and N/M is GF(q), the simple
-    R-module.  Nothing is missed: every submodule N has a composition series
+    A found submodule M is extended only to its covers.  For v outside M
+    with u*v inside M, u*R*v lies in M, so N = M + Rv is M plus the
+    GF(p)-span of the x^j v (j < m) and N/M is GF(q), the simple R-module.
+    Such v make up S = {v : u*v in M} minus M, and v gives the same N as
+    every other nonzero vector of its GF(q)-line in S/M, so the covers of M
+    are exactly those lines; `_FpView.socle_lines` lists one vector per
+    line.  Nothing is missed: every submodule N has a composition series
     0 = N_0 < N_1 < ... < N_k = N with simple factors, and for any v in
     N_(i+1) but not in N_i, u*v lies in N_i (u kills the factor) and
-    N_(i+1) = N_i + Rv.  A unit multiple of v spans the same Rv and has a
-    plain power of u as leading nonzero coordinate, so it is one of the
-    candidates, and the search climbs every step of the series.
+    N_(i+1) = N_i + Rv is a cover of N_i, so the search climbs every step
+    of the series.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_bound(ring, n, bound)
     view = _FpView(ring, n)
-    m = ring.field.m
-    cands = []
-    for v in _normalized_candidates(ring, n):
-        row = view.encode(v)
-        closure = view.closure_rows(row)
-        # rows of x^j v, and u*v (0 when e = 1, which every M contains)
-        cands.append((closure[:m], closure[m] if ring.e > 1 else 0))
-
     found: dict[tuple, tuple[list, list]] = {(): ([], [])}
     queue = [()]
     while queue:
-        key = queue.pop()
-        basis, pivots = found[key]
-        cosets = set()    # v = v' mod the submodule gives the same extension
-        for cover_rows, u_row in cands:
-            rest = view.reduce_row(basis, pivots, cover_rows[0])
-            if not rest or rest in cosets:
-                continue  # inside this submodule, or a tried coset of it
-            cosets.add(rest)
-            if u_row and view.reduce_row(basis, pivots, u_row):
-                continue  # M + Rv is not a cover of M
+        basis, pivots = found[queue.pop()]
+        for v in view.socle_lines(basis, pivots):
             nb, np_ = list(basis), list(pivots)
-            for row in cover_rows:
+            for row in view.x_rows(v):
                 view.insert_row(nb, np_, row)
             nkey = tuple(nb)
             if nkey not in found:

@@ -94,7 +94,7 @@ class AbelianGroup:
         those of order exactly d."""
         if d < 1:
             raise ValueError("order must be >= 1")
-        primes = [f for f in divisors(d) if is_prime(f)]
+        primes = list(_factorize(d))
         total = 0
         for r in range(len(primes) + 1):
             for drop in itertools.combinations(primes, r):
@@ -117,26 +117,66 @@ class AbelianGroup:
             f"Z{d}" for d in self.invariants)
 
 
+# trial division stops at this divisor; a cofactor left above its square
+# cannot be certified prime, so the number is refused
+_TRIAL_LIMIT = 1 << 20
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1, by trial division up to _TRIAL_LIMIT."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            raise ValueError(
+                f"cannot factor a {n.bit_length()}-bit number by trial "
+                f"division up to {_TRIAL_LIMIT}")
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def multiplicative_order(base: int, mod: int) -> int:
-    """Least t >= 1 with base^t = 1 (mod mod); mod 1 gives 1."""
+    """Least t >= 1 with base^t = 1 (mod mod); mod 1 gives 1.
+
+    The order divides the Carmichael exponent lambda(mod), the lcm of
+    lambda(r^k) = r^(k-1) (r - 1) over the prime powers r^k of mod (halved
+    for 2^k, k >= 3).  Starting from lambda, each prime r is divided out as
+    long as base^(t/r) is still 1."""
     if mod < 1:
         raise ValueError("modulus must be >= 1")
     if mod == 1:
         return 1
     if math.gcd(base, mod) != 1:
         raise ValueError(f"{base} is not invertible mod {mod}")
-    t, acc = 1, base % mod
-    while acc != 1:
-        acc = acc * base % mod
-        t += 1
+    lam: dict[int, int] = {}
+    for r, k in _factorize(mod).items():
+        if r == 2:
+            part = {2: k - 1 if k < 3 else k - 2}
+        else:
+            part = _factorize(r - 1)
+            part[r] = k - 1
+        for f, j in part.items():
+            lam[f] = max(lam.get(f, 0), j)
+    t = math.prod(f ** j for f, j in lam.items())
+    for f in lam:
+        while t % f == 0 and pow(base, t // f, mod) == 1:
+            t //= f
     return t
 
 
 def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted(set(small + [n // d for d in small]))
+    """The divisors of n in increasing order, from its factorisation."""
+    out = [1]
+    for r, k in _factorize(n).items():
+        out = [d * r ** j for d in out for j in range(k + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +221,27 @@ def is_oddly_good_pair(j: int, q: int) -> bool:
     lies in <q^2> mod j, and conversely -q = q^(2k) gives -1 = q^(2k-1)."""
     _check_coprime(j, q)
     return _hermitian_type(j, q, multiplicative_order(q * q, j)) == "I'"
+
+
+# ChainRing caps the bit length of q^e at 2^16, so no factor ring is deeper
+_MAX_DEPTH = 1 << 16
+
+# the reports print field orders in decimal, and CPython refuses int -> str
+# conversions above 4300 digits by default
+_REPORT_LIMIT = 10 ** 4300
+_REPORT_BITS = _REPORT_LIMIT.bit_length() - 1      # 2^bits <= limit
+
+
+def _field_order(p: int, degree: int) -> int:
+    """p^degree for a report, refused above 4300 digits.  Since p^degree >=
+    2^(degree * (bits(p) - 1)), a large degree is refused before the power
+    is built; a power that passes that test has fewer than 2 * _REPORT_BITS
+    bits and is cheap to build and compare."""
+    if (degree * (p.bit_length() - 1) > _REPORT_BITS
+            or p ** degree >= _REPORT_LIMIT):
+        raise ValueError(f"field order {p}^{degree} has over 4300 digits, "
+                         f"too many for the report to print")
+    return p ** degree
 
 
 @dataclass(frozen=True)
@@ -231,15 +292,18 @@ class DecompositionReport:
                                 self.depth)] * f.multiplicity
         return rings
 
+    def _field_orders(self) -> list[int]:
+        return [_field_order(self.p, f.degree) for f in self.factors]
+
     def to_text(self) -> str:
         total = sum(f.multiplicity for f in self.factors)
-        head = (f"GF({self.p ** self.m})[A x Z{self.depth}] with "
+        head = (f"GF({_field_order(self.p, self.m)})[A x Z{self.depth}] with "
                 f"A = {self.group!r}: {total} factors")
         lines = [head, "divisor  field  depth  count  type"]
-        for f in self.factors:
+        for f, order in zip(self.factors, self._field_orders()):
             th = f.hermitian_type
             label = f.euclidean_type if th is None else f"{f.euclidean_type}/{th}"
-            lines.append(f"{f.divisor:<7d}  {self.p ** f.degree:<5d}  "
+            lines.append(f"{f.divisor:<7d}  {order:<5d}  "
                          f"{self.depth:<5d}  {f.multiplicity:<5d}  {label}")
         return "\n".join(lines)
 
@@ -248,19 +312,24 @@ class DecompositionReport:
             "p": self.p, "m": self.m, "s": self.s,
             "group": list(self.group.invariants),
             "factors": [
-                {"divisor": f.divisor, "field_order": self.p ** f.degree,
+                {"divisor": f.divisor, "field_order": order,
                  "depth": self.depth, "multiplicity": f.multiplicity,
                  "euclidean_type": f.euclidean_type,
                  "hermitian_type": f.hermitian_type}
-                for f in self.factors],
+                for f, order in zip(self.factors, self._field_orders())],
         }
 
 
 def _chain_depth(p: int, m: int, s: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """The u-depth p^s, refused above _MAX_DEPTH before the power is built;
+    since p^s >= p, that also bounds the primality test."""
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 and s >= 1")
+    if p > 1 and (s > _MAX_DEPTH.bit_length() or p ** s > _MAX_DEPTH):
+        raise ValueError(f"u-depth p^s with s = {s} is over {_MAX_DEPTH}, "
+                         f"the largest a chain ring allows")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return p ** s
 
 

@@ -9,7 +9,6 @@ from chaincodes.census import (
     Census,
     _build_census,
     _FpView,
-    _normalized_candidates,
     code_fingerprint,
     enumerate_field_codes,
     enumerate_field_self_dual,
@@ -79,6 +78,21 @@ def test_fingerprint_is_sorted_packed_codewords(q, n, gens):
     assert len(packed) == code.cardinality()
 
 
+@settings(max_examples=60, deadline=None)
+@given(sampled_from([2, 3, 5, 7]), integers(1, 2), data())
+def test_fingerprint_is_sorted_packed_codewords_for_random_generators(p, m, draw):
+    q = p ** m
+    e = draw.draw(integers(1, max(t for t in (1, 2, 3) if q ** t <= 2500)))
+    ring = chain_ring(q, e)
+    n = draw.draw(integers(1, max(k for k in (1, 2, 3) if ring.size ** k <= 2500)))
+    gens = draw.draw(lists(lists(integers(0, ring.size - 1), min_size=n,
+                                 max_size=n), min_size=1, max_size=3))
+    code = LinearCode(ring, n, gens)
+    packed = sorted(sum(x * ring.size ** k for k, x in enumerate(w))
+                    for w in code.codewords())
+    assert code_fingerprint(code) == tuple(packed)
+
+
 # ---------------------------------------------------------------------------
 # full submodule censuses
 
@@ -90,6 +104,19 @@ def test_submodule_census_sizes(q, n, expected):
     assert census.size == expected
     assert census.size == count_linear(q, 3, n)
     assert len(census.fingerprint_set()) == expected
+
+
+def _normalized_candidates(ring, n):
+    """Vectors whose leading nonzero coordinate is exactly u^v.  Every
+    nonzero vector is a unit multiple of one of these, so extending by them
+    reaches every submodule."""
+    out = []
+    for lead in range(n):
+        for v in range(ring.e):
+            head = ring.q ** v
+            for tail in itertools.product(range(ring.size), repeat=n - 1 - lead):
+                out.append((0,) * lead + (head,) + tail)
+    return out
 
 
 def all_extensions_reference(ring, n):
@@ -138,19 +165,47 @@ def test_cover_search_matches_all_extensions_reference(q, e, n):
     assert census.to_json() == ref.to_json()
 
 
-def test_cover_search_work_pin(monkeypatch):
-    """R(4,3)^2 takes 1,068 row insertions by covers and 48,600 by all
-    extensions; a return to the latter fails here."""
+def count_calls(monkeypatch, name):
+    """Record every call of the _FpView method `name`."""
     calls = []
-    insert = _FpView.insert_row
+    method = getattr(_FpView, name)
 
-    def counted(self, basis, pivots, row):
-        calls.append(row)
-        return insert(self, basis, pivots, row)
-    monkeypatch.setattr(_FpView, "insert_row", counted)
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    monkeypatch.setattr(_FpView, name, counted)
+    return calls
+
+
+def test_cover_search_work_pin(monkeypatch):
+    """R(4,3)^2 has 270 covering pairs M < N, and the search inserts the
+    m = 2 rows x^j v of each once: 540 row insertions, against 1,068 when
+    every candidate vector was tried and 48,600 by all extensions."""
+    calls = count_calls(monkeypatch, "insert_row")
     enumerate_submodules.cache_clear()
     assert enumerate_submodules(chain_ring(4, 3), 2).size == 139
-    assert len(calls) <= 2000
+    assert len(calls) <= 540
+
+
+def test_socle_search_reduce_row_pin(monkeypatch):
+    """On R(2,3)^3 rows are reduced only to insert cover rows: 2,625 calls,
+    against 201,874 when every candidate was reduced modulo every found
+    submodule."""
+    calls = count_calls(monkeypatch, "reduce_row")
+    enumerate_submodules.cache_clear()
+    assert enumerate_submodules(chain_ring(2, 3), 3).size == 802
+    assert len(calls) <= 20000
+
+
+@pytest.mark.parametrize("q,n,expected", [(3, 3, 5776), (2, 4, 43339)])
+def test_frontier_census_matches_formula(q, n, expected):
+    try:
+        census = enumerate_submodules(chain_ring(q, 3), n)
+        assert census.size == expected == count_linear(q, 3, n)
+        assert linear_count_sum(q, 3, n) == expected
+        assert len(census.fingerprint_set()) == expected
+    finally:
+        enumerate_submodules.cache_clear()     # R(2,3)^4 holds ~290 MB
 
 
 @pytest.mark.parametrize("q,e,n,expected", [

@@ -323,6 +323,20 @@ def test_decompose_errors(capsys):
     assert run(capsys, "decompose", "--p", "3", "--A", "6")[0] == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "2", "--A", "1", "--s", "20000"], "u-depth"),
+    (["--p", "2", "--A", "100000007"], "field order"),
+    (["--p", "2", "--A", "100000007", "--format", "json"], "field order"),
+    (["--p", "2", "--A", "999999999989"], "field order"),
+])
+def test_decompose_refuses_unprintable_sizes_promptly(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert message in err and "4300 digits) for integer" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -2,6 +2,7 @@
 import collections
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -99,6 +100,58 @@ def test_multiplicative_order_and_divisors():
         multiplicative_order(2, 4)       # not coprime
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+    with pytest.raises(ValueError):
+        divisors(0)
+
+
+def order_step_reference(base, mod):
+    """Least t >= 1 with base^t = 1 (mod mod), by stepping t = 1, 2, ..."""
+    t, acc = 1, base % mod
+    while acc != 1 % mod:
+        acc = acc * base % mod
+        t += 1
+    return t
+
+
+def test_multiplicative_order_matches_stepping():
+    for q in (2, 3, 4, 5, 8, 9, 16):
+        for d in range(1, 2000):
+            if math.gcd(q, d) == 1:
+                assert multiplicative_order(q, d) == order_step_reference(q, d)
+
+
+def test_divisors_match_trial_division():
+    for n in range(1, 1500):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    assert divisors(2 ** 40) == [2 ** k for k in range(41)]
+
+
+def test_multiplicative_order_of_a_twelve_digit_prime_modulus():
+    mod = 999999999989
+    start = time.perf_counter()
+    t = multiplicative_order(2, mod)
+    assert time.perf_counter() - start < 1.0
+    assert pow(2, t, mod) == 1
+    rest, primes, r = t, set(), 2
+    while r * r <= rest:
+        while rest % r == 0:
+            primes.add(r)
+            rest //= r
+        r += 1
+    primes.add(rest)
+    for r in primes - {1}:
+        assert pow(2, t // r, mod) != 1
+
+
+def test_factoring_work_bound_refuses_quickly():
+    # two primes just above 2^20: trial division cannot split the product
+    big = 1048583 * 1048589
+    start = time.perf_counter()
+    for call in (lambda: multiplicative_order(2, big), lambda: divisors(big),
+                 lambda: decompose(2, 1, 1, AbelianGroup([big]))):
+        with pytest.raises(ValueError, match="trial division"):
+            call()
+    assert time.perf_counter() - start < 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +327,32 @@ def test_decompose_validates_arguments():
         decompose(3, 1, 1, AbelianGroup.from_spec("6"))
     with pytest.raises(ValueError):
         decompose(3, 0, 1, AbelianGroup.from_spec("2"))
+
+
+def test_depth_and_report_sizes_are_refused_before_they_are_built():
+    trivial = AbelianGroup.from_spec("1")
+    assert decompose(2, 1, 16, trivial).depth == 2 ** 16
+    for p, s in [(2, 17), (2, 20000), (3, 11), (257, 2), (65537, 1)]:
+        with pytest.raises(ValueError, match="u-depth"):
+            decompose(p, 1, s, trivial)
+    with pytest.raises(ValueError, match="u-depth"):
+        count_qa(2, 1, 10 ** 12, trivial, 1)
+    # ord_100000007(2) = 50000003: the factor field 2^50000003 has millions
+    # of digits, so the report refuses it while the decomposition stands
+    rep = decompose(2, 1, 1, AbelianGroup.from_spec("100000007"))
+    assert rep.factors[-1].degree == 50000003
+    for report in (rep.to_text, rep.to_json):
+        with pytest.raises(ValueError, match="field order"):
+            report()
+    # 2^14284 has 4300 digits and prints; 2^14285 has 4301
+    assert decompose(2, 14284, 1, trivial).to_text().startswith(
+        f"GF({2 ** 14284})[A x Z2]")
+    for report in (decompose(2, 14285, 1, trivial).to_text,
+                   decompose(3, 9013, 1, trivial).to_json):
+        with pytest.raises(ValueError, match="field order"):
+            report()
+    assert decompose(3, 9012, 1, trivial).to_json()["factors"][0][
+        "field_order"] == 3 ** 9012
 
 
 def test_decomposition_dimensions_add_up():
