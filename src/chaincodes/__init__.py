@@ -17,7 +17,7 @@ from .counting import (count_esd, count_hsd, count_linear, gaussian_binomial,
                        generalized_is_validated, linear_count_sum,
                        register_generalized_validation, sigma_e, sigma_h)
 from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
-                     enumerate_field_codes, enumerate_field_self_dual,
+                     enumerate_field_self_dual,
                      enumerate_hsd_constructive, enumerate_sd_standard_forms,
                      enumerate_self_dual, enumerate_submodules,
                      field_subspaces, hermitian_sd_extend,
@@ -41,7 +41,7 @@ __all__ = [
     "gaussian_binomial", "generalized_is_validated", "linear_count_sum",
     "register_generalized_validation", "sigma_e", "sigma_h",
     "Census", "DEFAULT_ORACLE_BOUND", "code_fingerprint",
-    "enumerate_field_codes", "enumerate_field_self_dual",
+    "enumerate_field_self_dual",
     "enumerate_hsd_constructive", "enumerate_sd_standard_forms",
     "enumerate_self_dual", "enumerate_submodules", "field_subspaces",
     "hermitian_sd_extend", "validate_generalized_count",

@@ -326,26 +326,15 @@ def _build_census(ring: ChainRing, n: int, label: str, entries) -> Census:
                   tuple(c for _, c in pairs), tuple(fp for fp, _ in pairs))
 
 
-def _check_bound(ring: ChainRing, n: int, bound: int) -> None:
-    if ring.size ** n > bound:
+def _check_bound(ring: ChainRing, n: int) -> None:
+    if ring.size ** n > DEFAULT_ORACLE_BOUND:
         raise ValueError(
             f"census of {ring!r}^{n} has {ring.size ** n} vectors, over the "
-            f"oracle bound {bound}")
-
-
-def _bounded(enumerator, ring: ChainRing, n: int, *args, bound: int):
-    """enumerator(ring, n, *args) under the caller's bound.  The census does
-    not depend on the bound, so whenever the default bound admits it the call
-    is keyed like the plain one and shares its cache entry."""
-    _check_bound(ring, n, bound)
-    if ring.size ** n <= DEFAULT_ORACLE_BOUND:
-        return enumerator(ring, n, *args)
-    return enumerator(ring, n, *args, bound=bound)
+            f"oracle bound {DEFAULT_ORACLE_BOUND}")
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_submodules(ring: ChainRing, n: int, *,
-                         bound: int = DEFAULT_ORACLE_BOUND) -> Census:
+def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     """Every linear code of length n over the ring, by exhaustive search.
 
     A found submodule M is extended only to its covers.  For v outside M
@@ -362,7 +351,7 @@ def enumerate_submodules(ring: ChainRing, n: int, *,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_bound(ring, n, bound)
+    _check_bound(ring, n)
     view = _FpView(ring, n)
     found: dict[tuple, tuple[list, list]] = {(): ([], [])}
     queue = [()]
@@ -412,24 +401,23 @@ def _scan_self_dual(ring: ChainRing, n: int, gens, card: int, inner: str) -> boo
 
 
 @functools.lru_cache(maxsize=None)
-def enumerate_self_dual(ring: ChainRing, n: int, inner: str = EUCLIDEAN, *,
-                        bound: int = DEFAULT_ORACLE_BOUND) -> Census:
+def enumerate_self_dual(ring: ChainRing, n: int,
+                        inner: str = EUCLIDEAN) -> Census:
     """The self-dual members of the full census, decided by the scan oracle."""
     _check_inner(inner)
     if inner == HERMITIAN and not ring.field.has_conjugation:
         raise ValueError("Hermitian census needs a square field order")
-    full = _bounded(enumerate_submodules, ring, n, bound=bound)
+    full = enumerate_submodules(ring, n)
     entries = [(fp, code) for fp, code in zip(full.fingerprints, full.codes)
                if _scan_self_dual(ring, n, code.gens, len(fp), inner)]
     return _build_census(ring, n, f"self-dual-{inner}", entries)
 
 
-def validate_generalized_count(q: int, e: int, n: int, *,
-                               bound: int = DEFAULT_ORACLE_BOUND) -> int:
+def validate_generalized_count(q: int, e: int, n: int) -> int:
     """Census-check the conjectural chain-sum count for e != 3 and register
     the validation so counting.count_linear will release the value."""
     expected = counting.linear_count_sum(q, e, n)
-    census = _bounded(enumerate_submodules, chain_ring(q, e), n, bound=bound)
+    census = enumerate_submodules(chain_ring(q, e), n)
     if census.size != expected:
         raise ValueError(
             f"generalized count mismatch at (q={q}, e={e}, n={n}): "
@@ -449,16 +437,9 @@ def _ring_over(field: Field, e: int) -> ChainRing:
     return ChainRing(field, e)
 
 
-def enumerate_field_codes(field: Field, n: int, *,
-                          bound: int = DEFAULT_ORACLE_BOUND) -> tuple[FieldCode, ...]:
-    census = _bounded(enumerate_submodules, _ring_over(field, 1), n, bound=bound)
-    return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
-
-
-def enumerate_field_self_dual(field: Field, n: int, inner: str = EUCLIDEAN, *,
-                              bound: int = DEFAULT_ORACLE_BOUND) -> tuple[FieldCode, ...]:
-    census = _bounded(enumerate_self_dual, _ring_over(field, 1), n, inner,
-                      bound=bound)
+def enumerate_field_self_dual(field: Field, n: int,
+                              inner: str = EUCLIDEAN) -> tuple[FieldCode, ...]:
+    census = enumerate_self_dual(_ring_over(field, 1), n, inner)
     return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 
 from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, digit_sub,
-                 field_make, factor_prime_power, DEFAULT_MAX_ORDER)
+                 field_make, factor_prime_power)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
@@ -230,12 +230,11 @@ class ChainRing:
                 digits.append(self.field.encode(c))
         return ChainRingElement(self, self.encode(digits))
 
-    def galois_extension(self, d: int, *, max_order: int = DEFAULT_MAX_ORDER) -> ChainRing:
+    def galois_extension(self, d: int) -> ChainRing:
         """The unramified extension with residue field GF(q^d), same e."""
         if d < 1:
             raise ValueError(f"extension degree must be >= 1, got {d}")
-        return ChainRing(field_make(self.field.p, self.field.m * d,
-                                    max_order=max_order), self.e)
+        return ChainRing(field_make(self.field.p, self.field.m * d), self.e)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainRing) and self.e == other.e

@@ -7,6 +7,9 @@ nondecreasing exponents; for e = 3 the pivot multiplicities give the usual
 type (k, l, m).  Duals for both the Euclidean and the Hermitian inner
 product come out of the standard form by valuation-aware back-substitution,
 and the Hermitian dual is the Euclidean dual of the conjugated code.
+Self-duality needs no dual: a chain ring is a Frobenius ring, so
+|C| |C^perp| = |R|^n, and C = C^perp exactly when C is self-orthogonal
+and |C|^2 = |R|^n, at every depth e and for field codes alike.
 
 FieldCode is the residue-field counterpart (a plain linear code over GF(q)
 held in reduced row echelon form); torsion codes of a LinearCode land there.
@@ -29,8 +32,9 @@ def _check_inner(inner: str) -> str:
     return inner
 
 
-def inner_product(ring: ChainRing, v, w, inner: str = EUCLIDEAN) -> int:
-    """Sum of v_i * w_i, with w conjugated for the Hermitian product."""
+def inner_product(ring, v, w, inner: str = EUCLIDEAN) -> int:
+    """Sum of v_i * w_i, with w conjugated for the Hermitian product; ring
+    is a ChainRing or a Field, which share add, mul and conjugate."""
     _check_inner(inner)
     s = 0
     if inner == HERMITIAN:
@@ -42,6 +46,16 @@ def inner_product(ring: ChainRing, v, w, inner: str = EUCLIDEAN) -> int:
             if a and b:
                 s = ring.add(s, ring.mul(a, b))
     return s
+
+
+def _self_orthogonal(ring, field: Field, rows, inner: str) -> bool:
+    """Whether the rows, over a ChainRing or Field with residue field
+    `field`, pairwise annihilate; the product is sesquilinear, so then
+    their whole span does."""
+    _check_inner(inner)
+    if inner == HERMITIAN and not field.has_conjugation:
+        raise ValueError("Hermitian product needs a square field order")
+    return all(inner_product(ring, a, b, inner) == 0 for a in rows for b in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +319,17 @@ class LinearCode:
         return LinearCode(ring, n, [_unpermute(std.perm, g) for g in gens_std])
 
     def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
-        _check_inner(inner)
-        if inner == HERMITIAN and not self.ring.field.has_conjugation:
-            raise ValueError("Hermitian product needs a square field order")
-        return all(inner_product(self.ring, a, b, inner) == 0
-                   for a in self.gens for b in self.gens)
+        # the standard-form rows span C, are sparse, and share one column
+        # permutation, which leaves every inner product unchanged
+        return _self_orthogonal(self.ring, self.ring.field,
+                                self.standard_form().rows, inner)
 
     def is_self_dual(self, inner: str = EUCLIDEAN) -> bool:
-        """Self-duality test; for e = 3 via the block congruences of the
-        standard form, which agree with dual(C) = C."""
-        _check_inner(inner)
-        ring = self.ring
-        if inner == HERMITIAN and not ring.field.has_conjugation:
-            raise ValueError("Hermitian duality needs a square field order")
-        if ring.e != 3:
-            return self.equal(self.dual(inner))
-        std = self.standard_form()
-        k, l, m = std.profile
-        if l != m or k != self.n - k - l - m:
-            return False
-        a_rows = [row for row, v in zip(std.rows, std.pivot_vals) if v == 0]
-        b_rows = [tuple(x // ring.q for x in row)
-                  for row, v in zip(std.rows, std.pivot_vals) if v == 1]
-        c_rows = [tuple(x // ring.q ** 2 for x in row)
-                  for row, v in zip(std.rows, std.pivot_vals) if v == 2]
-        conj = inner == HERMITIAN
-
-        def gram_min_val(rows1, rows2, need: int) -> bool:
-            for x in rows1:
-                for y in rows2:
-                    s = 0
-                    for a, b in zip(x, y):
-                        if a and b:
-                            bb = ring.conjugate(b) if conj else b
-                            s = ring.add(s, ring.mul(a, bb))
-                    if s % ring.q ** need:
-                        return False
-            return True
-
-        return (gram_min_val(a_rows, a_rows, 3)
-                and gram_min_val(a_rows, b_rows, 2)
-                and gram_min_val(b_rows, b_rows, 1)
-                and gram_min_val(a_rows, c_rows, 1))
+        """C = C^perp.  A chain ring is a Frobenius ring, so |C| |C^perp| =
+        |R|^n for both inner products (Wood 1999): a self-orthogonal C is
+        its own dual exactly when |C|^2 = |R|^n, at every depth e."""
+        return (self.is_self_orthogonal(inner)
+                and self.cardinality() ** 2 == self.ring.size ** self.n)
 
     def __repr__(self) -> str:
         return (f"LinearCode({self.ring!r}, n={self.n}, "
@@ -485,23 +468,10 @@ class FieldCode:
         return FieldCode.from_rows(f, self.n, rows)
 
     def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
-        _check_inner(inner)
-        f = self.field
-        conj = inner == HERMITIAN
-        if conj and not f.has_conjugation:
-            raise ValueError("Hermitian product needs a square field order")
-        for a in self.basis:
-            for b in self.basis:
-                s = 0
-                for x, y in zip(a, b):
-                    if x and y:
-                        s = f.add(s, f.mul(x, f.conjugate(y) if conj else y))
-                if s:
-                    return False
-        return True
+        return _self_orthogonal(self.field, self.field, self.basis, inner)
 
     def is_self_dual(self, inner: str = EUCLIDEAN) -> bool:
-        return 2 * self.dim == self.n and self.is_self_orthogonal(inner)
+        return self.is_self_orthogonal(inner) and 2 * self.dim == self.n
 
     def __eq__(self, other):
         if not isinstance(other, FieldCode):
@@ -597,14 +567,30 @@ def _doc(x, kind: type, what: str):
 
 
 def _doc_field(obj: dict) -> Field:
-    return Field(_doc(obj["p"], int, "p"), _doc(obj["m"], int, "m"),
-                 tuple(_doc(c, int, "modulus coefficient")
-                       for c in _doc(obj["modulus"], list, "modulus")))
+    modulus = [_doc(c, int, "modulus coefficient")
+               for c in _doc(obj["modulus"], list, "modulus")]
+    field = Field(_doc(obj["p"], int, "p"), _doc(obj["m"], int, "m"), modulus)
+    if list(field.modulus) != modulus:      # Field reduced a coefficient mod p
+        raise ValueError("malformed code document: modulus coefficients "
+                         f"must lie in range({field.p})")
+    return field
 
 
-def _doc_element(field: Field, coeffs) -> int:
-    return field.encode([_doc(c, int, "coefficient")
-                         for c in _doc(coeffs, list, "coefficient list")])
+def _doc_entry(field: Field, e: int, entry) -> list[int]:
+    """The e field codes of one ring entry, as dumps_code writes it: e lists
+    of exactly m integers in range(p) each, nothing padded or reduced."""
+    if len(_doc(entry, list, "entry")) != e:
+        raise ValueError("malformed code document: entry does not have "
+                         f"{e} coefficient lists")
+    codes = []
+    for coeffs in entry:
+        cs = [_doc(c, int, "coefficient")
+              for c in _doc(coeffs, list, "coefficient list")]
+        if len(cs) != field.m or not all(0 <= c < field.p for c in cs):
+            raise ValueError("malformed code document: a coefficient list "
+                             f"must hold {field.m} integers in range({field.p})")
+        codes.append(field.encode(cs))
+    return codes
 
 
 def code_from_json(obj: dict) -> LinearCode:
@@ -614,9 +600,7 @@ def code_from_json(obj: dict) -> LinearCode:
     for row in _doc(obj["rows"], list, "rows"):
         vec = []
         for entry in _doc(row, list, "row"):
-            if len(_doc(entry, list, "entry")) != ring.e:
-                raise ValueError("entry does not have e coefficient lists")
-            vec.append(ring.encode([_doc_element(f, c) for c in entry]))
+            vec.append(ring.encode(_doc_entry(f, ring.e, entry)))
         gens.append(vec)
     return LinearCode(ring, _doc(obj["n"], int, "n"), gens)
 
@@ -632,8 +616,7 @@ def field_code_from_json(obj: dict) -> FieldCode:
     if _doc(obj["e"], int, "e") != 1:
         raise ValueError("field codes must have e = 1")
     f = _doc_field(obj)
-    rows = [[_doc_element(f, _doc(entry, list, "entry")[0])
-             for entry in _doc(row, list, "row")]
+    rows = [[_doc_entry(f, 1, entry)[0] for entry in _doc(row, list, "row")]
             for row in _doc(obj["rows"], list, "rows")]
     return FieldCode.from_rows(f, _doc(obj["n"], int, "n"), rows)
 

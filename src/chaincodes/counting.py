@@ -50,6 +50,12 @@ def gaussian_row(h: int, q: int) -> list[int]:
     return row
 
 
+def _check_linear_args(q: int, e: int, n: int) -> None:
+    if n < 1 or e < 1:
+        raise ValueError("need n >= 1 and e >= 1")
+    factor_prime_power(q)
+
+
 def linear_count_sum(q: int, e: int, n: int) -> int:
     """The chain sum counting submodule codes: 1 plus, for every chain of
     column-span dimensions n >= h_1 >= ... >= h_t > 0 with t <= e, the
@@ -60,9 +66,7 @@ def linear_count_sum(q: int, e: int, n: int) -> int:
     g = [1, 0, ..., 0] over dimensions 0..n, each step
     g'[a] = sum_{b <= a} [n - b, a - b]_q q^(b (n - a)) g[b], then sum(g).
     """
-    if n < 1 or e < 1:
-        raise ValueError("need n >= 1 and e >= 1")
-    factor_prime_power(q)
+    _check_linear_args(q, e, n)
     g = gaussian_row(n, q)                    # g after the first step
     for _ in range(e - 1):
         g_next = [0] * (n + 1)
@@ -96,6 +100,7 @@ def count_linear(q: int, e: int, n: int) -> int:
     record exists for this exact (q, e, n).
     """
     if e != 3 and not generalized_is_validated(q, e, n):
+        _check_linear_args(q, e, n)     # no census registers a bad input
         raise ValueError(
             f"count for e={e} is a conjectural generalization; register a "
             f"census validation for (q={q}, e={e}, n={n}) first")

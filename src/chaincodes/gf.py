@@ -173,21 +173,20 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_inv_table",
                  "_conj_table", "_trace_pre")
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
-                 *, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         # p and m are bounded before the trial division and the power they
         # cost; a huge value is not echoed back
-        if p > max_order:
-            raise ValueError(f"characteristic exceeds bound {max_order}")
+        if p > DEFAULT_MAX_ORDER:
+            raise ValueError(f"characteristic exceeds bound {DEFAULT_MAX_ORDER}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if m > max_order.bit_length():
-            raise ValueError(f"field order p^m exceeds bound {max_order}")
+        if m > DEFAULT_MAX_ORDER.bit_length():
+            raise ValueError(f"field order p^m exceeds bound {DEFAULT_MAX_ORDER}")
         q = p ** m
-        if q > max_order:
-            raise ValueError(f"field order {q} exceeds bound {max_order}")
+        if q > DEFAULT_MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds bound {DEFAULT_MAX_ORDER}")
         if modulus is None:
             modulus = canonical_modulus(p, m)
         else:
@@ -364,9 +363,9 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def field_make(p: int, m: int, *, max_order: int = DEFAULT_MAX_ORDER) -> Field:
+def field_make(p: int, m: int) -> Field:
     """The field GF(p^m) with the canonical modulus (cached)."""
-    return Field(p, m, max_order=max_order)
+    return Field(p, m)
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:

@@ -23,7 +23,6 @@ from dataclasses import astuple, dataclass
 
 from .chainring import ChainRing, ChainRingElement
 from .gf import Field, FieldElement, field_make, factor_prime_power, is_prime
-from .gf import DEFAULT_MAX_ORDER
 from . import counting
 
 
@@ -284,12 +283,12 @@ class DecompositionReport:
         type) per divisor."""
         return [astuple(f) for f in self.factors]
 
-    def factor_rings(self, *, max_order: int = DEFAULT_MAX_ORDER) -> list[ChainRing]:
+    def factor_rings(self) -> list[ChainRing]:
         """The actual chain rings in divisor order, multiplicity copies each."""
         rings = []
         for f in self.factors:
-            rings += [ChainRing(field_make(self.p, f.degree, max_order=max_order),
-                                self.depth)] * f.multiplicity
+            ring = ChainRing(field_make(self.p, f.degree), self.depth)
+            rings += [ring] * f.multiplicity
         return rings
 
     def _field_orders(self) -> list[int]:

@@ -10,7 +10,6 @@ from chaincodes.census import (
     _build_census,
     _FpView,
     code_fingerprint,
-    enumerate_field_codes,
     enumerate_field_self_dual,
     enumerate_hsd_constructive,
     enumerate_sd_standard_forms,
@@ -248,13 +247,13 @@ def test_census_is_cached_and_reports_shape():
 
 
 def test_census_bound_guard():
-    with pytest.raises(ValueError):
-        enumerate_submodules(chain_ring(2, 3), 2, bound=10)
+    with pytest.raises(ValueError):     # 8^9 = 2^27 vectors, over 2^24
+        enumerate_submodules(chain_ring(2, 3), 9)
     with pytest.raises(ValueError):
         enumerate_self_dual(chain_ring(9, 3), 4, HERMITIAN)
     enumerate_submodules(chain_ring(2, 3), 2)
     with pytest.raises(ValueError):     # a cached census does not skip the guard
-        enumerate_self_dual(chain_ring(2, 3), 2, EUCLIDEAN, bound=10)
+        enumerate_self_dual(chain_ring(2, 3), 9, EUCLIDEAN)
 
 
 def test_self_dual_census_reuses_the_submodule_census():
@@ -288,6 +287,28 @@ def test_hermitian_self_dual_census():
 def test_self_dual_censuses_empty_at_odd_length():
     assert enumerate_self_dual(chain_ring(2, 3), 1, EUCLIDEAN).size == 0
     assert enumerate_self_dual(chain_ring(4, 3), 1, HERMITIAN).size == 0
+
+
+@pytest.mark.parametrize("q,e,n", [
+    (2, 1, 4), (3, 1, 4), (4, 1, 4), (9, 1, 2), (2, 2, 2), (2, 2, 3),
+    (3, 2, 2), (4, 2, 2), (4, 2, 3), (2, 4, 2), (2, 5, 1), (2, 3, 3),
+    (3, 3, 2), (4, 3, 2)])
+def test_is_self_dual_is_membership_in_the_scan_oracle(q, e, n):
+    """is_self_dual keeps exactly the scan oracle's self-dual codes at every
+    depth, and for e = 1 the FieldCode test agrees as well."""
+    ring = chain_ring(q, e)
+    full = enumerate_submodules(ring, n)
+    inners = [EUCLIDEAN, HERMITIAN] if ring.field.has_conjugation else [EUCLIDEAN]
+    for inner in inners:
+        oracle = enumerate_self_dual(ring, n, inner).fingerprint_set()
+        kept = {fp for fp, code in zip(full.fingerprints, full.codes)
+                if code.is_self_dual(inner)}
+        assert kept == oracle
+        if e == 1:
+            kept = {fp for fp, code in zip(full.fingerprints, full.codes)
+                    if FieldCode.from_rows(ring.field, n, code.gens)
+                    .is_self_dual(inner)}
+            assert kept == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +419,7 @@ def test_field_subspace_scan_counts():
     vectors = list(itertools.product(range(2), repeat=3))
     subs = field_subspaces(f, vectors, 3)
     assert len(subs) == 16                    # 1 + 7 + 7 + 1
-    assert len(enumerate_field_codes(f, 3)) == 16
+    assert enumerate_submodules(chain_ring(2, 1), 3).size == 16
     f3 = field_make(3, 1)
     assert len(field_subspaces(f3, itertools.product(range(3), repeat=2), 2)) == 6
 

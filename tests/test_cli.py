@@ -6,7 +6,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chaincodes import cli
@@ -119,6 +119,16 @@ def test_count_math_precondition_errors(capsys):
     assert run(capsys, "count", "hsd", "--q", "3", "--n", "2")[0] == 2
     assert run(capsys, "count", "linear", "--q", "2", "--n", "2", "--e", "4")[0] == 2
     assert run(capsys, "count", "qa", "--p", "4", "--A", "3", "--n", "1")[0] == 2
+
+
+@pytest.mark.parametrize("q,e,n,message", [
+    ("6", "2", "1", "not a prime power: 6"), ("6", "3", "1", "not a prime power: 6"),
+    ("2", "0", "1", "need n >= 1 and e >= 1"),
+    ("2", "2", "0", "need n >= 1 and e >= 1")])
+def test_count_linear_reports_invalid_inputs_at_every_depth(capsys, q, e, n, message):
+    code, out, err = run(capsys, "count", "linear", "--q", q, "--e", e, "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"chaincodes: error: {message}\n"
 
 
 def test_group_spec_parse_errors_are_usage_errors(capsys):
@@ -240,6 +250,19 @@ def test_code_actions_reject_rows_that_are_not_lists(rows, action):
     assert "malformed code document" in err
 
 
+@pytest.mark.parametrize("action", CODE_ACTIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("key,raw", [
+    ("modulus", "[3, -1, 1]"), ("rows", "[[[[1, 0], [0, 0], [0, 0]], [[1], [], [0, 0]]]]"),
+    ("rows", "[[[[7, -1], [0, 0], [0, 0]], [[1, 1], [1, 0], [0, 0]]]]"),
+    ("rows", "[[[[1, 0, 0], [0, 0], [0, 0]], [[1, 1], [1, 0], [0, 0]]]]"),
+])
+def test_code_actions_reject_coefficients_dumps_code_never_writes(key, raw, action):
+    text = json.dumps(dict(VALID_DOC, **{key: "@"})).replace('"@"', raw)
+    code, err = run_code_on_stdin(text, action)
+    assert code == 2
+    assert "malformed code document" in err
+
+
 @pytest.mark.parametrize("key,raw", [
     ("e", "100000000000"), ("p", "1" + "0" * 38 + "7"), ("m", "10" * 20)])
 def test_huge_sizes_in_code_documents_are_refused_promptly(key, raw):
@@ -289,6 +312,9 @@ def malformed_documents(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(malformed_documents(), st.sampled_from(CODE_ACTIONS))
+@example(text='{"p": 2, "m": 2, "e": 3, "n": 2, "modulus": [1, 1, 1], "rows": '
+              '[[[[], [], []], [[1, 1], [1, 0], [0, 0]]]]}',
+         action=["standard-form"])
 def test_malformed_code_documents_never_raise(text, action):
     with pytest.raises(ValueError):
         loads_code(text)
@@ -355,6 +381,46 @@ def test_verify_full_suite_passes_with_large_length_identity(capsys):
     assert lines[-2].startswith("qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2 ")
     assert lines[-2].endswith("  pass")
     assert lines[-1] == "29/29 checks passed"
+
+
+FULL_SUITE_REPORT = """\
+N(q=2,e=3,n=1) formula                   expected        4  got        4  pass
+N(q=2,e=3,n=1) census                    expected        4  got        4  pass
+N(q=2,e=3,n=2) formula                   expected       37  got       37  pass
+N(q=2,e=3,n=2) census                    expected       37  got       37  pass
+NE(q=2,n=2) formula                      expected        3  got        3  pass
+NE(q=2,n=2) census                       expected        3  got        3  pass
+NH(q=4,n=2) formula                      expected       15  got       15  pass
+NH(q=4,n=2) census                       expected       15  got       15  pass
+sigma_e(q=2,n=2) formula                 expected        1  got        1  pass
+sigma_e(q=2,n=2) census                  expected        1  got        1  pass
+sigma_h(q=4,n=2) formula                 expected        3  got        3  pass
+sigma_h(q=4,n=2) census                  expected        3  got        3  pass
+gaussian[4,2]_2 formula                  expected       35  got       35  pass
+gaussian[4,2]_2 subspace scan            expected       35  got       35  pass
+N(q=3,e=3,n=2) formula                   expected       76  got       76  pass
+N(q=3,e=3,n=2) census                    expected       76  got       76  pass
+N(q=4,e=3,n=2) formula                   expected      139  got      139  pass
+N(q=4,e=3,n=2) census                    expected      139  got      139  pass
+NE(q=3,n=4) formula                      expected      176  got      176  pass
+NE(q=3,n=4) standard forms               expected      176  got      176  pass
+NH(q=9,n=2) formula                      expected       40  got       40  pass
+NH(q=9,n=2) standard forms               expected       40  got       40  pass
+NH(q=9,n=2) constructive                 expected       40  got       40  pass
+qa(p=3,m=1,s=1,A=2,n=1) formula          expected       16  got       16  pass
+qa(p=3,m=1,s=1,A=2,n=1) factor censuses  expected       16  got       16  pass
+qa-esd(p=3,m=1,s=1,A=2,n=4)              expected    30976  got    30976  pass
+qa-hsd(p=3,m=2,s=1,A=2,n=2)              expected     1600  got     1600  pass
+cyclic-to-chain isomorphism              expected       ok  got       ok  pass
+qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2    expected       ok  got       ok  pass
+29/29 checks passed
+"""
+
+
+def test_verify_full_suite_report_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "full")
+    assert code == 0
+    assert out == FULL_SUITE_REPORT
 
 
 def test_verify_reports_mismatch_with_exit_three(capsys, monkeypatch):

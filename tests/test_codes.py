@@ -431,3 +431,44 @@ def test_code_documents_accept_only_json_integers(path, value):
     obj["rows"] = [[entry[:1] for entry in row] for row in obj["rows"]]
     with pytest.raises(ValueError, match="malformed code document"):
         field_code_from_json(obj)
+
+
+# what dumps_code never writes: coefficient lists of the wrong length and
+# integers outside range(p), which reducing or padding would turn into a
+# different code
+NON_CANONICAL_ENTRIES = [
+    (("rows", 0, 1, 0), []), (("rows", 0, 1, 0), [1]),
+    (("rows", 0, 1, 0), [1, 1, 0]), (("rows", 0, 1, 0, 0), 3),
+    (("rows", 0, 1, 0, 1), -1), (("modulus", 0), 3), (("modulus", 1), -1),
+]
+
+
+@pytest.mark.parametrize("path,value", NON_CANONICAL_ENTRIES)
+def test_code_documents_accept_only_canonical_coefficients(path, value):
+    text = _document_with(path, value)
+    with pytest.raises(ValueError, match="malformed code document"):
+        loads_code(text)
+    obj = json.loads(text)
+    obj["e"] = 1                         # reload it as a field code
+    obj["rows"] = [[entry[:1] for entry in row] for row in obj["rows"]]
+    with pytest.raises(ValueError, match="malformed code document"):
+        field_code_from_json(obj)
+
+
+def test_lenient_reading_would_load_a_different_code():
+    bad = ('{"p":2,"m":2,"e":3,"n":2,"modulus":[3,-1,1],'
+           '"rows":[[[[7,-1],[0,0],[0,0]],[[1],[],[0,0]]]]}')
+    with pytest.raises(ValueError, match="malformed code document"):
+        loads_code(bad)
+    good = ('{"p":2,"m":2,"e":3,"n":2,"modulus":[1,1,1],'
+            '"rows":[[[[1,1],[0,0],[0,0]],[[1,0],[0,0],[0,0]]]]}')
+    assert loads_code(good).gens == ((3, 1),)
+
+
+def test_field_code_entries_hold_one_coefficient_list():
+    obj = field_code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
+    assert field_code_from_json(obj).basis == ((1, 4),)
+    for entry in ([], [[1, 0], [0, 0]]):
+        obj["rows"][0][0] = entry
+        with pytest.raises(ValueError, match="malformed code document"):
+            field_code_from_json(obj)

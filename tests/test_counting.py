@@ -140,6 +140,15 @@ def test_generalized_count_is_gated():
         count_linear(5, 2, 2)
 
 
+@pytest.mark.parametrize("q,e,n,message", [
+    (6, 2, 1, "not a prime power: 6"), (6, 3, 1, "not a prime power: 6"),
+    (2, 0, 1, "need n >= 1 and e >= 1"), (2, 2, 0, "need n >= 1 and e >= 1"),
+    (2, 3, 0, "need n >= 1 and e >= 1")])
+def test_invalid_linear_count_inputs_are_refused_before_the_gate(q, e, n, message):
+    with pytest.raises(ValueError, match=message):
+        count_linear(q, e, n)
+
+
 def test_linear_count_sum_depth_one_is_subspace_total():
     for q, n in [(2, 3), (3, 2), (4, 2)]:
         assert linear_count_sum(q, 1, n) == sum(subspace_dim_counts(q, n))
