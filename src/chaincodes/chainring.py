@@ -12,6 +12,11 @@ the field's carry-free digit arithmetic (`gf.digit_add`, `gf.digit_sub`,
 ints as field elements do: an element equals k only when k lies in
 range(p) and is its code.
 
+Rings of at most 256 elements get eager add, mul and valuation tables.
+The ring product is GF(p)-bilinear in the e*m digits, so
+`gf.bilinear_tables` builds the add and mul tables from (e*m)^2 slow
+products of digit units instead of one per entry.
+
 Conjugation lifts the order-2 field automorphism coefficient-wise; it is
 only available when q is a square.
 """
@@ -19,8 +24,8 @@ from __future__ import annotations
 
 import functools
 
-from .gf import (Field, FieldElement, _Element, digit_add, digit_neg, digit_sub,
-                 field_make, factor_prime_power)
+from .gf import (Field, FieldElement, _Element, bilinear_tables, digit_add,
+                 digit_neg, digit_sub, field_make, factor_prime_power)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
@@ -125,11 +130,10 @@ class ChainRing:
         return self.mul(self.field.check(c), a)
 
     def _build_tables(self) -> None:
-        n = self.size
-        p = self.field.p
-        self._add_table = [[digit_add(a, b, p) for b in range(n)] for a in range(n)]
-        self._mul_table = [[self._mul_slow(a, b) for b in range(n)] for a in range(n)]
-        self._val_table = [self._valuation_slow(a) for a in range(n)]
+        f = self.field
+        self._add_table, self._mul_table = bilinear_tables(
+            f.p, self.e * f.m, self._mul_slow)
+        self._val_table = [self._valuation_slow(a) for a in range(self.size)]
 
     # -- chain structure --------------------------------------------------------
 

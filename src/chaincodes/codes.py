@@ -388,7 +388,7 @@ class FieldCode:
                         raise ValueError("entry from a different field")
                     vec.append(x.code)
                 else:
-                    vec.append(field.check(int(x)))
+                    vec.append(field.check(x))
             if len(vec) != n:
                 raise ValueError(f"row length {len(vec)} != n = {n}")
             packed.append(vec)
@@ -413,8 +413,7 @@ class FieldCode:
 
     def contains(self, word) -> bool:
         f = self.field
-        w = [x.code if isinstance(x, FieldElement) else f.check(int(x))
-             for x in word]
+        w = [x.code if isinstance(x, FieldElement) else f.check(x) for x in word]
         if len(w) != self.n:
             raise ValueError("word length mismatch")
         for row in self.basis:
@@ -566,10 +565,17 @@ def _doc(x, kind: type, what: str):
     return x
 
 
+def _doc_key(obj: dict, key: str, kind: type):
+    """The value at a key that every code document has."""
+    if key not in obj:
+        raise ValueError(f"malformed code document: missing key {key!r}")
+    return _doc(obj[key], kind, key)
+
+
 def _doc_field(obj: dict) -> Field:
     modulus = [_doc(c, int, "modulus coefficient")
-               for c in _doc(obj["modulus"], list, "modulus")]
-    field = Field(_doc(obj["p"], int, "p"), _doc(obj["m"], int, "m"), modulus)
+               for c in _doc_key(obj, "modulus", list)]
+    field = Field(_doc_key(obj, "p", int), _doc_key(obj, "m", int), modulus)
     if list(field.modulus) != modulus:      # Field reduced a coefficient mod p
         raise ValueError("malformed code document: modulus coefficients "
                          f"must lie in range({field.p})")
@@ -594,15 +600,15 @@ def _doc_entry(field: Field, e: int, entry) -> list[int]:
 
 
 def code_from_json(obj: dict) -> LinearCode:
-    f = _doc_field(obj)
-    ring = ChainRing(f, _doc(obj["e"], int, "e"))
+    f = _doc_field(_doc(obj, dict, "document"))
+    ring = ChainRing(f, _doc_key(obj, "e", int))
     gens = []
-    for row in _doc(obj["rows"], list, "rows"):
+    for row in _doc_key(obj, "rows", list):
         vec = []
         for entry in _doc(row, list, "row"):
             vec.append(ring.encode(_doc_entry(f, ring.e, entry)))
         gens.append(vec)
-    return LinearCode(ring, _doc(obj["n"], int, "n"), gens)
+    return LinearCode(ring, _doc_key(obj, "n", int), gens)
 
 
 def field_code_to_json(code: FieldCode) -> dict:
@@ -613,12 +619,12 @@ def field_code_to_json(code: FieldCode) -> dict:
 
 
 def field_code_from_json(obj: dict) -> FieldCode:
-    if _doc(obj["e"], int, "e") != 1:
+    if _doc_key(_doc(obj, dict, "document"), "e", int) != 1:
         raise ValueError("field codes must have e = 1")
     f = _doc_field(obj)
     rows = [[_doc_entry(f, 1, entry)[0] for entry in _doc(row, list, "row")]
-            for row in _doc(obj["rows"], list, "rows")]
-    return FieldCode.from_rows(f, _doc(obj["n"], int, "n"), rows)
+            for row in _doc_key(obj, "rows", list)]
+    return FieldCode.from_rows(f, _doc_key(obj, "n", int), rows)
 
 
 def dumps_code(code) -> str:
@@ -630,6 +636,7 @@ def loads_code(text: str) -> LinearCode:
     """Parse the portable schema as a chain-ring code (works for any e;
     use field_code_from_json to reload an e = 1 file as a FieldCode)."""
     try:
-        return code_from_json(json.loads(text))
-    except (KeyError, TypeError, IndexError, RecursionError) as exc:
+        obj = json.loads(text)
+    except RecursionError as exc:
         raise ValueError(f"malformed code document: {exc}") from exc
+    return code_from_json(obj)

@@ -13,6 +13,11 @@ FieldElement and ChainRingElement share.  An element equals a plain int k
 only when k lies in range(p) and is the element's code, which keeps `==`
 consistent with `hash`: an element hashes as its code.
 
+Fields with m > 1 and q <= 128 get eager mul and inv tables.  The product
+is GF(p)-bilinear in the base-p digits, so `bilinear_tables` fills the
+q^2 entries from the m^2 products of digit units x^k * x^t, by additions
+alone; chain rings build their tables with it too.
+
 The modulus is canonical: the lexicographically smallest monic irreducible
 polynomial of degree m over GF(p), coefficients compared from the constant
 term upward.  Two fields built from the same (p, m) therefore agree element
@@ -166,6 +171,43 @@ def digit_neg(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# eager tables of a GF(p)-bilinear product on base-p digit strings
+
+def _span(p: int, basis: list, zero, plus) -> list:
+    """Every GF(p)-combination sum d_k * basis[k], listed at its code
+    sum d_k * p^k.  The entry at d*p^k + c is plus(entry at (d-1)*p^k + c,
+    basis[k]), so the list costs one `plus` per entry."""
+    out = [zero]
+    for v in basis:
+        block = out
+        for _ in range(p - 1):
+            block = [plus(x, v) for x in block]
+            out += block
+    return out
+
+
+def bilinear_tables(p: int, digits: int, product) -> tuple[list, list]:
+    """The add and mul tables on the codes of `digits` base-p digits, for
+    a product that is GF(p)-bilinear in those digits.
+
+    Row a of the add table is row a - p^k composed with the row
+    b -> p^k + b.  Row a of the mul table is row a - p^k plus row p^k,
+    added entry by entry through the add table, and row p^k is built the
+    same way in b from the products of p^k with each p^t.  So `product` is
+    called digits^2 times, on pairs of digit units only.
+    """
+    n = p ** digits
+    units = [p ** k for k in range(digits)]
+    add = _span(p, [[digit_add(u, b, p) for b in range(n)] for u in units],
+                list(range(n)), lambda row, shifted: [row[b] for b in shifted])
+    unit_rows = [_span(p, [product(u, t) for t in units], 0,
+                       lambda x, y: add[x][y]) for u in units]
+    mul = _span(p, unit_rows, [0] * n,
+                lambda row, v: [add[x][y] for x, y in zip(row, v)])
+    return add, mul
+
+
+# ---------------------------------------------------------------------------
 
 class Field:
     """GF(p^m) with elements coded as integers in range(p^m)."""
@@ -284,10 +326,9 @@ class Field:
         return self.pow(a, self.q - 2)
 
     def _build_tables(self) -> None:
-        q = self.q
-        table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
+        _, table = bilinear_tables(self.p, self.m, self._mul_slow)
+        inv = [0] * self.q
+        for a in range(1, self.q):
             inv[a] = table[a].index(1)
         self._mul_table = table
         self._inv_table = inv

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers, sampled_from
 
 from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring
-from chaincodes.gf import factor_prime_power, field_make
+from chaincodes.gf import digit_add, factor_prime_power, field_make
 
 MAX_EXAMPLES = 200
 
 SMALL_RINGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4), (5, 2)]
 # above the 256-element table limit: add, neg and mul take the slow path
 SLOW_RINGS = [(9, 3), (16, 3)]
+# table-path rings at the 256-element limit, and with odd p
+TABLE_EDGE_RINGS = [(16, 2), (4, 4), (2, 8), (9, 2), (5, 3)]
 
 
 def brute_mul(ring, a, b):
@@ -61,7 +63,7 @@ def test_encode_decode_roundtrip():
 # ---------------------------------------------------------------------------
 # arithmetic
 
-@pytest.mark.parametrize("q,e", SMALL_RINGS + SLOW_RINGS)
+@pytest.mark.parametrize("q,e", SMALL_RINGS + TABLE_EDGE_RINGS + SLOW_RINGS)
 def test_multiplication_matches_digit_convolution(q, e):
     r = chain_ring(q, e)
     els = list(r.elements())
@@ -69,6 +71,24 @@ def test_multiplication_matches_digit_convolution(q, e):
     for a in els[::step]:
         for b in els[::step]:
             assert r.mul(a, b) == brute_mul(r, a, b)
+    assert (r._mul_table is not None) == (r.size <= 256)
+    if r._mul_table is not None:
+        p = r.field.p
+        assert r._add_table == [[digit_add(a, b, p) for b in els] for a in els]
+        assert r._val_table == [r._valuation_slow(a) for a in els]
+
+
+def test_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):
+    calls = []
+    slow = ChainRing._mul_slow
+
+    def counted(ring, a, b):
+        calls.append((a, b))
+        return slow(ring, a, b)
+    monkeypatch.setattr(ChainRing, "_mul_slow", counted)
+    ChainRing(field_make(2, 2), 3)                 # R(4,3): e*m = 6 digits
+    units = [2 ** k for k in range(6)]
+    assert sorted(calls) == [(a, b) for a in units for b in units]
 
 
 @pytest.mark.parametrize("q,e", SMALL_RINGS + SLOW_RINGS)

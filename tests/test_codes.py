@@ -312,6 +312,16 @@ def test_field_self_dual_examples():
         f4.add(f4.mul(1, f4.conjugate(1)), f4.mul(x, f4.conjugate(x))) == 0)
 
 
+@pytest.mark.parametrize("entry", [1.9, "1", 1.0, None])
+def test_field_code_entries_are_not_coerced(entry):
+    f = field_make(2, 1)
+    with pytest.raises(ValueError, match="not an element code"):
+        FieldCode.from_rows(f, 2, [[entry, True]])
+    with pytest.raises(ValueError, match="not an element code"):
+        FieldCode.full(f, 2).contains([entry, 1])
+    assert FieldCode.full(f, 2).contains([f.one(), 1])
+
+
 def test_field_code_conjugate():
     f = field_make(2, 2)
     x = f.encode((0, 1))
@@ -463,6 +473,23 @@ def test_lenient_reading_would_load_a_different_code():
     good = ('{"p":2,"m":2,"e":3,"n":2,"modulus":[1,1,1],'
             '"rows":[[[[1,1],[0,0],[0,0]],[[1,0],[0,0],[0,0]]]]}')
     assert loads_code(good).gens == ((3, 1),)
+
+
+@pytest.mark.parametrize("load", [code_from_json, field_code_from_json])
+@pytest.mark.parametrize("obj", [[], "rows", None, 3])
+def test_code_documents_must_be_objects(load, obj):
+    with pytest.raises(ValueError, match="malformed code document"):
+        load(obj)
+
+
+@pytest.mark.parametrize("load", [code_from_json, field_code_from_json])
+@pytest.mark.parametrize("key", ["p", "m", "e", "n", "modulus", "rows"])
+def test_code_documents_missing_a_key_are_malformed(load, key):
+    obj = field_code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
+    assert load(dict(obj)).n == 2
+    del obj[key]
+    with pytest.raises(ValueError, match=f"malformed code document: missing key '{key}'"):
+        load(obj)
 
 
 def test_field_code_entries_hold_one_coefficient_list():

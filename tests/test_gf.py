@@ -7,6 +7,8 @@ from hypothesis.strategies import integers, lists, sampled_from
 
 from chaincodes.gf import (
     Field,
+    _pmul,
+    _prem,
     canonical_modulus,
     digit_add,
     digit_neg,
@@ -21,6 +23,8 @@ MAX_EXAMPLES = 200
 
 FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
 SQUARE_ORDERS = [4, 9, 16, 25, 49]
+# every field with eager tables: m > 1 and q <= 128
+TABLE_ORDERS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
 
 
 def poly_mul_mod_p(a, b, p):
@@ -125,6 +129,38 @@ def test_gf9_squares():
     x = f.encode((0, 1))
     assert f.mul(x, x) == f.neg(1)               # x^2 = -1 under x^2 + 1
     assert f.pow(x, 4) == 1
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_tables_match_polynomial_arithmetic(q):
+    p, m = factor_prime_power(q)
+    f = field_make(p, m)
+    polys = [f.decode(a) for a in range(q)]
+    for a in range(q):
+        assert f._mul_table[a] == [
+            f.encode(_prem(_pmul(polys[a], pb, p), f.modulus, p)) for pb in polys]
+    assert f._inv_table[0] == 0
+    assert all(f._mul_table[a][f._inv_table[a]] == 1 for a in range(1, q))
+
+
+def test_tables_are_eager_exactly_on_small_extensions():
+    orders = sorted(p ** m for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9)
+                    if p ** m <= 256)
+    eager = [q for q in orders if Field(*factor_prime_power(q))._mul_table]
+    assert eager == TABLE_ORDERS
+
+
+def test_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):
+    calls = []
+    slow = Field._mul_slow
+
+    def counted(field, a, b):
+        calls.append((a, b))
+        return slow(field, a, b)
+    monkeypatch.setattr(Field, "_mul_slow", counted)
+    Field(2, 7)
+    units = [2 ** k for k in range(7)]
+    assert sorted(calls) == [(a, b) for a in units for b in units]
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
