@@ -14,14 +14,12 @@ from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, StandardForm,
                     field_code_from_json, field_code_to_json, field_rref,
                     inner_product, loads_code)
 from .counting import (count_esd, count_hsd, count_linear, gaussian_binomial,
-                       generalized_is_validated, linear_count_sum,
-                       register_generalized_validation, sigma_e, sigma_h)
+                       sigma_e, sigma_h)
 from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
                      enumerate_field_self_dual,
                      enumerate_hsd_constructive, enumerate_sd_standard_forms,
                      enumerate_self_dual, enumerate_submodules,
-                     field_subspaces, hermitian_sd_extend,
-                     validate_generalized_count)
+                     field_subspaces, hermitian_sd_extend)
 from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
                            GroupAlgebraElement, algebra_elements,
                            chain_to_cyclic, coset_join, coset_representatives,
@@ -38,13 +36,12 @@ __all__ = [
     "code_from_json", "code_to_json", "dumps_code", "field_code_from_json",
     "field_code_to_json", "field_rref", "inner_product", "loads_code",
     "count_esd", "count_hsd", "count_linear",
-    "gaussian_binomial", "generalized_is_validated", "linear_count_sum",
-    "register_generalized_validation", "sigma_e", "sigma_h",
+    "gaussian_binomial", "sigma_e", "sigma_h",
     "Census", "DEFAULT_ORACLE_BOUND", "code_fingerprint",
     "enumerate_field_self_dual",
     "enumerate_hsd_constructive", "enumerate_sd_standard_forms",
     "enumerate_self_dual", "enumerate_submodules", "field_subspaces",
-    "hermitian_sd_extend", "validate_generalized_count",
+    "hermitian_sd_extend",
     "AbelianGroup", "DecompositionReport", "DivisorFactor",
     "GroupAlgebraElement", "algebra_elements", "chain_to_cyclic",
     "coset_join", "coset_representatives", "coset_split", "count_qa",

@@ -39,7 +39,6 @@ from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
                     _unpermute, code_to_json, field_rref, fmat, fmat_add,
                     fmat_dagger, fmat_identity, fmat_inv, fmat_mul, fmat_neg,
                     inner_product)
-from . import counting
 
 DEFAULT_ORACLE_BOUND = 1 << 24
 
@@ -411,19 +410,6 @@ def enumerate_self_dual(ring: ChainRing, n: int,
     entries = [(fp, code) for fp, code in zip(full.fingerprints, full.codes)
                if _scan_self_dual(ring, n, code.gens, len(fp), inner)]
     return _build_census(ring, n, f"self-dual-{inner}", entries)
-
-
-def validate_generalized_count(q: int, e: int, n: int) -> int:
-    """Census-check the conjectural chain-sum count for e != 3 and register
-    the validation so counting.count_linear will release the value."""
-    expected = counting.linear_count_sum(q, e, n)
-    census = enumerate_submodules(chain_ring(q, e), n)
-    if census.size != expected:
-        raise ValueError(
-            f"generalized count mismatch at (q={q}, e={e}, n={n}): "
-            f"formula gives {expected}, census found {census.size}")
-    counting.register_generalized_validation(q, e, n)
-    return expected
 
 
 # ---------------------------------------------------------------------------

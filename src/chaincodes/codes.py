@@ -379,6 +379,8 @@ class FieldCode:
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows) -> FieldCode:
+        if n < 1:
+            raise ValueError(f"length must be >= 1, got {n}")
         packed = []
         for row in rows:
             vec = []
@@ -396,7 +398,7 @@ class FieldCode:
 
     @classmethod
     def zero(cls, field: Field, n: int) -> FieldCode:
-        return cls(field, n, ())
+        return cls.from_rows(field, n, ())
 
     @classmethod
     def full(cls, field: Field, n: int) -> FieldCode:

@@ -1,4 +1,4 @@
-"""Exact counts of linear and self-dual codes over GF(q)[u]/(u^3).
+"""Exact counts of linear and self-dual codes over GF(q)[u]/(u^e).
 
 Everything here is closed-form big-integer arithmetic: Gaussian binomials,
 the number of linear codes of length n over the chain ring, the number of
@@ -11,14 +11,11 @@ self-dual counts sum one such row against powers of q.  The linear-code
 count is a sum over chains of column-span dimensions: Birkhoff and
 Delsarte's count of subgroups of an abelian p-group of type (e^n), which
 Honold & Landjev ("Linear codes over finite chain rings", EJC 7, 2000)
-carry over to chain rings.  It is evaluated as an e-level dynamic
-programme over the dimension, O(e n^2) big-integer operations.
-
-The linear-code sum also evaluates for other nilpotency indices e by
-letting the chain length run to e instead of 3.  That extension is a
-conjecture, not a certified formula, so `count_linear` refuses it until a
-brute-force census validation for the exact (q, e, n) has been registered
-(the census module provides `validate_generalized_count`).
+carry over to chain rings.  The number of submodules of a given type in
+R^n depends only on q (Butler, Mem. AMS 539, 1994, gives the per-type
+product), so the count is a theorem at every depth e, not only e = 3.  It
+is evaluated as an e-level dynamic programme over the dimension,
+O(e n^2) big-integer operations.
 """
 from __future__ import annotations
 
@@ -50,23 +47,28 @@ def gaussian_row(h: int, q: int) -> list[int]:
     return row
 
 
-def _check_linear_args(q: int, e: int, n: int) -> None:
-    if n < 1 or e < 1:
-        raise ValueError("need n >= 1 and e >= 1")
-    factor_prime_power(q)
+# ChainRing caps the bit length of q^e at 2^16, so no chain ring is deeper
+_MAX_DEPTH = 1 << 16
 
 
-def linear_count_sum(q: int, e: int, n: int) -> int:
-    """The chain sum counting submodule codes: 1 plus, for every chain of
-    column-span dimensions n >= h_1 >= ... >= h_t > 0 with t <= e, the
-    product of Gaussian binomials [n - h_{j+1}, h_j - h_{j+1}]_q times
-    q^(h_{j+1} (n - h_j)).  Certified only for e = 3; see count_linear.
+def count_linear(q: int, e: int, n: int) -> int:
+    """Number of linear codes of length n over GF(q)[u]/(u^e).
+
+    The chain sum: 1 plus, for every chain of column-span dimensions
+    n >= h_1 >= ... >= h_t > 0 with t <= e, the product of Gaussian
+    binomials [n - h_{j+1}, h_j - h_{j+1}]_q times q^(h_{j+1} (n - h_j)).
 
     With every chain padded by zeros to length e, the sum is e steps from
     g = [1, 0, ..., 0] over dimensions 0..n, each step
     g'[a] = sum_{b <= a} [n - b, a - b]_q q^(b (n - a)) g[b], then sum(g).
+    Depths over _MAX_DEPTH are refused before the first step.
     """
-    _check_linear_args(q, e, n)
+    if n < 1 or e < 1:
+        raise ValueError("need n >= 1 and e >= 1")
+    factor_prime_power(q)
+    if e > _MAX_DEPTH:
+        raise ValueError(f"depth e = {e} is over {_MAX_DEPTH}, "
+                         f"the largest a chain ring allows")
     g = gaussian_row(n, q)                    # g after the first step
     for _ in range(e - 1):
         g_next = [0] * (n + 1)
@@ -77,34 +79,6 @@ def linear_count_sum(q: int, e: int, n: int) -> int:
                 weight //= q ** b
         g = g_next
     return sum(g)
-
-
-# census-backed validation records for the conjectural e != 3 evaluation
-_GENERALIZED_VALIDATED: set[tuple[int, int, int]] = set()
-
-
-def register_generalized_validation(q: int, e: int, n: int) -> None:
-    """Record that a brute-force census confirmed linear_count_sum(q, e, n)."""
-    _GENERALIZED_VALIDATED.add((q, e, n))
-
-
-def generalized_is_validated(q: int, e: int, n: int) -> bool:
-    return (q, e, n) in _GENERALIZED_VALIDATED
-
-
-def count_linear(q: int, e: int, n: int) -> int:
-    """Number of linear codes of length n over GF(q)[u]/(u^e).
-
-    Certified for e = 3.  For any other e the value is the conjectural
-    chain-sum generalization and is only released after a census validation
-    record exists for this exact (q, e, n).
-    """
-    if e != 3 and not generalized_is_validated(q, e, n):
-        _check_linear_args(q, e, n)     # no census registers a bad input
-        raise ValueError(
-            f"count for e={e} is a conjectural generalization; register a "
-            f"census validation for (q={q}, e={e}, n={n}) first")
-    return linear_count_sum(q, e, n)
 
 
 def sigma_e(q: int, n: int) -> int:

@@ -24,6 +24,7 @@ from dataclasses import astuple, dataclass
 from .chainring import ChainRing, ChainRingElement
 from .gf import Field, FieldElement, field_make, factor_prime_power, is_prime
 from . import counting
+from .counting import _MAX_DEPTH
 
 
 class AbelianGroup:
@@ -221,9 +222,6 @@ def is_oddly_good_pair(j: int, q: int) -> bool:
     _check_coprime(j, q)
     return _hermitian_type(j, q, multiplicative_order(q * q, j)) == "I'"
 
-
-# ChainRing caps the bit length of q^e at 2^16, so no factor ring is deeper
-_MAX_DEPTH = 1 << 16
 
 # the reports print field orders in decimal, and CPython refuses int -> str
 # conversions above 4300 digits by default
@@ -614,83 +612,70 @@ def chain_to_cyclic(ring: ChainRing, group: AbelianGroup,
 # closed-form counts of quasi-abelian codes and their self-dual subfamilies
 
 def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
-           kind: str | None, linear, esd=None, hsd=None, *,
-           gated: bool) -> int:
+           kind: str | None) -> int:
     """Validate the arguments, decompose, and multiply per-factor counts.
 
-    With kind None every factor carries a free linear code.  Otherwise kind
-    names the factor type that decides: type I factors hold Euclidean
-    self-dual codes, types II and I' Hermitian self-dual ones, and types
-    III and II' pair each orbit with its dual orbit, so each pair carries
-    one free linear code.  Gated counts have closed forms only for depth 3.
+    With kind None every factor carries a free linear code, counted at any
+    depth.  Otherwise kind names the factor type that decides: type I
+    factors hold Euclidean self-dual codes, types II and I' Hermitian
+    self-dual ones, and types III and II' pair each orbit with its dual
+    orbit, so each pair carries one free linear code.  The self-dual closed
+    forms hold for depth 3 only, so other depths are refused.
     """
     e = _chain_depth(p, m, s)
     if n < 1:
         raise ValueError("need n >= 1")
     if kind == "hermitian_type" and m % 2:
         raise ValueError("Hermitian counts need an even field degree")
-    if gated and e != 3:
-        raise ValueError(
-            f"self-dual counts for depth {e} need explicit providers; "
-            f"closed forms ship only for depth 3")
+    if kind and e != 3:
+        raise ValueError(f"self-dual counts have closed forms for depth 3 "
+                         f"only, got depth {e}")
     total = 1
     for f in decompose(p, m, s, group).factors:
         qf = p ** f.degree
         label = getattr(f, kind) if kind else None
         if label is None:
-            total *= linear(qf, e, n) ** f.multiplicity
+            total *= counting.count_linear(qf, e, n) ** f.multiplicity
         elif label == "I":
-            total *= esd(qf, n) ** f.multiplicity
+            total *= counting.count_esd(qf, n) ** f.multiplicity
         elif label in ("II", "I'"):
-            total *= hsd(qf, n) ** f.multiplicity
+            total *= counting.count_hsd(qf, n) ** f.multiplicity
         else:
             if f.multiplicity % 2:
                 raise AssertionError("paired orbits failed to pair up")
-            total *= linear(qf, e, n) ** (f.multiplicity // 2)
+            total *= counting.count_linear(qf, e, n) ** (f.multiplicity // 2)
     return total
 
 
-def count_qa(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
-             linear_provider=None) -> int:
+def count_qa(p: int, m: int, s: int, group: AbelianGroup, n: int) -> int:
     """Number of codes in field[A x Z_{p^s} x B] closed under multiplication
     by the subalgebra field[A x Z_{p^s}], where |B| = n.  The answer depends
-    on B only through n.
-
-    linear_provider(q, e, n) overrides the per-ring code count; the default
-    is `counting.count_linear`, certified for depth p^s = 3.
+    on B only through n: the product over the chain-ring factors of
+    `counting.count_linear` at depth p^s, which holds at every depth.
     """
-    return _count(p, m, s, group, n, None,
-                  linear_provider or counting.count_linear, gated=False)
+    return _count(p, m, s, group, n, None)
 
 
-def count_qa_esd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
-                 linear_provider=None, esd_provider=None,
-                 hsd_provider=None) -> int:
-    """Number of Euclidean self-dual codes among those counted by count_qa.
+def count_qa_esd(p: int, m: int, s: int, group: AbelianGroup, n: int) -> int:
+    """Number of Euclidean self-dual codes among those counted by count_qa;
+    depth p^s must be 3.
 
     Per divisor d of the group exponent: if d divides p^{mt} + 1 for some t
     (a "good" divisor) the factor codes must be self-dual themselves,
     Euclidean when p^m fixes d (order 1) and Hermitian otherwise; bad
     divisors pair factors with their duals, contributing a free linear code
-    per pair.  Default providers are the depth-3 closed forms.
+    per pair.
     """
-    return _count(p, m, s, group, n, "euclidean_type",
-                  linear_provider or counting.count_linear,
-                  esd_provider or counting.count_esd,
-                  hsd_provider or counting.count_hsd,
-                  gated=not (linear_provider and esd_provider and hsd_provider))
+    return _count(p, m, s, group, n, "euclidean_type")
 
 
-def count_qa_hsd(p: int, m: int, s: int, group: AbelianGroup, n: int, *,
-                 linear_provider=None, hsd_provider=None) -> int:
+def count_qa_hsd(p: int, m: int, s: int, group: AbelianGroup, n: int) -> int:
     """Number of Hermitian self-dual codes among those counted by count_qa;
-    needs even m so the coefficient field carries conjugation.
+    needs even m so the coefficient field carries conjugation, and depth
+    p^s = 3.
 
     Per divisor d: if d divides p^{(m/2)t} + 1 for some odd t (an "oddly
     good" divisor) the factors must be Hermitian self-dual; otherwise
     factors pair with duals and each pair contributes a free linear code.
     """
-    return _count(p, m, s, group, n, "hermitian_type",
-                  linear_provider or counting.count_linear,
-                  hsd=hsd_provider or counting.count_hsd,
-                  gated=not (linear_provider and hsd_provider))
+    return _count(p, m, s, group, n, "hermitian_type")

@@ -1,4 +1,5 @@
 """Tests for the brute-force censuses and the constructive enumerations."""
+import collections
 import itertools
 
 import pytest
@@ -17,12 +18,11 @@ from chaincodes.census import (
     enumerate_submodules,
     field_subspaces,
     hermitian_sd_extend,
-    validate_generalized_count,
 )
 from chaincodes.chainring import ChainRing, chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN, FieldCode, LinearCode
 from chaincodes.counting import (count_esd, count_hsd, count_linear,
-                                 gaussian_binomial, linear_count_sum, sigma_e)
+                                 gaussian_binomial, sigma_e)
 from chaincodes.gf import field_make
 
 
@@ -150,6 +150,32 @@ def all_extensions_reference(ring, n):
         for basis, _ in found.values()])
 
 
+def count_by_type(q, e, n, conj):
+    """Submodules of R(q,e)^n whose conjugate type is conj = (mu'_1, ...,
+    mu'_e), mu'_i the GF(q)-dimension of u^(i-1)M / u^i M: the product over
+    i of q^(mu'_(i+1) (n - mu'_i)) [n - mu'_(i+1), mu'_i - mu'_(i+1)]_q,
+    with mu'_(e+1) = 0 (Butler's per-type count for abelian p-groups)."""
+    mu = tuple(conj) + (0,)
+    total = 1
+    for i in range(e):
+        total *= q ** (mu[i + 1] * (n - mu[i]))
+        total *= gaussian_binomial(n - mu[i + 1], mu[i] - mu[i + 1], q)
+    return total
+
+
+def conjugate_type_from_rows(view, code):
+    """mu'_i = (rank u^(i-1)M - rank u^i M) / m, the ranks of the GF(p)
+    spans of the module rows shifted up by u^i."""
+    rows = view.module_basis(code.gens)
+    step, keep = view.m * view.lane, view._u_keep
+    ranks = []
+    for _ in range(view.ring.e + 1):
+        basis, pivots = [], []
+        ranks.append(sum(view.insert_row(basis, pivots, r) for r in rows))
+        rows = [(r << step) & keep for r in rows]
+    return tuple((a - b) // view.m for a, b in zip(ranks, ranks[1:]))
+
+
 @pytest.mark.parametrize("q,e,n", [
     (2, 3, 2), (2, 3, 3), (3, 3, 2), (4, 3, 2), (2, 2, 3), (4, 2, 2),
     (2, 4, 2), (2, 5, 2), (9, 1, 2), (8, 1, 3),
@@ -201,7 +227,6 @@ def test_frontier_census_matches_formula(q, n, expected):
     try:
         census = enumerate_submodules(chain_ring(q, 3), n)
         assert census.size == expected == count_linear(q, 3, n)
-        assert linear_count_sum(q, 3, n) == expected
         assert len(census.fingerprint_set()) == expected
     finally:
         enumerate_submodules.cache_clear()     # R(2,3)^4 holds ~290 MB
@@ -212,8 +237,29 @@ def test_frontier_census_matches_formula(q, n, expected):
     (2, 5, 2, 177), (2, 1, 4, 67), (8, 1, 3, 148),
 ])
 def test_census_confirms_chain_sum_off_e3(q, e, n, expected):
-    assert linear_count_sum(q, e, n) == expected
+    assert count_linear(q, e, n) == expected
     assert enumerate_submodules(chain_ring(q, e), n).size == expected
+
+
+@pytest.mark.parametrize("q,e,n", [
+    (2, 2, 3), (4, 2, 2), (5, 2, 2), (2, 4, 2), (2, 5, 2), (2, 1, 4),
+    (8, 1, 3), (2, 3, 3), (3, 3, 2), (4, 3, 2), (2, 2, 4), (2, 4, 3),
+])
+def test_census_histogram_by_type_matches_per_type_count(q, e, n):
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    histogram = collections.Counter()
+    for code in enumerate_submodules(ring, n).codes:
+        conj = conjugate_type_from_rows(view, code)
+        k = code.type_profile
+        assert conj == tuple(sum(k[:e - i + 1]) for i in range(1, e + 1))
+        histogram[conj] += 1
+    assert histogram == {conj: count_by_type(q, e, n, conj)
+                         for conj in histogram}
+    # every type the formula allows shows up: the counts sum to the total
+    types = itertools.combinations_with_replacement(range(n, -1, -1), e)
+    assert sum(count_by_type(q, e, n, c) for c in types) == count_linear(q, e, n)
+    assert sum(histogram.values()) == count_linear(q, e, n)
 
 
 def test_prime_field_census_counts_every_subspace():
@@ -429,16 +475,3 @@ def test_field_self_dual_census_values():
     assert len(enumerate_field_self_dual(field_make(2, 2), 2, HERMITIAN)) == 3
     assert len(enumerate_field_self_dual(field_make(3, 1), 2, EUCLIDEAN)) == \
         sigma_e(3, 2)
-
-
-# ---------------------------------------------------------------------------
-# generalized-count validation
-
-def test_validate_generalized_count_unlocks_formula():
-    with pytest.raises(ValueError):
-        count_linear(2, 2, 2)
-    got = validate_generalized_count(2, 2, 2)
-    assert got == count_linear(2, 2, 2)
-    assert got == enumerate_submodules(chain_ring(2, 2), 2).size
-    assert validate_generalized_count(2, 2, 1) == 3
-    assert validate_generalized_count(2, 4, 1) == 5     # the e + 1 ideals

@@ -89,6 +89,9 @@ def test_decimal_helper_is_exact():
 def test_count_linear_and_gaussian(capsys):
     code, out, _ = run(capsys, "count", "linear", "--q", "2", "--n", "2")
     assert code == 0 and out.strip().endswith("= 37")
+    code, out, _ = run(capsys, "count", "linear", "--q", "2", "--n", "2",
+                       "--e", "4")
+    assert code == 0 and out == "linear(q=2,e=4,n=2) = 83\n"
     code, out, _ = run(capsys, "count", "gaussian", "--q", "2", "--n", "4",
                        "--k", "2")
     assert code == 0 and out == "gaussian(q=2,k=2,n=4) = 35\n"
@@ -98,6 +101,8 @@ def test_count_quasi_abelian_kinds(capsys):
     code, out, _ = run(capsys, "count", "qa", "--p", "3", "--m", "1", "--s",
                        "1", "--A", "2", "--n", "1")
     assert code == 0 and out.strip().endswith("= 16")
+    code, out, _ = run(capsys, "count", "qa", "--p", "2", "--A", "7", "--n", "1")
+    assert code == 0 and out == "qa(p=2,m=1,s=1,A=7,n=1) = 27\n"
     code, out, _ = run(capsys, "count", "qa-esd", "--p", "3", "--A", "2",
                        "--n", "4")
     assert code == 0 and out.strip().endswith("= 30976")
@@ -117,8 +122,12 @@ def test_count_usage_errors(capsys):
 def test_count_math_precondition_errors(capsys):
     assert run(capsys, "count", "sigma-h", "--q", "5", "--n", "2")[0] == 2
     assert run(capsys, "count", "hsd", "--q", "3", "--n", "2")[0] == 2
-    assert run(capsys, "count", "linear", "--q", "2", "--n", "2", "--e", "4")[0] == 2
     assert run(capsys, "count", "qa", "--p", "4", "--A", "3", "--n", "1")[0] == 2
+    # the self-dual closed forms hold at depth 3 only
+    assert run(capsys, "count", "qa-esd", "--p", "2", "--A", "7", "--n", "2")[0] == 2
+    # depths over the chain-ring cap are refused before any work
+    assert run(capsys, "count", "linear", "--q", "2", "--e", "65537",
+               "--n", "1")[0] == 2
 
 
 @pytest.mark.parametrize("q,e,n,message", [

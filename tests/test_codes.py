@@ -399,6 +399,22 @@ def test_field_code_json_roundtrip():
     assert back == code
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_field_codes_refuse_lengths_below_one(n):
+    f = field_make(2, 1)
+    for make in (FieldCode.zero, FieldCode.full):
+        with pytest.raises(ValueError, match=f"length must be >= 1, got {n}"):
+            make(f, n)
+    with pytest.raises(ValueError, match=f"length must be >= 1, got {n}"):
+        FieldCode.from_rows(f, n, [])
+    obj = field_code_to_json(FieldCode.from_rows(f, 1, []))
+    obj["n"] = n
+    # both loaders give the message LinearCode gives
+    for load in (code_from_json, field_code_from_json):
+        with pytest.raises(ValueError, match=f"length must be >= 1, got {n}"):
+            load(dict(obj))
+
+
 def test_loads_code_rejects_garbage():
     with pytest.raises(ValueError):
         loads_code("not json")

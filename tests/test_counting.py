@@ -14,14 +14,12 @@ from chaincodes.census import (
 from chaincodes.chainring import chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN
 from chaincodes.counting import (
+    _MAX_DEPTH,
     count_esd,
     count_hsd,
     count_linear,
     gaussian_binomial,
     gaussian_row,
-    generalized_is_validated,
-    linear_count_sum,
-    register_generalized_validation,
     sigma_e,
     sigma_h,
 )
@@ -109,7 +107,7 @@ def test_gaussian_binomial_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# linear-code counts over the depth-3 chain ring
+# linear-code counts over the chain rings
 
 def test_linear_count_known_values():
     assert count_linear(2, 3, 1) == 4
@@ -119,6 +117,9 @@ def test_linear_count_known_values():
     for q in (2, 3, 4, 5, 9):
         # length 1 sees exactly the ideal chain 0 < u^2 < u < 1
         assert count_linear(q, 3, 1) == 4
+    # and at every depth e up to the cap, the e + 1 ideals of the chain
+    for e in (1, 2, 4, 7, _MAX_DEPTH):
+        assert count_linear(2, e, 1) == e + 1
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
@@ -126,49 +127,32 @@ def test_linear_count_matches_census(q, n):
     assert count_linear(q, 3, n) == enumerate_submodules(chain_ring(q, 3), n).size
 
 
-def test_generalized_count_is_gated():
-    with pytest.raises(ValueError):
-        count_linear(2, 4, 2)
-    assert not generalized_is_validated(5, 2, 1)
-    with pytest.raises(ValueError):
-        count_linear(5, 2, 1)
-    register_generalized_validation(5, 2, 1)
-    assert generalized_is_validated(5, 2, 1)
-    assert count_linear(5, 2, 1) == linear_count_sum(5, 2, 1)
-    # other parameters stay gated
-    with pytest.raises(ValueError):
-        count_linear(5, 2, 2)
-
-
 @pytest.mark.parametrize("q,e,n,message", [
     (6, 2, 1, "not a prime power: 6"), (6, 3, 1, "not a prime power: 6"),
+    (1, 3, 2, "not a prime power: 1"),
     (2, 0, 1, "need n >= 1 and e >= 1"), (2, 2, 0, "need n >= 1 and e >= 1"),
-    (2, 3, 0, "need n >= 1 and e >= 1")])
-def test_invalid_linear_count_inputs_are_refused_before_the_gate(q, e, n, message):
+    (2, 3, 0, "need n >= 1 and e >= 1"), (6, 0, 2, "need n >= 1 and e >= 1"),
+    (2, _MAX_DEPTH + 1, 1, f"depth e = {_MAX_DEPTH + 1} is over {_MAX_DEPTH}"),
+    (2, 10 ** 9, 1, f"depth e = {10 ** 9} is over {_MAX_DEPTH}")])
+def test_invalid_linear_count_inputs_are_refused(q, e, n, message):
     with pytest.raises(ValueError, match=message):
         count_linear(q, e, n)
 
 
-def test_linear_count_sum_depth_one_is_subspace_total():
+def test_count_linear_depth_one_is_subspace_total():
     for q, n in [(2, 3), (3, 2), (4, 2)]:
-        assert linear_count_sum(q, 1, n) == sum(subspace_dim_counts(q, n))
+        assert count_linear(q, 1, n) == sum(subspace_dim_counts(q, n))
     for q in (2, 3, 4):
         for n in range(1, 41):
-            assert linear_count_sum(q, 1, n) == sum(
+            assert count_linear(q, 1, n) == sum(
                 gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_linear_count_sum_matches_literal_chain_sum(q):
+def test_count_linear_matches_literal_chain_sum(q):
     for e in range(1, 6):
         for n in range(1, 9):
-            assert linear_count_sum(q, e, n) == chain_sum_reference(q, e, n)
-
-
-def test_linear_count_sum_domain_errors():
-    for q, e, n in [(2, 3, 0), (2, 0, 2), (6, 3, 2), (1, 3, 2)]:
-        with pytest.raises(ValueError):
-            linear_count_sum(q, e, n)
+            assert count_linear(q, e, n) == chain_sum_reference(q, e, n)
 
 
 # ---------------------------------------------------------------------------

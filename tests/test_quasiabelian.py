@@ -597,16 +597,16 @@ def test_count_qa_matches_factorwise_census():
     assert count_qa(3, 1, 1, z2, 1) == math.prod(sizes) == 16
 
 
-def test_count_qa_provider_hook_for_other_depths():
-    z7 = AbelianGroup.from_spec("7")
-
-    def census_provider(q, e, n):
-        return enumerate_submodules(chain_ring(q, e), n).size
-
-    got = count_qa(2, 1, 1, z7, 1, linear_provider=census_provider)
-    assert got == 3 * 3 * 3      # one depth-2 chain per class, 3 ideals each
-    with pytest.raises(ValueError):
-        count_qa(2, 1, 1, z7, 1)   # depth 2 needs the provider
+@pytest.mark.parametrize("m,s,spec,n,expected", [
+    (1, 1, "7", 1, 27),     # GF(2) + 2 GF(8) factors at depth 2, 3 ideals each
+    (1, 1, "3", 2, 495),    # R(2,2)^2 and R(4,2)^2: 15 * 33 codes
+    (1, 2, "3", 1, 25),     # GF(2) and GF(4) factors at depth 4, 5 ideals each
+])
+def test_count_qa_at_other_depths_matches_factor_censuses(m, s, spec, n, expected):
+    group = AbelianGroup.from_spec(spec)
+    sizes = [enumerate_submodules(r, n).size
+             for r in decompose(2, m, s, group).factor_rings()]
+    assert count_qa(2, m, s, group, n) == math.prod(sizes) == expected
 
 
 def test_count_qa_esd_known_values():
@@ -647,8 +647,11 @@ def test_count_qa_hsd_splits_by_divisor_type():
 
 
 def test_count_qa_gates_unproven_depths():
+    # the self-dual closed forms hold at depth 3 only
     z2 = AbelianGroup.from_spec("2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth 3 only, got depth 4"):
         count_qa_esd(2, 1, 2, z2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth 3 only, got depth 4"):
         count_qa_hsd(2, 2, 2, z2, 2)
+    with pytest.raises(ValueError, match="depth 3 only, got depth 2"):
+        count_qa_esd(2, 1, 1, AbelianGroup.from_spec("7"), 2)
