@@ -7,7 +7,7 @@ search over covers M < M + Rv (quotient GF(q), the simple module) with
 canonical RREF bases over GF(p) as search keys.  Every submodule is reached
 because it has a composition series.  The covers of M are the GF(q)-lines
 of S/M, where S = {v : u*v in M} comes out of one elimination per M, so no
-vector outside S is ever tried (see `enumerate_submodules`).
+vector outside S is ever tried (see `_climb`).
 
 The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
 adding a row are a few big-int operations, multiplication by u and by the
@@ -16,9 +16,11 @@ base-|R| code of its vector, so fingerprints (sorted codeword codes) come
 out of the row span without decoding any codeword; for p = 2 they are the
 XOR closure of the basis rows' codes.
 
-Self-duality is likewise decided by raw orthogonality counting, so these
-censuses independently confirm the closed-form counts and the standard-form
-based dual computation.
+The self-dual censuses run the same search on the self-orthogonal covers
+only, each step tested by raw inner products of ring vectors; the codes C
+it reaches with |C|^2 = |R|^n are the self-dual ones.  So these censuses
+independently confirm the closed-form counts and the standard-form based
+dual computation.
 
 The constructive side (`hermitian_sd_extend`) builds every Hermitian
 self-dual chain-ring code that lifts a prescribed pair of residue-field
@@ -36,11 +38,12 @@ from dataclasses import dataclass
 from .gf import Field, field_make, factor_prime_power
 from .chainring import ChainRing, chain_ring
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
-                    _unpermute, code_to_json, field_rref, fmat, fmat_add,
-                    fmat_dagger, fmat_identity, fmat_inv, fmat_mul, fmat_neg,
-                    inner_product)
+                    _unpermute, field_rref, fmat, fmat_add, fmat_dagger,
+                    fmat_identity, fmat_inv, fmat_mul, fmat_neg, inner_product)
+from .counting import count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
+MEMBER_CAP = 1 << 16        # largest full census, counted by count_linear
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +312,6 @@ class Census:
     def fingerprint_set(self) -> frozenset:
         return frozenset(self.fingerprints)
 
-    def manifest(self) -> dict:
-        f = self.ring.field
-        return {"p": f.p, "m": f.m, "e": self.ring.e, "n": self.n,
-                "filter": self.filter_label, "count": str(self.size)}
-
-    def to_json(self) -> dict:
-        return {"manifest": self.manifest(),
-                "codes": [code_to_json(c) for c in self.codes]}
-
 
 def _build_census(ring: ChainRing, n: int, label: str, entries) -> Census:
     pairs = sorted(entries, key=lambda t: t[0])
@@ -332,9 +326,10 @@ def _check_bound(ring: ChainRing, n: int) -> None:
             f"oracle bound {DEFAULT_ORACLE_BOUND}")
 
 
-@functools.lru_cache(maxsize=None)
-def enumerate_submodules(ring: ChainRing, n: int) -> Census:
-    """Every linear code of length n over the ring, by exhaustive search.
+def _climb(ring: ChainRing, n: int, inner: str | None = None):
+    """The cover search: the packed view of R^n and the reduced GF(p)
+    echelon basis of every submodule it reaches, self-orthogonal ones only
+    when an inner product is given.
 
     A found submodule M is extended only to its covers.  For v outside M
     with u*v inside M, u*R*v lies in M, so N = M + Rv is M plus the
@@ -347,69 +342,77 @@ def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     N_(i+1) but not in N_i, u*v lies in N_i (u kills the factor) and
     N_(i+1) = N_i + Rv is a cover of N_i, so the search climbs every step
     of the series.
+
+    With an inner product, a line v is kept only when <v,v> = 0 and v is
+    orthogonal to the R-generators found on the way to M, which span M.
+    Every submodule of a self-orthogonal code is self-orthogonal, so each
+    step of its composition series is such a cover and the search still
+    reaches it.  The test holds for the whole line, since
+    <rv, sv> = r*conj(s)*<v,v>, and orthogonality to the generators gives
+    orthogonality to M, since <v, rg> is r or conj(r) times <v,g>; so M + Rv
+    is self-orthogonal.  Orthogonality is computed by `inner_product` on
+    the decoded vectors, never through standard forms.
+
+    Without an inner product the search visits the whole lattice, which has
+    count_linear(q, e, n) members, so it is refused over MEMBER_CAP.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     _check_bound(ring, n)
+    if inner is None and (members := count_linear(ring.q, ring.e, n)) > MEMBER_CAP:
+        raise ValueError(f"census of {ring!r}^{n} has {members} members, "
+                         f"over the member cap {MEMBER_CAP}")
     view = _FpView(ring, n)
-    found: dict[tuple, tuple[list, list]] = {(): ([], [])}
+    found: dict[tuple, tuple[list, list, tuple]] = {(): ([], [], ())}
     queue = [()]
     while queue:
-        basis, pivots = found[queue.pop()]
+        basis, pivots, gens = found[queue.pop()]
         for v in view.socle_lines(basis, pivots):
+            path = gens
+            if inner is not None:
+                vec = view.decode(v)
+                if any(inner_product(ring, vec, g, inner) for g in (vec,) + gens):
+                    continue
+                path = gens + (vec,)
             nb, np_ = list(basis), list(pivots)
             for row in view.x_rows(v):
                 view.insert_row(nb, np_, row)
             nkey = tuple(nb)
             if nkey not in found:
-                found[nkey] = (nb, np_)
+                found[nkey] = (nb, np_, path)
                 queue.append(nkey)
-
-    entries = []
-    for basis, _ in found.values():
-        code = LinearCode(ring, n, [view.decode(row) for row in basis])
-        entries.append((view.fingerprint(basis), code))
-    return _build_census(ring, n, "all", entries)
+    return view, [basis for basis, _, _ in found.values()]
 
 
-def _scan_self_dual(ring: ChainRing, n: int, gens, card: int, inner: str) -> bool:
-    """Raw orthogonality oracle: C is self-dual iff its generators pairwise
-    annihilate and exactly |C| vectors of R^n annihilate all of them."""
-    for a in gens:
-        for b in gens:
-            if inner_product(ring, a, b, inner):
-                return False
-    if inner == HERMITIAN:
-        rows = [tuple(ring.conjugate(x) for x in g) for g in gens]
-    else:
-        rows = list(gens)
-    count = 0
-    for w in itertools.product(range(ring.size), repeat=n):
-        for g in rows:
-            s = 0
-            for gi, wi in zip(g, w):
-                if gi and wi:
-                    s = ring.add(s, ring.mul(gi, wi))
-            if s:
-                break
-        else:
-            count += 1
-            if count > card:
-                return False
-    return count == card
+def _census_of(view: _FpView, label: str, bases) -> Census:
+    """The census of the submodules with these reduced echelon bases."""
+    ring, n = view.ring, view.n
+    return _build_census(ring, n, label, [
+        (view.fingerprint(basis),
+         LinearCode(ring, n, [view.decode(row) for row in basis]))
+        for basis in bases])
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_submodules(ring: ChainRing, n: int) -> Census:
+    """Every linear code of length n over the ring, by the cover search
+    (see `_climb`)."""
+    view, bases = _climb(ring, n)
+    return _census_of(view, "all", bases)
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_self_dual(ring: ChainRing, n: int,
                         inner: str = EUCLIDEAN) -> Census:
-    """The self-dual members of the full census, decided by the scan oracle."""
+    """The self-dual codes of length n: the self-orthogonal submodules the
+    cover search reaches (see `_climb`) with |C|^2 = |R|^n."""
     _check_inner(inner)
     if inner == HERMITIAN and not ring.field.has_conjugation:
         raise ValueError("Hermitian census needs a square field order")
-    full = enumerate_submodules(ring, n)
-    entries = [(fp, code) for fp, code in zip(full.fingerprints, full.codes)
-               if _scan_self_dual(ring, n, code.gens, len(fp), inner)]
-    return _build_census(ring, n, f"self-dual-{inner}", entries)
+    view, bases = _climb(ring, n, inner)
+    rank = ring.e * ring.field.m * n
+    return _census_of(view, f"self-dual-{inner}",
+                      [basis for basis in bases if 2 * len(basis) == rank])
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,6 @@ class ChainRing:
                 digits.append(self.field.encode(c))
         return ChainRingElement(self, self.encode(digits))
 
-    def galois_extension(self, d: int) -> ChainRing:
-        """The unramified extension with residue field GF(q^d), same e."""
-        if d < 1:
-            raise ValueError(f"extension degree must be >= 1, got {d}")
-        return ChainRing(field_make(self.field.p, self.field.m * d), self.e)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainRing) and self.e == other.e
                 and self.field == other.field)

@@ -83,11 +83,6 @@ class AbelianGroup:
     def smul(self, k: int, a) -> tuple[int, ...]:
         return tuple(k * x % d for x, d in zip(a, self.invariants))
 
-    def element_order(self, a) -> int:
-        a = self.check(a)
-        return math.lcm(*(d // math.gcd(x, d)
-                          for x, d in zip(a, self.invariants))) if a else 1
-
     def n_of_order(self, d: int) -> int:
         """How many elements have order exactly d: prod_i gcd(k, n_i)
         elements satisfy k*a = 0, and Moebius inversion over k | d keeps

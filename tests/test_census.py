@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import data, integers, lists, sampled_from
 
 from chaincodes.census import (
+    MEMBER_CAP,
     Census,
     _build_census,
     _FpView,
@@ -20,7 +21,8 @@ from chaincodes.census import (
     hermitian_sd_extend,
 )
 from chaincodes.chainring import ChainRing, chain_ring
-from chaincodes.codes import EUCLIDEAN, HERMITIAN, FieldCode, LinearCode
+from chaincodes.codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode,
+                              inner_product)
 from chaincodes.counting import (count_esd, count_hsd, count_linear,
                                  gaussian_binomial, sigma_e)
 from chaincodes.gf import field_make
@@ -187,7 +189,7 @@ def test_cover_search_matches_all_extensions_reference(q, e, n):
     assert census.size == ref.size
     assert census.fingerprints == ref.fingerprints
     # same codes in the same order, down to the generator rows
-    assert census.to_json() == ref.to_json()
+    assert [c.gens for c in census.codes] == [c.gens for c in ref.codes]
 
 
 def count_calls(monkeypatch, name):
@@ -286,10 +288,8 @@ def test_census_is_cached_and_reports_shape():
     ring = chain_ring(2, 3)
     a = enumerate_submodules(ring, 2)
     assert a is enumerate_submodules(ring, 2)
-    man = a.manifest()
-    assert man["count"] == "37" and man["n"] == 2
-    assert a.to_json()["manifest"]["filter"] == a.filter_label
-    assert len(a.to_json()["codes"]) == 37
+    assert (a.ring, a.n, a.filter_label, a.size) == (ring, 2, "all", 37)
+    assert len(a.fingerprints) == 37
 
 
 def test_census_bound_guard():
@@ -302,14 +302,24 @@ def test_census_bound_guard():
         enumerate_self_dual(chain_ring(2, 3), 9, EUCLIDEAN)
 
 
-def test_self_dual_census_reuses_the_submodule_census():
-    ring = chain_ring(2, 3)
-    enumerate_submodules.cache_clear()
+def test_census_member_cap_refuses_before_any_work():
+    """R(2,2)^6 has 4,096 vectors, inside the vector bound, but 2,972,475
+    submodules: the member cap refuses it from count_linear alone."""
+    ring = chain_ring(2, 2)
+    assert count_linear(2, 2, 6) == 2972475 > MEMBER_CAP
+    with pytest.raises(ValueError, match="member cap"):
+        enumerate_submodules(ring, 6)
+    # the largest censuses the tests run stay inside the cap
+    assert count_linear(2, 3, 4) == 43339 <= MEMBER_CAP
+    assert count_linear(2, 2, 5) == 55989 <= MEMBER_CAP
+
+
+def test_self_dual_census_runs_no_full_census():
+    """The isotropic climb never builds the full submodule census."""
     enumerate_self_dual.cache_clear()
-    enumerate_submodules(ring, 2)
-    hits = enumerate_submodules.cache_info().hits
-    assert enumerate_self_dual(ring, 2, EUCLIDEAN).size == 3
-    assert enumerate_submodules.cache_info().hits > hits
+    misses = enumerate_submodules.cache_info().misses
+    assert enumerate_self_dual(chain_ring(2, 3), 4, EUCLIDEAN).size == 87
+    assert enumerate_submodules.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +345,81 @@ def test_self_dual_censuses_empty_at_odd_length():
     assert enumerate_self_dual(chain_ring(4, 3), 1, HERMITIAN).size == 0
 
 
+def _scan_self_dual(ring, n, gens, card, inner):
+    """Raw orthogonality reference: C is self-dual iff its generators
+    pairwise annihilate and exactly |C| vectors of R^n annihilate all of
+    them."""
+    for a in gens:
+        for b in gens:
+            if inner_product(ring, a, b, inner):
+                return False
+    if inner == HERMITIAN:
+        rows = [tuple(ring.conjugate(x) for x in g) for g in gens]
+    else:
+        rows = list(gens)
+    count = 0
+    for w in itertools.product(range(ring.size), repeat=n):
+        for g in rows:
+            s = 0
+            for gi, wi in zip(g, w):
+                if gi and wi:
+                    s = ring.add(s, ring.mul(gi, wi))
+            if s:
+                break
+        else:
+            count += 1
+            if count > card:
+                return False
+    return count == card
+
+
 @pytest.mark.parametrize("q,e,n", [
     (2, 1, 4), (3, 1, 4), (4, 1, 4), (9, 1, 2), (2, 2, 2), (2, 2, 3),
     (3, 2, 2), (4, 2, 2), (4, 2, 3), (2, 4, 2), (2, 5, 1), (2, 3, 3),
     (3, 3, 2), (4, 3, 2)])
 def test_is_self_dual_is_membership_in_the_scan_oracle(q, e, n):
-    """is_self_dual keeps exactly the scan oracle's self-dual codes at every
+    """The climb census, the R^n scan over the full census and the
+    is_self_dual filter of the full census keep the same codes at every
     depth, and for e = 1 the FieldCode test agrees as well."""
     ring = chain_ring(q, e)
     full = enumerate_submodules(ring, n)
     inners = [EUCLIDEAN, HERMITIAN] if ring.field.has_conjugation else [EUCLIDEAN]
     for inner in inners:
-        oracle = enumerate_self_dual(ring, n, inner).fingerprint_set()
+        climb = enumerate_self_dual(ring, n, inner)
+        scanned = [(fp, code) for fp, code in zip(full.fingerprints, full.codes)
+                   if _scan_self_dual(ring, n, code.gens, len(fp), inner)]
+        # fingerprint for fingerprint, in the same order, down to the rows
+        assert climb.fingerprints == tuple(fp for fp, _ in scanned)
+        assert [c.gens for c in climb.codes] == [c.gens for _, c in scanned]
         kept = {fp for fp, code in zip(full.fingerprints, full.codes)
                 if code.is_self_dual(inner)}
-        assert kept == oracle
+        assert kept == climb.fingerprint_set()
         if e == 1:
             kept = {fp for fp, code in zip(full.fingerprints, full.codes)
                     if FieldCode.from_rows(ring.field, n, code.gens)
                     .is_self_dual(inner)}
-            assert kept == oracle
+            assert kept == climb.fingerprint_set()
+
+
+def test_climb_census_matches_standard_forms_at_ne_2_4():
+    ring = chain_ring(2, 3)
+    climb = enumerate_self_dual(ring, 4, EUCLIDEAN)
+    assert climb.size == 87 == count_esd(2, 4)
+    assert climb.fingerprint_set() == enumerate_sd_standard_forms(
+        ring, 4, EUCLIDEAN).fingerprint_set()
+
+
+@pytest.mark.parametrize("q,e,n,inner,expected", [
+    (2, 2, 4, EUCLIDEAN, 39), (3, 2, 4, EUCLIDEAN, 41), (4, 2, 4, HERMITIAN, 523),
+])
+def test_depth_two_self_dual_census_data(q, e, n, inner, expected):
+    """Census data at e = 2, where no closed form ships: each value equals
+    sum_k so(q,n,k) * lambda(k) over the k-dimensional self-orthogonal
+    residue codes, the shape of the e = 3 formula."""
+    census = enumerate_self_dual(chain_ring(q, e), n, inner)
+    assert census.size == expected == len(census.fingerprint_set())
+    for code in census.codes[::max(1, expected // 20)]:
+        assert code.is_self_dual(inner)
 
 
 # ---------------------------------------------------------------------------

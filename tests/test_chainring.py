@@ -46,13 +46,6 @@ def test_chain_ring_rejects_bad_parameters():
         ChainRing(field_make(2, 1), 0)
 
 
-def test_galois_extension():
-    r = chain_ring(2, 3)
-    ext = r.galois_extension(2)
-    assert ext == chain_ring(4, 3)
-    assert ext.field.p == 2 and ext.field.m == 2 and ext.e == 3
-
-
 def test_encode_decode_roundtrip():
     r = chain_ring(3, 3)
     for a in r.elements():
