@@ -19,7 +19,7 @@ from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
                      enumerate_field_self_dual,
                      enumerate_hsd_constructive, enumerate_sd_standard_forms,
                      enumerate_self_dual, enumerate_submodules,
-                     field_subspaces, hermitian_sd_extend)
+                     hermitian_sd_extend)
 from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
                            GroupAlgebraElement, algebra_elements,
                            chain_to_cyclic, coset_join, coset_representatives,
@@ -40,8 +40,7 @@ __all__ = [
     "Census", "DEFAULT_ORACLE_BOUND", "code_fingerprint",
     "enumerate_field_self_dual",
     "enumerate_hsd_constructive", "enumerate_sd_standard_forms",
-    "enumerate_self_dual", "enumerate_submodules", "field_subspaces",
-    "hermitian_sd_extend",
+    "enumerate_self_dual", "enumerate_submodules", "hermitian_sd_extend",
     "AbelianGroup", "DecompositionReport", "DivisorFactor",
     "GroupAlgebraElement", "algebra_elements", "chain_to_cyclic",
     "coset_join", "coset_representatives", "coset_split", "count_qa",

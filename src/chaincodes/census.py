@@ -26,7 +26,11 @@ The constructive side (`hermitian_sd_extend`) builds every Hermitian
 self-dual chain-ring code that lifts a prescribed pair of residue-field
 codes (the u-torsion C1 and the residue code C0), by completing the
 generator blocks level by level; trace preimages parameterize the free
-diagonal choices.
+diagonal choices.  `enumerate_hsd_constructive` draws both residue codes
+from the e = 1 cover search: C1 from the Hermitian self-dual census of
+GF(q)^n, and C0 as the image of each subspace of GF(q)^(n/2) under C1's
+basis.  Every census, constructive ones included, is assembled by
+`_census_of` and sorted by fingerprint.
 """
 from __future__ import annotations
 
@@ -313,12 +317,6 @@ class Census:
         return frozenset(self.fingerprints)
 
 
-def _build_census(ring: ChainRing, n: int, label: str, entries) -> Census:
-    pairs = sorted(entries, key=lambda t: t[0])
-    return Census(ring, n, label,
-                  tuple(c for _, c in pairs), tuple(fp for fp, _ in pairs))
-
-
 def _check_bound(ring: ChainRing, n: int) -> None:
     if ring.size ** n > DEFAULT_ORACLE_BOUND:
         raise ValueError(
@@ -384,13 +382,20 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
     return view, [basis for basis, _, _ in found.values()]
 
 
-def _census_of(view: _FpView, label: str, bases) -> Census:
-    """The census of the submodules with these reduced echelon bases."""
-    ring, n = view.ring, view.n
-    return _build_census(ring, n, label, [
-        (view.fingerprint(basis),
-         LinearCode(ring, n, [view.decode(row) for row in basis]))
-        for basis in bases])
+def _census_of(ring: ChainRing, n: int, label: str, members,
+               view: _FpView | None = None) -> Census:
+    """The census of (reduced GF(p) echelon basis in the view, code)
+    members, a code of None decoded from its basis; an empty census needs
+    no view.  Sorted by fingerprint alone, so a repeated member is kept
+    twice rather than compared as a code."""
+    entries = sorted(
+        ((view.fingerprint(basis),
+          LinearCode(ring, n, [view.decode(row) for row in basis])
+          if code is None else code)
+         for basis, code in members),
+        key=lambda entry: entry[0])
+    return Census(ring, n, label, tuple(code for _, code in entries),
+                  tuple(fp for fp, _ in entries))
 
 
 @functools.lru_cache(maxsize=None)
@@ -398,7 +403,7 @@ def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     """Every linear code of length n over the ring, by the cover search
     (see `_climb`)."""
     view, bases = _climb(ring, n)
-    return _census_of(view, "all", bases)
+    return _census_of(ring, n, "all", [(basis, None) for basis in bases], view)
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,8 +416,9 @@ def enumerate_self_dual(ring: ChainRing, n: int,
         raise ValueError("Hermitian census needs a square field order")
     view, bases = _climb(ring, n, inner)
     rank = ring.e * ring.field.m * n
-    return _census_of(view, f"self-dual-{inner}",
-                      [basis for basis in bases if 2 * len(basis) == rank])
+    return _census_of(ring, n, f"self-dual-{inner}",
+                      [(basis, None) for basis in bases if 2 * len(basis) == rank],
+                      view)
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +436,6 @@ def enumerate_field_self_dual(field: Field, n: int,
                               inner: str = EUCLIDEAN) -> tuple[FieldCode, ...]:
     census = enumerate_self_dual(_ring_over(field, 1), n, inner)
     return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
-
-
-def field_subspaces(field: Field, vectors, n: int) -> tuple[FieldCode, ...]:
-    """All subspaces of the span of the given vectors, ordered by (dim, basis)."""
-    vecs = [tuple(v) for v in vectors]
-    found: dict[tuple, tuple[tuple[int, ...], ...]] = {(): ()}
-    queue = [()]
-    while queue:
-        key = queue.pop()
-        basis = found[key]
-        for v in vecs:
-            rows = field_rref(field, n, list(basis) + [v])
-            if rows == basis or rows in found:
-                continue
-            found[rows] = rows
-            queue.append(rows)
-    subs = sorted(found, key=lambda b: (len(b), b))
-    return tuple(FieldCode(field, n, b) for b in subs)
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +573,34 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
 @functools.lru_cache(maxsize=None)
 def enumerate_hsd_constructive(q: int, n: int) -> Census:
     """All Hermitian self-dual codes over GF(q)[u]/(u^3) of length n, built
-    constructively from every (torsion, residue) pair of field codes."""
+    constructively from every (torsion, residue) pair of field codes.
+
+    The torsion codes c1 are the Hermitian self-dual codes of GF(q)^n, and
+    the residue codes c0 inside c1 are the images of the subspaces of
+    GF(q)^(n/2), taken once from the e = 1 cover search, under c1's
+    reduced basis.  Every constructed code is reduced by one packed view of
+    R^n, and a repeat would stay in the census."""
     p, m = factor_prime_power(q)
     field = field_make(p, m)
     if not field.has_conjugation:
         raise ValueError("Hermitian enumeration needs a square field order")
     ring = chain_ring(q, 3)
+    label = f"self-dual-{HERMITIAN}-constructive"
     if n % 2:
-        return _build_census(ring, n, f"self-dual-{HERMITIAN}-constructive", [])
-    entries = []
-    for c1 in enumerate_field_self_dual(field, n, HERMITIAN):
-        words = [w for w in c1.codewords() if any(w)]
-        for c0 in field_subspaces(field, words, n):
+        return _census_of(ring, n, label, [])
+    # the field censuses check their bounds before the view of R^n, whose
+    # masks cost O((3mn)^3) bit operations, is built
+    c1s = enumerate_field_self_dual(field, n, HERMITIAN)
+    subs = enumerate_submodules(_ring_over(field, 1), n // 2).codes
+    view = _FpView(ring, n)
+    members = []
+    for c1 in c1s:
+        for sub in subs:
+            c0 = FieldCode.from_rows(
+                field, n, fmat_mul(field, sub.gens, c1.basis, cols=n))
             for code in hermitian_sd_extend(c1, c0):
-                entries.append((code_fingerprint(code), code))
-    return _build_census(ring, n, f"self-dual-{HERMITIAN}-constructive", entries)
+                members.append((view.module_basis(code.gens), code))
+    return _census_of(ring, n, label, members, view)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +621,7 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
         raise ValueError("Hermitian enumeration needs a square field order")
     label = f"self-dual-{inner}-standard-forms"
     if n % 2:
-        return _build_census(ring, n, label, [])
+        return _census_of(ring, n, label, [])
 
     if inner == HERMITIAN:
         def dag(mat):
@@ -711,6 +712,4 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                             seen.setdefault(tuple(basis), code)
                     # a standard form of any self-dual code appears under
                     # some sorted block choice, so this sweep is exhaustive
-    return _build_census(ring, n, label,
-                         [(view.fingerprint(basis), code)
-                          for basis, code in seen.items()])
+    return _census_of(ring, n, label, seen.items(), view)

@@ -7,19 +7,18 @@ Exit codes: 0 success, 1 usage error, 2 violated mathematical precondition,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
 
-from .gf import factor_prime_power, field_make
+from .gf import field_make
 from .chainring import chain_ring
 from .codes import EUCLIDEAN, HERMITIAN, LinearCode, dumps_code, loads_code
 from .counting import (gaussian_binomial, count_linear, count_esd, count_hsd,
                        sigma_e, sigma_h)
 from .census import (enumerate_submodules, enumerate_self_dual,
                      enumerate_field_self_dual, enumerate_sd_standard_forms,
-                     enumerate_hsd_constructive, field_subspaces)
+                     enumerate_hsd_constructive)
 from .quasiabelian import (AbelianGroup, decompose, count_qa, count_qa_esd,
                            count_qa_hsd, algebra_elements, cyclic_to_chain)
 
@@ -232,9 +231,10 @@ def cmd_decompose(args) -> int:
 # verification suite
 
 def _subspace_count(q: int, n: int, k: int) -> int:
-    field = field_make(*factor_prime_power(q))
-    vectors = [v for v in itertools.product(range(q), repeat=n) if any(v)]
-    return sum(1 for s in field_subspaces(field, vectors, n) if s.dim == k)
+    """The k-dimensional subspaces of GF(q)^n: the members of the e = 1
+    census with q^k codewords."""
+    return sum(1 for fp in enumerate_submodules(chain_ring(q, 1), n).fingerprints
+               if len(fp) == q ** k)
 
 
 def _iso_check() -> str:

@@ -35,39 +35,49 @@ DEFAULT_MAX_ORDER = 1 << 20
 _TABLE_LIMIT = 128
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+# trial division stops at this divisor; a cofactor left above its square
+# cannot be certified prime, so the number is refused
+_TRIAL_LIMIT = 1 << 20
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1, by trial division up to _TRIAL_LIMIT;
+    a number that this cannot finish is refused with ValueError."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    out: dict[int, int] = {}
+    d = 2
     while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            raise ValueError(
+                f"cannot factor a {n.bit_length()}-bit number by trial "
+                f"division up to {_TRIAL_LIMIT}")
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out[d] = k
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Primality by `factorize`.  A number that trial division up to
+    _TRIAL_LIMIT = 2^20 cannot certify (it leaves a cofactor over 2^40)
+    raises ValueError instead of running for sqrt(n) steps."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, m) with p prime and q = p^m."""
-    if q < 2:
+    """Split q into (p, m) with p prime and q = p^m; ValueError when q is
+    not a prime power or `factorize` cannot finish it."""
+    primes = factorize(q) if q >= 2 else {}
+    if len(primes) != 1:
         raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise ValueError(f"not a prime power: {q}")
+    [(p, m)] = primes.items()
     return p, m
 
 

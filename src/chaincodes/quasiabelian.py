@@ -22,7 +22,8 @@ import math
 from dataclasses import astuple, dataclass
 
 from .chainring import ChainRing, ChainRingElement
-from .gf import Field, FieldElement, field_make, factor_prime_power, is_prime
+from .gf import (Field, FieldElement, field_make, factor_prime_power,
+                 factorize, is_prime)
 from . import counting
 from .counting import _MAX_DEPTH
 
@@ -89,7 +90,7 @@ class AbelianGroup:
         those of order exactly d."""
         if d < 1:
             raise ValueError("order must be >= 1")
-        primes = list(_factorize(d))
+        primes = list(factorize(d))
         total = 0
         for r in range(len(primes) + 1):
             for drop in itertools.combinations(primes, r):
@@ -112,31 +113,6 @@ class AbelianGroup:
             f"Z{d}" for d in self.invariants)
 
 
-# trial division stops at this divisor; a cofactor left above its square
-# cannot be certified prime, so the number is refused
-_TRIAL_LIMIT = 1 << 20
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} for n >= 1, by trial division up to _TRIAL_LIMIT."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > _TRIAL_LIMIT:
-            raise ValueError(
-                f"cannot factor a {n.bit_length()}-bit number by trial "
-                f"division up to {_TRIAL_LIMIT}")
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def multiplicative_order(base: int, mod: int) -> int:
     """Least t >= 1 with base^t = 1 (mod mod); mod 1 gives 1.
 
@@ -151,11 +127,11 @@ def multiplicative_order(base: int, mod: int) -> int:
     if math.gcd(base, mod) != 1:
         raise ValueError(f"{base} is not invertible mod {mod}")
     lam: dict[int, int] = {}
-    for r, k in _factorize(mod).items():
+    for r, k in factorize(mod).items():
         if r == 2:
             part = {2: k - 1 if k < 3 else k - 2}
         else:
-            part = _factorize(r - 1)
+            part = factorize(r - 1)
             part[r] = k - 1
         for f, j in part.items():
             lam[f] = max(lam.get(f, 0), j)
@@ -169,7 +145,7 @@ def multiplicative_order(base: int, mod: int) -> int:
 def divisors(n: int) -> list[int]:
     """The divisors of n in increasing order, from its factorisation."""
     out = [1]
-    for r, k in _factorize(n).items():
+    for r, k in factorize(n).items():
         out = [d * r ** j for d in out for j in range(k + 1)]
     return sorted(out)
 

@@ -9,7 +9,7 @@ from hypothesis.strategies import data, integers, lists, sampled_from
 from chaincodes.census import (
     MEMBER_CAP,
     Census,
-    _build_census,
+    _census_of,
     _FpView,
     code_fingerprint,
     enumerate_field_self_dual,
@@ -17,7 +17,6 @@ from chaincodes.census import (
     enumerate_sd_standard_forms,
     enumerate_self_dual,
     enumerate_submodules,
-    field_subspaces,
     hermitian_sd_extend,
 )
 from chaincodes.chainring import ChainRing, chain_ring
@@ -146,10 +145,8 @@ def all_extensions_reference(ring, n):
             if nkey not in found:
                 found[nkey] = (nb, np_)
                 queue.append(nkey)
-    return _build_census(ring, n, "all", [
-        (view.fingerprint(basis),
-         LinearCode(ring, n, [view.decode(row) for row in basis]))
-        for basis, _ in found.values()])
+    return _census_of(ring, n, "all",
+                      [(basis, None) for basis, _ in found.values()], view)
 
 
 def count_by_type(q, e, n, conj):
@@ -426,10 +423,40 @@ def test_depth_two_self_dual_census_data(q, e, n, inner, expected):
 # constructive Hermitian enumeration
 
 def test_constructive_census_matches_oracle():
-    cons = enumerate_hsd_constructive(4, 2)
-    oracle = enumerate_self_dual(chain_ring(4, 3), 2, HERMITIAN)
-    assert cons.size == oracle.size == 15
-    assert cons.fingerprint_set() == oracle.fingerprint_set()
+    for q, size in ((4, 15), (9, 40), (16, 85)):
+        cons = enumerate_hsd_constructive(q, 2)
+        oracle = enumerate_self_dual(chain_ring(q, 3), 2, HERMITIAN)
+        assert cons.size == oracle.size == size == count_hsd(q, 2)
+        assert cons.fingerprints == oracle.fingerprints
+
+
+def test_constructive_census_reduces_with_one_view(monkeypatch):
+    # one packed view for each of the two residue-field censuses and one
+    # for the constructed codes, however many codes there are
+    built = []
+
+    class CountedView(_FpView):
+        def __init__(self, ring, n):
+            built.append((ring, n))
+            super().__init__(ring, n)
+    monkeypatch.setattr("chaincodes.census._FpView", CountedView)
+    for enumerator in (enumerate_hsd_constructive, enumerate_self_dual,
+                       enumerate_submodules):
+        enumerator.cache_clear()
+    assert enumerate_hsd_constructive(9, 2).size == 40
+    assert len(built) <= 3
+
+
+def test_census_keeps_a_repeated_member():
+    # a duplicate in a constructive stream must show, not be merged away
+    ring = chain_ring(2, 3)
+    view = _FpView(ring, 1)
+    basis = view.module_basis([(2,)])
+    code = LinearCode(ring, 1, [(2,)])
+    census = _census_of(ring, 1, "twice", [(basis, code), (basis, None)], view)
+    assert census.size == 2
+    assert len(census.fingerprint_set()) == 1 < census.size
+    assert census.fingerprints[0] == census.fingerprints[1] == code_fingerprint(code)
 
 
 def test_constructive_census_without_oracle_support():
@@ -526,13 +553,11 @@ def test_standard_form_sweep_guards():
 # residue-field helpers
 
 def test_field_subspace_scan_counts():
-    f = field_make(2, 1)
-    vectors = list(itertools.product(range(2), repeat=3))
-    subs = field_subspaces(f, vectors, 3)
-    assert len(subs) == 16                    # 1 + 7 + 7 + 1
-    assert enumerate_submodules(chain_ring(2, 1), 3).size == 16
-    f3 = field_make(3, 1)
-    assert len(field_subspaces(f3, itertools.product(range(3), repeat=2), 2)) == 6
+    # the e = 1 census lists the subspaces; a k-space has q^k codewords
+    by_dim = collections.Counter(
+        len(fp) for fp in enumerate_submodules(chain_ring(2, 1), 3).fingerprints)
+    assert by_dim == {1: 1, 2: 7, 4: 7, 8: 1}
+    assert enumerate_submodules(chain_ring(3, 1), 2).size == 6
 
 
 def test_field_self_dual_census_values():

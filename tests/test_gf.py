@@ -1,5 +1,6 @@
 """Tests for the finite-field layer."""
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from chaincodes.gf import (
     digit_neg,
     digit_sub,
     factor_prime_power,
+    factorize,
     field_make,
     is_irreducible,
     is_prime,
@@ -60,6 +62,26 @@ def test_is_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-1, 50):
         assert is_prime(n) == (n in primes)
+
+
+def test_factorize_matches_brute_reading():
+    for n in range(1, 2000):
+        primes = factorize(n)
+        assert math.prod(p ** k for p, k in primes.items()) == n
+        for p, k in primes.items():
+            assert k >= 1 and is_prime(p)
+            assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        assert is_prime(n) == (primes == {n: 1} and n > 1)
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_factoring_certifies_primes_below_its_bound():
+    # trial division up to 2^20 settles every number below 2^40
+    assert factor_prime_power(1000000000039) == (1000000000039, 1)
+    assert factor_prime_power(1048573 ** 2) == (1048573, 2)
+    with pytest.raises(ValueError, match="trial division"):
+        is_prime(1048583 * 1048589)
 
 
 def test_factor_prime_power_roundtrip():

@@ -151,11 +151,15 @@ def test_multiplicative_order_of_a_twelve_digit_prime_modulus():
 
 
 def test_factoring_work_bound_refuses_quickly():
-    # two primes just above 2^20: trial division cannot split the product
+    # two primes just above 2^20: trial division cannot split the product;
+    # nor can it certify the prime 10^18 + 3, which is refused as q too
     big = 1048583 * 1048589
+    prime = 10 ** 18 + 3
     start = time.perf_counter()
     for call in (lambda: multiplicative_order(2, big), lambda: divisors(big),
-                 lambda: decompose(2, 1, 1, AbelianGroup([big]))):
+                 lambda: decompose(2, 1, 1, AbelianGroup([big])),
+                 lambda: factor_prime_power(prime),
+                 lambda: count_esd(prime, 2), lambda: chain_ring(prime, 1)):
         with pytest.raises(ValueError, match="trial division"):
             call()
     assert time.perf_counter() - start < 3.0
