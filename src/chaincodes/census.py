@@ -468,12 +468,10 @@ def _hermitian_completions(field: Field, G):
             yield fmat(x)
 
 
-def _assemble_e3_code(ring: ChainRing, n: int, perm, k: int, l: int,
-                      A2, A30, A31, A40, A41, A42,
-                      B3, B40, B41, C4) -> LinearCode:
+def _assemble_e3_rows(q: int, k: int, l: int, A2, A30, A31, A40, A41, A42,
+                      B3, B40, B41, C4) -> list[list[int]]:
     """Rows [I A2 A30+uA31 A40+uA41+u^2A42; 0 uI uB3 uB40+u^2B41;
-    0 0 u^2I u^2C4] in permuted block coordinates, mapped back through perm."""
-    q = ring.q
+    0 0 u^2I u^2C4] over GF(q)[u]/(u^3), in permuted block coordinates."""
     rows = []
     for i in range(k):
         row = [1 if j == i else 0 for j in range(k)]
@@ -492,7 +490,7 @@ def _assemble_e3_code(ring: ChainRing, n: int, perm, k: int, l: int,
         row += [q * q if j == i else 0 for j in range(l)]
         row += [q * q * C4[i][j] for j in range(k)]
         rows.append(row)
-    return LinearCode(ring, n, [_unpermute(perm, row) for row in rows])
+    return rows
 
 
 def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
@@ -565,9 +563,9 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
                 t = fmat_add(f, fmat_mul(f, A31, fmat_dagger(f, B3)),
                              fmat_mul(f, A41, fmat_dagger(f, B40)))
                 B41 = fmat_dagger(f, fmat_neg(f, fmat_mul(f, a40_inv, t)))
-                yield _assemble_e3_code(ring, n, perm, k, l,
-                                        A2, A30, A31, A40, A41, A42,
-                                        B3, B40, B41, C4)
+                rows = _assemble_e3_rows(f.q, k, l, A2, A30, A31, A40, A41,
+                                         A42, B3, B40, B41, C4)
+                yield LinearCode(ring, n, [_unpermute(perm, r) for r in rows])
 
 
 @functools.lru_cache(maxsize=None)
@@ -612,7 +610,9 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     """Third route to the self-dual census for e = 3: run over all standard
     generator matrices of self-dual shape (k = h, l = m) whose blocks pass
     the orthogonality congruences, and deduplicate the spans.  Level-wise
-    filtering keeps the search tiny at desk scale."""
+    filtering keeps the search tiny at desk scale.  The congruences see only
+    the block shape (k, l), so each shape is solved once; a span's code is
+    its first standard form in (k, column choice, solution) order."""
     _check_inner(inner)
     if ring.e != 3:
         raise ValueError("standard-form enumeration is for e = 3")
@@ -645,22 +645,19 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     def level0_blocks(k: int, l: int):
         """All (A2, A30, A40, B3, B40, C4) over GF(q) passing the
         valuation-0 part of the congruences."""
-        ident_k = fmat_identity(k)
-        ident_l = fmat_identity(l)
+        ident_k, ident_l = fmat_identity(k), fmat_identity(l)
         for B3 in _all_matrices(q, l, l):
             for B40 in _all_matrices(q, l, k):
                 g = fmat_add(f, ident_l, fmat_mul(f, B3, dag(B3)))
                 g = fmat_add(f, g, fmat_mul(f, B40, dag(B40), cols=l))
                 if not is_zero(g):
                     continue
-                b3d = dag(B3)
-                b40d = dag(B40)
+                b3d, b40d = dag(B3), dag(B40)
                 for A40 in _all_matrices(q, k, k):
                     a40a40 = fmat_mul(f, A40, dag(A40))
                     for A30 in _all_matrices(q, k, l):
-                        A2 = fmat_neg(f, fmat_add(
-                            f, fmat_mul(f, A30, b3d),
-                            fmat_mul(f, A40, b40d)))
+                        A2 = fmat_neg(f, fmat_add(f, fmat_mul(f, A30, b3d),
+                                                  fmat_mul(f, A40, b40d)))
                         g = fmat_add(f, ident_k,
                                      fmat_mul(f, A2, dag(A2), cols=k))
                         g = fmat_add(f, g, fmat_mul(f, A30, dag(A30), cols=k))
@@ -672,8 +669,9 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                             if is_zero(g):
                                 yield A2, A30, A40, B3, B40, C4
 
-    def lifts(k: int, l: int, A30, A40, B3, B40):
-        """All (A31, A41, A42, B41) passing the valuation-1 and -2 parts."""
+    def lifts(k: int, l: int, A2, A30, A40, B3, B40, C4):
+        """The rows of every lift (A31, A41, A42, B41) passing the
+        valuation-1 and -2 parts."""
         for A31 in _all_matrices(q, k, l):
             w0 = tilde(fmat_mul(f, A31, dag(A30), cols=k))
             a31a31 = fmat_mul(f, A31, dag(A31), cols=k)
@@ -692,10 +690,13 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                     for A42 in _all_matrices(q, k, k):
                         g = fmat_add(f, h2, tilde(fmat_mul(f, A42, dag(A40))))
                         if is_zero(g):
-                            yield A31, A41, A42, B41
+                            yield _assemble_e3_rows(q, k, l, A2, A30, A31, A40,
+                                                    A41, A42, B3, B40, B41, C4)
 
     for k in range(n // 2 + 1):
         l = n // 2 - k
+        shape_rows = [rows for blocks in level0_blocks(k, l)
+                      for rows in lifts(k, l, *blocks)]
         for s0 in itertools.combinations(range(n), k):
             left1 = [c for c in range(n) if c not in s0]
             for s1 in itertools.combinations(left1, l):
@@ -703,13 +704,11 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                 for s2 in itertools.combinations(left2, l):
                     block4 = tuple(c for c in left2 if c not in s2)
                     perm = s0 + s1 + s2 + block4
-                    for A2, A30, A40, B3, B40, C4 in level0_blocks(k, l):
-                        for A31, A41, A42, B41 in lifts(k, l, A30, A40, B3, B40):
-                            code = _assemble_e3_code(
-                                ring, n, perm, k, l, A2, A30, A31,
-                                A40, A41, A42, B3, B40, B41, C4)
-                            basis = view.module_basis(code.gens)
-                            seen.setdefault(tuple(basis), code)
+                    for rows in shape_rows:
+                        gens = [_unpermute(perm, row) for row in rows]
+                        key = tuple(view.module_basis(gens))
+                        if key not in seen:
+                            seen[key] = LinearCode(ring, n, gens)
                     # a standard form of any self-dual code appears under
                     # some sorted block choice, so this sweep is exhaustive
     return _census_of(ring, n, label, seen.items(), view)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import data, integers, lists, sampled_from
 
+import chaincodes.census as census_module
 from chaincodes.census import (
     MEMBER_CAP,
-    Census,
     _census_of,
     _FpView,
     code_fingerprint,
@@ -533,12 +533,53 @@ def test_standard_form_sweep_counts(q, n, inner, expected):
 
 
 def test_standard_form_sweep_matches_oracle_sets():
-    ring2 = chain_ring(2, 3)
-    assert (enumerate_sd_standard_forms(ring2, 2, EUCLIDEAN).fingerprint_set()
-            == enumerate_self_dual(ring2, 2, EUCLIDEAN).fingerprint_set())
-    ring4 = chain_ring(4, 3)
-    assert (enumerate_sd_standard_forms(ring4, 2, HERMITIAN).fingerprint_set()
-            == enumerate_self_dual(ring4, 2, HERMITIAN).fingerprint_set())
+    for q, inner, expected in ((2, EUCLIDEAN, 3), (4, EUCLIDEAN, 5),
+                               (5, EUCLIDEAN, 4), (9, EUCLIDEAN, 4),
+                               (4, HERMITIAN, 15), (9, HERMITIAN, 40)):
+        ring = chain_ring(q, 3)
+        sweep = enumerate_sd_standard_forms(ring, 2, inner)
+        assert (sweep.fingerprint_set()
+                == enumerate_self_dual(ring, 2, inner).fingerprint_set())
+        count = count_esd if inner == EUCLIDEAN else count_hsd
+        assert sweep.size == count(q, 2) == expected
+
+
+def test_standard_form_sweep_matches_constructive_route_on_slow_path():
+    # R(16,3) has 4,096 elements, past the 256-element table limit, so its
+    # arithmetic runs on the slow path
+    sweep = enumerate_sd_standard_forms(chain_ring(16, 3), 2, HERMITIAN)
+    cons = enumerate_hsd_constructive(16, 2)
+    assert sweep.fingerprints == cons.fingerprints
+    assert sweep.size == cons.size == count_hsd(16, 2) == 85
+
+
+def test_standard_form_sweep_work_pins(monkeypatch):
+    """On R(2,3)^4 the congruences are solved once for each of the 3 block
+    shapes, not once for each of the 36 column choices: at most 640 fmat_mul
+    calls, against 6,612 when they were solved inside the column loops.
+    A code is built only for a span not seen before, one per census member,
+    against 492 when every solution under every column choice was built."""
+    muls, built = [], []
+    fmat_mul, linear_code = census_module.fmat_mul, census_module.LinearCode
+
+    def counted_mul(*args, **kwargs):
+        muls.append(None)
+        return fmat_mul(*args, **kwargs)
+
+    def counted_code(*args):
+        built.append(None)
+        return linear_code(*args)
+    enumerate_sd_standard_forms.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(census_module, "fmat_mul", counted_mul)
+            patch.setattr(census_module, "LinearCode", counted_code)
+            sweep = enumerate_sd_standard_forms(chain_ring(2, 3), 4, EUCLIDEAN)
+    finally:
+        enumerate_sd_standard_forms.cache_clear()
+    assert sweep.size == count_esd(2, 4) == 87
+    assert len(muls) <= 640
+    assert len(built) == sweep.size
 
 
 def test_standard_form_sweep_guards():

@@ -1,12 +1,10 @@
 """Tests for the chain ring GF(q)[u]/(u^e)."""
-import itertools
-
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers, sampled_from
+from hypothesis.strategies import integers
 
 from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring
-from chaincodes.gf import digit_add, factor_prime_power, field_make
+from chaincodes.gf import digit_add, field_make
 
 MAX_EXAMPLES = 200
 

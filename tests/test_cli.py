@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from chaincodes import cli
 from chaincodes.chainring import chain_ring
 from chaincodes.cli import main
-from chaincodes.codes import (HERMITIAN, LinearCode, code_to_json, dumps_code,
-                              loads_code)
+from chaincodes.codes import LinearCode, code_to_json, dumps_code, loads_code
 from chaincodes.counting import count_hsd
 
 

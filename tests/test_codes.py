@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers, lists, sampled_from, tuples
+from hypothesis.strategies import integers, lists, tuples
 
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import chain_ring

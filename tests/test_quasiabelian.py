@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers, sampled_from
+from hypothesis.strategies import integers
 
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import ChainRing, chain_ring
