@@ -13,8 +13,11 @@ The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
 adding a row are a few big-int operations, multiplication by u and by the
 field generator are lane shifts, and a row's base-p reading is the packed
 base-|R| code of its vector, so fingerprints (sorted codeword codes) come
-out of the row span without decoding any codeword; for p = 2 they are the
-XOR closure of the basis rows' codes.
+out of the row span without decoding any codeword.  For p = 2 they are the
+XOR closure of the basis rows' codes; for odd p the whole span is built in
+one int, a codeword per byte-aligned window of whole lanes, and one
+multiplication reads every window's code at once (see
+`_FpView.fingerprint` for why no carry crosses a window).
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -37,6 +40,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 from .gf import Field, field_make, factor_prime_power
@@ -48,10 +53,28 @@ from .counting import count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
 MEMBER_CAP = 1 << 16        # largest full census, counted by count_linear
+CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
 
 
 # ---------------------------------------------------------------------------
 # prime-field linear algebra on packed coefficient rows
+
+_ITEM_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}     # memoryview item sizes
+
+
+def _repeat(x: int, width: int, count: int) -> int:
+    """count copies of x, the j-th shifted up j * width bits, by doubling."""
+    out, block, pos, copies = 0, x, 0, 1
+    while True:
+        if count & 1:
+            out |= block << pos
+            pos += copies * width
+        count >>= 1
+        if not count:
+            return out
+        block |= block << (copies * width)
+        copies *= 2
+
 
 class _FpView:
     """Vectors over R^n as GF(p) coefficient rows, each packed into one int.
@@ -69,6 +92,11 @@ class _FpView:
     with nothing carried in from below, which needs 2^L >= p^w.  So a row
     takes about w^2 * log2(p) bits: a few hundred at census sizes, where
     p^w = |R|^n is at most the oracle bound.
+
+    An odd-p fingerprint lays whole rows side by side in one int, each in
+    a window of W = w'*L bits, w' >= w lanes with W a multiple of 8, so
+    every window starts on a byte; the window's gather spills only into
+    the next window's low lanes, which stay below 2^L (see `fingerprint`).
     """
 
     def __init__(self, ring: ChainRing, n: int):
@@ -92,6 +120,12 @@ class _FpView:
                               for i in range(w))
         self._gather = sum(p ** i << ((w - 1 - i) * lane) for i in range(w))
         self._gather_shift = (w - 1) * lane      # offset of the top lane
+        # fingerprint windows: the least whole number of lanes, at least w,
+        # that is a whole number of bytes; a code takes code_bytes of them
+        per = 8 // math.gcd(lane, 8)
+        self._window = -(-w // per) * per * lane
+        self._code_bytes = -(-(p ** w - 1).bit_length() // 8)
+        self._window_masks: dict[int, tuple[int, int]] = {}
         # multiplying by u moves each coefficient up m lanes within its
         # entry; the u^(e-1) coefficients fall off the top
         self._u_keep = sum(self.lane_mask << (i * lane)
@@ -242,12 +276,19 @@ class _FpView:
         row = self.reduce_row(basis, pivots, row)
         if not row:
             return False
+        low = (row & -row).bit_length() - 1
+        c = (row >> (low - low % self.lane)) & self.lane_mask
+        if c != 1:
+            row = self.reduce(row * pow(c, self.p - 2, self.p))
+        self.insert_reduced(basis, pivots, row)
+        return True
+
+    def insert_reduced(self, basis: list, pivots: list, row: int) -> None:
+        """Insert a row that is zero on the basis pivots and 1 on its own
+        lowest lane: only that new pivot is cleared out of the basis."""
         p, mask = self.p, self.lane_mask
         low = (row & -row).bit_length() - 1
         pc = low - low % self.lane
-        c = (row >> pc) & mask
-        if c != 1:
-            row = self.reduce(row * pow(c, p - 2, p))
         for idx, brow in enumerate(basis):
             c = (brow >> pc) & mask
             if c:
@@ -255,7 +296,6 @@ class _FpView:
         pos = bisect.bisect(pivots, pc)
         basis.insert(pos, row)
         pivots.insert(pos, pc)
-        return True
 
     def module_basis(self, gens) -> list[int]:
         """Reduced GF(p) echelon basis of the R-span of the vectors; it is
@@ -272,22 +312,69 @@ class _FpView:
         base |R| (coordinate 0 least significant), sorted.
 
         For p = 2 a row's code is its lanes read as bits, so the span is
-        the XOR closure of the basis rows' codes.  For odd p the closure
-        runs on the packed rows, with the lane reduction and the base-p
-        reading written out inline."""
+        the XOR closure of the basis rows' codes.
+
+        For odd p the whole span is built in one int, one codeword per
+        window of W = w'*L bits, where w' >= w is the least lane count with
+        w'*L a multiple of 8; lanes w..w'-1 of a window stay zero.  Each
+        basis row multiplies the window count by p: the accumulator is
+        repeated p times by shift-or, and block s of the copies gets the
+        reduced multiple s*row added to each of its windows.  Lanes are
+        reduced by the Barrett step on the whole int, only when one more
+        row could take a lane past p^2 - 1, and once at the end.
+
+        One multiplication by the gather constant then leaves each
+        window's base-p reading in its lane w - 1, as for a single row.
+        The product of one window reaches w - 1 lanes past that lane, so it
+        spills into lanes 0..w-2 of the next window (w' >= w), always on
+        lane boundaries.  Lane s there holds at most p^(w-1-s) - 1 from the
+        window below, and at most p^w - p^(w-1-s) from its own window, so
+        at most p^w - 1 < 2^L: no lane carries, and no spill reaches the
+        next window's lane w - 1.  After a shift every window starts with
+        its code, which a mask keeps alone in the window; the codes are
+        then read out of the int's bytes by strided slices, through a
+        memoryview cast when they fit 8 bytes, and no Python code runs per
+        codeword."""
         if self.p == 2:
             acc = [0]
             for c in map(self.code, basis):
                 acc += [x ^ c for x in acc]
             return tuple(sorted(acc))
-        p, magic, shift, quot_mask = self.p, self._magic, self._shift, self._quot_mask
-        acc = [0]
+        p, magic, shift, width = self.p, self._magic, self._shift, self._window
+        count = p ** len(basis)
+        masks = self._window_masks.get(count)
+        if masks is None:
+            masks = self._window_masks[count] = (
+                _repeat(self._quot_mask, width, count),
+                _repeat(self.lane_mask, width, count))
+        quot_mask, code_mask = masks
+        acc, windows, top = 0, 1, 0          # every lane of acc is <= top
         for row in basis:
-            multiples = [self.reduce(c * row) for c in range(p)]
-            acc = [(x := v + s) - p * (((x * magic) >> shift) & quot_mask)
-                   for v in acc for s in multiples]
-        gather, gather_shift, mask = self._gather, self._gather_shift, self.lane_mask
-        return tuple(sorted([((v * gather) >> gather_shift) & mask for v in acc]))
+            if top > p * p - p:              # one more row could pass p^2 - 1
+                acc -= p * (((acc * magic) >> shift) & quot_mask)
+                top = p - 1
+            block = windows * width
+            multiples = 0
+            for s in range(1, p):
+                copies = _repeat(self.reduce(s * row), width, windows)
+                multiples |= copies << (s * block)
+            acc = _repeat(acc, block, p) + multiples
+            windows *= p
+            top += p - 1
+        if top >= p:
+            acc -= p * (((acc * magic) >> shift) & quot_mask)
+        codes = ((acc * self._gather) >> self._gather_shift) & code_mask
+        stride, size = width // 8, self._code_bytes
+        data = codes.to_bytes(count * stride, "little")
+        if size > 8:
+            return tuple(sorted([int.from_bytes(data[i:i + size], "little")
+                                 for i in range(0, len(data), stride)]))
+        item = 1 << (size - 1).bit_length()
+        out = bytearray(count * item)
+        for b in range(size):
+            slot = b if sys.byteorder == "little" else item - 1 - b
+            out[slot::item] = data[b::stride]
+        return tuple(sorted(memoryview(out).cast(_ITEM_FORMAT[item]).tolist()))
 
 
 def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
@@ -373,8 +460,8 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
                     continue
                 path = gens + (vec,)
             nb, np_ = list(basis), list(pivots)
-            for row in view.x_rows(v):
-                view.insert_row(nb, np_, row)
+            for row in view.x_rows(v):           # reduced, see socle_lines
+                view.insert_reduced(nb, np_, row)
             nkey = tuple(nb)
             if nkey not in found:
                 found[nkey] = (nb, np_, path)
@@ -398,7 +485,7 @@ def _census_of(ring: ChainRing, n: int, label: str, members,
                   tuple(fp for fp, _ in entries))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     """Every linear code of length n over the ring, by the cover search
     (see `_climb`)."""
@@ -406,7 +493,7 @@ def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     return _census_of(ring, n, "all", [(basis, None) for basis in bases], view)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_self_dual(ring: ChainRing, n: int,
                         inner: str = EUCLIDEAN) -> Census:
     """The self-dual codes of length n: the self-orthogonal submodules the
@@ -568,7 +655,7 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
                 yield LinearCode(ring, n, [_unpermute(perm, r) for r in rows])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_hsd_constructive(q: int, n: int) -> Census:
     """All Hermitian self-dual codes over GF(q)[u]/(u^3) of length n, built
     constructively from every (torsion, residue) pair of field codes.
@@ -604,7 +691,7 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
 # ---------------------------------------------------------------------------
 # self-dual codes by direct enumeration of admissible standard forms
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                                 inner: str = EUCLIDEAN) -> Census:
     """Third route to the self-dual census for e = 3: run over all standard

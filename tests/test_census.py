@@ -10,6 +10,7 @@ import chaincodes.census as census_module
 from chaincodes.census import (
     MEMBER_CAP,
     _census_of,
+    _climb,
     _FpView,
     code_fingerprint,
     enumerate_field_self_dual,
@@ -91,6 +92,49 @@ def test_fingerprint_is_sorted_packed_codewords_for_random_generators(p, m, draw
     packed = sorted(sum(x * ring.size ** k for k, x in enumerate(w))
                     for w in code.codewords())
     assert code_fingerprint(code) == tuple(packed)
+
+
+def _fingerprint_reference(view, basis):
+    """The odd-p fingerprint one codeword at a time: the closure of the
+    packed rows with every sum reduced, each codeword read by itself."""
+    acc = [0]
+    for row in basis:
+        multiples = [view.reduce(c * row) for c in range(view.p)]
+        acc = [view.reduce(v + s) for v in acc for s in multiples]
+    return tuple(sorted(view.code(v) for v in acc))
+
+
+@pytest.mark.parametrize("q,e,n,inner,padded", [
+    (3, 3, 2, None, True), (9, 3, 2, HERMITIAN, False),
+    (9, 3, 2, EUCLIDEAN, False), (5, 3, 2, EUCLIDEAN, True),
+    (25, 1, 2, None, True), (7, 1, 3, None, True),
+])
+def test_packed_span_fingerprint_matches_reference(q, e, n, inner, padded):
+    """Every basis the climb reaches, all ranks, against the per-codeword
+    closure; padded windows have lanes past w to fill a whole byte."""
+    view, bases = _climb(chain_ring(q, e), n, inner)
+    w = n * e * view.m
+    assert (view._window > w * view.lane) == padded
+    assert view._window % 8 == 0 and view._window % view.lane == 0
+    for basis in bases:
+        assert view.fingerprint(basis) == _fingerprint_reference(view, basis)
+
+
+@pytest.mark.parametrize("q,e,n,code_bytes", [
+    (3, 1, 4, 1), (3, 1, 10, 2), (9, 3, 2, 3), (5, 1, 27, 8), (3, 1, 50, 10),
+])
+def test_fingerprint_read_out_at_every_code_width(q, e, n, code_bytes):
+    """Codes of 1, 2, 3 (read as 4), 8 and more than 8 bytes: the
+    memoryview casts and the per-window read above 64 bits."""
+    ring = chain_ring(q, e)
+    assert _FpView(ring, n)._code_bytes == code_bytes
+    gens = [[(3 * i + 7 * k + 1) % ring.size for k in range(n)]
+            for i in range(3)]
+    code = LinearCode(ring, n, gens)
+    packed = sorted(sum(x * ring.size ** k for k, x in enumerate(w))
+                    for w in code.codewords())
+    assert code_fingerprint(code) == tuple(packed)
+    assert len(packed) == code.cardinality() > 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +249,21 @@ def test_cover_search_work_pin(monkeypatch):
     """R(4,3)^2 has 270 covering pairs M < N, and the search inserts the
     m = 2 rows x^j v of each once: 540 row insertions, against 1,068 when
     every candidate vector was tried and 48,600 by all extensions."""
-    calls = count_calls(monkeypatch, "insert_row")
+    calls = count_calls(monkeypatch, "insert_reduced")
     enumerate_submodules.cache_clear()
     assert enumerate_submodules(chain_ring(4, 3), 2).size == 139
     assert len(calls) <= 540
 
 
 def test_socle_search_reduce_row_pin(monkeypatch):
-    """On R(2,3)^3 rows are reduced only to insert cover rows: 2,625 calls,
-    against 201,874 when every candidate was reduced modulo every found
-    submodule."""
+    """On R(2,3)^3 no row is reduced: the cover rows x^j v come out of the
+    socle elimination already reduced and are inserted as they are.  That
+    was 2,625 calls while they went through `insert_row`, and 201,874 when
+    every candidate was reduced modulo every found submodule."""
     calls = count_calls(monkeypatch, "reduce_row")
     enumerate_submodules.cache_clear()
     assert enumerate_submodules(chain_ring(2, 3), 3).size == 802
-    assert len(calls) <= 20000
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("q,n,expected", [(3, 3, 5776), (2, 4, 43339)])
@@ -287,6 +332,13 @@ def test_census_is_cached_and_reports_shape():
     assert a is enumerate_submodules(ring, 2)
     assert (a.ring, a.n, a.filter_label, a.size) == (ring, 2, "all", 37)
     assert len(a.fingerprints) == 37
+
+
+def test_census_caches_are_bounded():
+    for enumerator in (enumerate_submodules, enumerate_self_dual,
+                       enumerate_sd_standard_forms, enumerate_hsd_constructive):
+        maxsize = enumerator.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 64
 
 
 def test_census_bound_guard():
