@@ -8,11 +8,11 @@ rings that counts quasi-abelian codes.
 """
 from .gf import (DEFAULT_MAX_ORDER, Field, FieldElement, canonical_modulus,
                  factor_prime_power, field_make, is_irreducible, is_prime)
-from .chainring import ChainRing, ChainRingElement, chain_ring
+from .chainring import ChainRing, ChainRingElement, chain_ring, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, StandardForm,
                     code_from_json, code_to_json, dumps_code,
-                    field_code_from_json, field_code_to_json, field_rref,
-                    inner_product, loads_code)
+                    field_code_from_json, field_rref, inner_product,
+                    loads_code)
 from .counting import (count_esd, count_hsd, count_linear, gaussian_binomial,
                        sigma_e, sigma_h)
 from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
@@ -31,10 +31,10 @@ from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
 __all__ = [
     "DEFAULT_MAX_ORDER", "Field", "FieldElement", "canonical_modulus",
     "factor_prime_power", "field_make", "is_irreducible", "is_prime",
-    "ChainRing", "ChainRingElement", "chain_ring",
+    "ChainRing", "ChainRingElement", "chain_ring", "ring_over",
     "EUCLIDEAN", "HERMITIAN", "FieldCode", "LinearCode", "StandardForm",
     "code_from_json", "code_to_json", "dumps_code", "field_code_from_json",
-    "field_code_to_json", "field_rref", "inner_product", "loads_code",
+    "field_rref", "inner_product", "loads_code",
     "count_esd", "count_hsd", "count_linear",
     "gaussian_binomial", "sigma_e", "sigma_h",
     "Census", "DEFAULT_ORACLE_BOUND", "code_fingerprint",

@@ -45,10 +45,10 @@ import sys
 from dataclasses import dataclass
 
 from .gf import Field, field_make, factor_prime_power
-from .chainring import ChainRing, chain_ring
+from .chainring import ChainRing, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
-                    _unpermute, field_rref, fmat, fmat_add, fmat_dagger,
-                    fmat_identity, fmat_inv, fmat_mul, fmat_neg, inner_product)
+                    _unpermute, fmat, fmat_add, fmat_dagger, fmat_identity,
+                    fmat_inv, fmat_mul, fmat_neg, inner_product)
 from .counting import count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
@@ -511,17 +511,9 @@ def enumerate_self_dual(ring: ChainRing, n: int,
 # ---------------------------------------------------------------------------
 # residue-field censuses (the e = 1 special case, re-expressed as FieldCodes)
 
-def _ring_over(field: Field, e: int) -> ChainRing:
-    """GF(q)[u]/(u^e) over the field; the canonical field's ring comes from
-    the cached factory, so its tables are built once."""
-    if field == field_make(field.p, field.m):
-        return chain_ring(field.q, e)
-    return ChainRing(field, e)
-
-
 def enumerate_field_self_dual(field: Field, n: int,
                               inner: str = EUCLIDEAN) -> tuple[FieldCode, ...]:
-    census = enumerate_self_dual(_ring_over(field, 1), n, inner)
+    census = enumerate_self_dual(ring_over(field, 1), n, inner)
     return tuple(FieldCode.from_rows(field, n, c.gens) for c in census.codes)
 
 
@@ -598,22 +590,14 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
         raise ValueError("c0 must be a subcode of c1")
     k = c0.dim
     l = n // 2 - k
-    ring = _ring_over(f, 3)
+    ring = ring_over(f, 3)
 
-    # complete c0's basis to a basis of c1; the completion is reduced to
-    # zero on c0's pivot columns, then echelonized on its own pivots
+    # complete c0's basis to a basis of c1: c0's pivots are among c1's, so
+    # c1's RREF rows with any other pivot vanish on c0's pivot columns and
+    # are already echelonized
     p0 = [next(c for c, x in enumerate(row) if x) for row in c0.basis]
-    ext_raw = []
-    for row in c1.basis:
-        r = list(row)
-        for crow, piv in zip(c0.basis, p0):
-            if r[piv]:
-                coef = r[piv]
-                r = [f.sub(x, f.mul(coef, y)) for x, y in zip(r, crow)]
-        ext_raw.append(r)
-    ext = field_rref(f, n, ext_raw)
-    if len(ext) != l:
-        raise AssertionError("completion of c0 inside c1 has the wrong rank")
+    ext = [row for row in c1.basis
+           if next(c for c, x in enumerate(row) if x) not in p0]
     p1 = [next(c for c, x in enumerate(row) if x) for row in ext]
 
     rest = [c for c in range(n) if c not in p0 and c not in p1]
@@ -669,14 +653,14 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     field = field_make(p, m)
     if not field.has_conjugation:
         raise ValueError("Hermitian enumeration needs a square field order")
-    ring = chain_ring(q, 3)
+    ring = ring_over(field, 3)
     label = f"self-dual-{HERMITIAN}-constructive"
     if n % 2:
         return _census_of(ring, n, label, [])
     # the field censuses check their bounds before the view of R^n, whose
     # masks cost O((3mn)^3) bit operations, is built
     c1s = enumerate_field_self_dual(field, n, HERMITIAN)
-    subs = enumerate_submodules(_ring_over(field, 1), n // 2).codes
+    subs = enumerate_submodules(ring_over(field, 1), n // 2).codes
     view = _FpView(ring, n)
     members = []
     for c1 in c1s:

@@ -34,6 +34,8 @@ _TABLE_LIMIT = 256
 # document may ask for any e
 _SIZE_BITS_LIMIT = 1 << 16
 
+RING_CACHE_SIZE = 64        # rings ring_over keeps
+
 
 class ChainRing:
     """GF(q)[u]/(u^e) with elements coded as integers in range(q^e)."""
@@ -245,11 +247,18 @@ class ChainRing:
         return f"GF({self.q})[u]/(u^{self.e})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
+def ring_over(field: Field, e: int) -> ChainRing:
+    """The ring GF(q)[u]/(u^e) over the given field, so each ring builds
+    its tables once.  Equal fields share a ring; the cache is bounded
+    because a code document may name any field and any e."""
+    return ChainRing(field, e)
+
+
 def chain_ring(q: int, e: int) -> ChainRing:
     """The ring GF(q)[u]/(u^e) over the canonical field (cached)."""
     p, m = factor_prime_power(q)
-    return ChainRing(field_make(p, m), e)
+    return ring_over(field_make(p, m), e)
 
 
 class ChainRingElement(_Element):

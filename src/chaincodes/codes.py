@@ -11,8 +11,9 @@ Self-duality needs no dual: a chain ring is a Frobenius ring, so
 |C| |C^perp| = |R|^n, and C = C^perp exactly when C is self-orthogonal
 and |C|^2 = |R|^n, at every depth e and for field codes alike.
 
-FieldCode is the residue-field counterpart (a plain linear code over GF(q)
-held in reduced row echelon form); torsion codes of a LinearCode land there.
+FieldCode is the e = 1 case: a LinearCode over GF(q)[u]/(u) = GF(q) whose
+generators are its reduced row echelon basis, so field codes compare and
+hash by basis.  Torsion and residue codes of a LinearCode land there.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .gf import Field, FieldElement
-from .chainring import ChainRing, ChainRingElement
+from .chainring import ChainRing, ChainRingElement, ring_over
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -33,8 +34,8 @@ def _check_inner(inner: str) -> str:
 
 
 def inner_product(ring, v, w, inner: str = EUCLIDEAN) -> int:
-    """Sum of v_i * w_i, with w conjugated for the Hermitian product; ring
-    is a ChainRing or a Field, which share add, mul and conjugate."""
+    """Sum of v_i * w_i over the chain ring, with w conjugated for the
+    Hermitian product."""
     _check_inner(inner)
     s = 0
     if inner == HERMITIAN:
@@ -46,16 +47,6 @@ def inner_product(ring, v, w, inner: str = EUCLIDEAN) -> int:
             if a and b:
                 s = ring.add(s, ring.mul(a, b))
     return s
-
-
-def _self_orthogonal(ring, field: Field, rows, inner: str) -> bool:
-    """Whether the rows, over a ChainRing or Field with residue field
-    `field`, pairwise annihilate; the product is sesquilinear, so then
-    their whole span does."""
-    _check_inner(inner)
-    if inner == HERMITIAN and not field.has_conjugation:
-        raise ValueError("Hermitian product needs a square field order")
-    return all(inner_product(ring, a, b, inner) == 0 for a in rows for b in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +175,7 @@ class LinearCode:
 
     @classmethod
     def full(cls, ring: ChainRing, n: int) -> LinearCode:
-        rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return cls(ring, n, rows)
+        return cls(ring, n, fmat_identity(n))
 
     # -- structure ------------------------------------------------------------
 
@@ -319,10 +309,16 @@ class LinearCode:
         return LinearCode(ring, n, [_unpermute(std.perm, g) for g in gens_std])
 
     def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
-        # the standard-form rows span C, are sparse, and share one column
-        # permutation, which leaves every inner product unchanged
-        return _self_orthogonal(self.ring, self.ring.field,
-                                self.standard_form().rows, inner)
+        """Whether the generators pairwise annihilate; the product is
+        sesquilinear, so then the whole code does.  The standard-form rows
+        span C, are sparse, and share one column permutation, which leaves
+        every inner product unchanged."""
+        _check_inner(inner)
+        if inner == HERMITIAN and not self.ring.field.has_conjugation:
+            raise ValueError("Hermitian product needs a square field order")
+        rows = self.standard_form().rows
+        return all(inner_product(self.ring, a, b, inner) == 0
+                   for a in rows for b in rows)
 
     def is_self_dual(self, inner: str = EUCLIDEAN) -> bool:
         """C = C^perp.  A chain ring is a Frobenius ring, so |C| |C^perp| =
@@ -367,120 +363,64 @@ def field_rref(field: Field, n: int, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat[:pr] if any(r))
 
 
-class FieldCode:
-    """A linear code over GF(q), stored as a canonical RREF basis."""
+class FieldCode(LinearCode):
+    """A linear code over GF(q): the e = 1 LinearCode over GF(q)[u]/(u),
+    generated by its canonical RREF basis."""
 
-    __slots__ = ("field", "n", "basis")
+    __slots__ = ()
 
-    def __init__(self, field: Field, n: int, basis: tuple[tuple[int, ...], ...]):
-        self.field = field
-        self.n = n
-        self.basis = basis
+    def __init__(self, field: Field, n: int, rows):
+        super().__init__(ring_over(field, 1), n, rows)
+        self.gens = field_rref(field, n, self.gens)
+
+    def _entry(self, x) -> int:
+        # field codes and FieldElements only: nothing is coerced
+        if isinstance(x, FieldElement):
+            if x.field != self.field:
+                raise ValueError("entry from a different field")
+            return x.code
+        return self.field.check(x)
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows) -> FieldCode:
-        if n < 1:
-            raise ValueError(f"length must be >= 1, got {n}")
-        packed = []
-        for row in rows:
-            vec = []
-            for x in row:
-                if isinstance(x, FieldElement):
-                    if x.field != field:
-                        raise ValueError("entry from a different field")
-                    vec.append(x.code)
-                else:
-                    vec.append(field.check(x))
-            if len(vec) != n:
-                raise ValueError(f"row length {len(vec)} != n = {n}")
-            packed.append(vec)
-        return cls(field, n, field_rref(field, n, packed))
+        return cls(field, n, rows)
 
     @classmethod
     def zero(cls, field: Field, n: int) -> FieldCode:
-        return cls.from_rows(field, n, ())
+        return cls(field, n, ())
 
     @classmethod
     def full(cls, field: Field, n: int) -> FieldCode:
-        return cls.from_rows(field, n,
-                             [[1 if j == i else 0 for j in range(n)]
-                              for i in range(n)])
+        return cls(field, n, fmat_identity(n))
+
+    @property
+    def field(self) -> Field:
+        return self.ring.field
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return self.gens
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def cardinality(self) -> int:
-        return self.field.q ** self.dim
-
-    def contains(self, word) -> bool:
-        f = self.field
-        w = [x.code if isinstance(x, FieldElement) else f.check(x) for x in word]
-        if len(w) != self.n:
-            raise ValueError("word length mismatch")
-        for row in self.basis:
-            piv = next(c for c, x in enumerate(row) if x)
-            if w[piv]:
-                coef = w[piv]
-                w = [f.sub(x, f.mul(coef, y)) for x, y in zip(w, row)]
-        return not any(w)
-
-    def codewords(self):
-        f = self.field
-        q, n = f.q, self.n
-        acc = [(0,) * n]
-        for row in self.basis:
-            nxt = []
-            for c in range(q):
-                if c:
-                    scaled = tuple(f.mul(c, x) for x in row)
-                    nxt.extend(tuple(f.add(a, b) for a, b in zip(w, scaled))
-                               for w in acc)
-                else:
-                    nxt.extend(acc)
-            acc = nxt
-        yield from acc
+        return len(self.gens)
 
     def subspace_of(self, other: FieldCode) -> bool:
-        return all(other.contains(row) for row in self.basis)
+        return all(other.contains(row) for row in self.gens)
 
     def conjugate_code(self) -> FieldCode:
-        conj = self.field.conjugate
-        return FieldCode(self.field, self.n,
-                         field_rref(self.field, self.n,
-                                    [[conj(x) for x in row] for row in self.basis]))
+        return FieldCode(self.field, self.n, super().conjugate_code().gens)
 
     def dual(self, inner: str = EUCLIDEAN) -> FieldCode:
-        _check_inner(inner)
-        f = self.field
-        if inner == HERMITIAN:
-            if not f.has_conjugation:
-                raise ValueError("Hermitian dual needs a square field order")
-            return self.conjugate_code().dual(EUCLIDEAN)
-        pivots = [next(c for c, x in enumerate(row) if x) for row in self.basis]
-        free = [c for c in range(self.n) if c not in pivots]
-        rows = []
-        for c in free:
-            vec = [0] * self.n
-            vec[c] = 1
-            for row, p in zip(self.basis, pivots):
-                vec[p] = f.neg(row[c])
-            rows.append(vec)
-        return FieldCode.from_rows(f, self.n, rows)
-
-    def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
-        return _self_orthogonal(self.field, self.field, self.basis, inner)
-
-    def is_self_dual(self, inner: str = EUCLIDEAN) -> bool:
-        return self.is_self_orthogonal(inner) and 2 * self.dim == self.n
+        return FieldCode(self.field, self.n, super().dual(inner).gens)
 
     def __eq__(self, other):
         if not isinstance(other, FieldCode):
             return NotImplemented
-        return (self.field, self.n, self.basis) == (other.field, other.n, other.basis)
+        return (self.field, self.n, self.gens) == (other.field, other.n, other.gens)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.basis))
+        return hash((self.field, self.n, self.gens))
 
     def __repr__(self) -> str:
         return f"FieldCode(GF({self.field.q}), n={self.n}, dim={self.dim})"
@@ -603,7 +543,7 @@ def _doc_entry(field: Field, e: int, entry) -> list[int]:
 
 def code_from_json(obj: dict) -> LinearCode:
     f = _doc_field(_doc(obj, dict, "document"))
-    ring = ChainRing(f, _doc_key(obj, "e", int))
+    ring = ring_over(f, _doc_key(obj, "e", int))
     gens = []
     for row in _doc_key(obj, "rows", list):
         vec = []
@@ -611,13 +551,6 @@ def code_from_json(obj: dict) -> LinearCode:
             vec.append(ring.encode(_doc_entry(f, ring.e, entry)))
         gens.append(vec)
     return LinearCode(ring, _doc_key(obj, "n", int), gens)
-
-
-def field_code_to_json(code: FieldCode) -> dict:
-    f = code.field
-    rows = [[[list(f.decode(x))] for x in row] for row in code.basis]
-    return {"p": f.p, "m": f.m, "e": 1, "n": code.n,
-            "modulus": list(f.modulus), "rows": rows}
 
 
 def field_code_from_json(obj: dict) -> FieldCode:
@@ -629,9 +562,9 @@ def field_code_from_json(obj: dict) -> FieldCode:
     return FieldCode.from_rows(f, _doc_key(obj, "n", int), rows)
 
 
-def dumps_code(code) -> str:
-    obj = code_to_json(code) if isinstance(code, LinearCode) else field_code_to_json(code)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def dumps_code(code: LinearCode) -> str:
+    return json.dumps(code_to_json(code), sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 def loads_code(text: str) -> LinearCode:

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import astuple, dataclass
 
-from .chainring import ChainRing, ChainRingElement
+from .chainring import ChainRing, ChainRingElement, ring_over
 from .gf import (Field, FieldElement, field_make, factor_prime_power,
                  factorize, is_prime)
 from . import counting
@@ -256,7 +256,7 @@ class DecompositionReport:
         """The actual chain rings in divisor order, multiplicity copies each."""
         rings = []
         for f in self.factors:
-            ring = ChainRing(field_make(self.p, f.degree), self.depth)
+            ring = ring_over(field_make(self.p, f.degree), self.depth)
             rings += [ring] * f.multiplicity
         return rings
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
-from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring
+from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring, ring_over
 from chaincodes.gf import digit_add, field_make
 
 MAX_EXAMPLES = 200
@@ -35,6 +35,12 @@ def test_chain_ring_cache_and_repr():
     assert r is chain_ring(4, 3)
     assert repr(r) == "GF(4)[u]/(u^3)"
     assert r.size == 64 and r.q == 4 and r.e == 3
+
+
+def test_ring_over_is_the_one_ring_cache():
+    assert ring_over(field_make(2, 2), 3) is chain_ring(4, 3)
+    # a code document may name any field and any e up to the size limit
+    assert ring_over.cache_info().maxsize is not None
 
 
 def test_chain_ring_rejects_bad_parameters():

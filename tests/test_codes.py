@@ -1,4 +1,5 @@
 """Tests for linear codes over the chain ring and their residue-field shadows."""
+import functools
 import itertools
 import json
 import pickle
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, tuples
 
 from chaincodes.census import enumerate_submodules
-from chaincodes.chainring import chain_ring
+from chaincodes.chainring import ChainRing, chain_ring, ring_over
 from chaincodes.codes import (
     EUCLIDEAN,
     HERMITIAN,
@@ -18,7 +19,6 @@ from chaincodes.codes import (
     code_to_json,
     dumps_code,
     field_code_from_json,
-    field_code_to_json,
     field_rref,
     fmat,
     fmat_dagger,
@@ -28,7 +28,7 @@ from chaincodes.codes import (
     inner_product,
     loads_code,
 )
-from chaincodes.gf import field_make
+from chaincodes.gf import Field, field_make
 
 MAX_EXAMPLES = 120
 
@@ -331,6 +331,63 @@ def test_field_code_conjugate():
         tuple(f.conjugate(c) for c in w) for w in code.codewords()}
 
 
+def test_field_codes_over_a_non_canonical_field():
+    """GF(9) with modulus x^2 + x + 2, which chain_ring never builds: the
+    torsion codes are e = 1 LinearCodes over the code's own field."""
+    field = Field(3, 2, [2, 1, 1])
+    ring = ring_over(field, 3)
+    u, u2 = ring.u, ring.u ** 2
+    code = LinearCode(ring, 3, [(u, 4 * u, 7 * u + u2), (0, u2, 5 * u2)])
+    # the span, closed under the ring's own add and mul
+    span = {(0,) * 3}
+    for g in code.gens:
+        multiples = {tuple(ring.mul(r, x) for x in g) for r in ring.elements()}
+        span = {tuple(ring.add(a, b) for a, b in zip(s, m))
+                for s in span for m in multiples}
+
+    def hermitian(v, w):
+        return functools.reduce(field.add, (field.mul(a, field.conjugate(b))
+                                            for a, b in zip(v, w)), 0)
+
+    for i in range(3):
+        t = code.torsion(i)
+        assert isinstance(t, FieldCode) and isinstance(t, LinearCode)
+        assert t.field == field and t.ring.e == 1
+        # {v mod u : u^i v in C}: each such u^i v is a codeword divisible
+        # by u^i, and v mod u is its quotient's residue
+        expected = {tuple(ring.residue(ring.shift_down(x, i)) for x in c)
+                    for c in span if all(ring.valuation(x) >= i for x in c)}
+        assert len(expected) == 9 ** i
+        assert set(t.codewords()) == expected
+        back = field_code_from_json(json.loads(dumps_code(t)))
+        assert back == t and back.field.modulus == (2, 1, 1)
+        dual = t.dual(HERMITIAN)
+        assert isinstance(dual, FieldCode) and dual.field == field
+        assert set(dual.codewords()) == {
+            w for w in itertools.product(range(9), repeat=3)
+            if all(hermitian(c, w) == 0 for c in expected)}
+
+
+def test_documents_over_one_field_share_one_ring(monkeypatch):
+    """x^3 + x + 1 is not GF(8)'s canonical modulus, so only the ring
+    factory can hand out this ring; two loads build its tables once."""
+    field = Field(2, 3, [1, 1, 0, 1])
+    assert field != field_make(2, 3)
+    ring = ChainRing(field, 2)
+    text = dumps_code(LinearCode(ring, 2, [(1, ring.u + 3), (0, ring.u)]))
+    builds = []
+    build = ChainRing._build_tables
+
+    def counted(r):
+        builds.append(r)
+        build(r)
+    monkeypatch.setattr(ChainRing, "_build_tables", counted)
+    first, second = loads_code(text), loads_code(text)
+    assert first.ring is second.ring is ring_over(field, 2)
+    assert first.ring.field.modulus == (1, 1, 0, 1)
+    assert len(builds) <= 1
+
+
 # ---------------------------------------------------------------------------
 # matrix helpers
 
@@ -394,7 +451,7 @@ def test_codes_and_censuses_pickle():
 def test_field_code_json_roundtrip():
     f = field_make(3, 2)
     code = FieldCode.from_rows(f, 3, [(1, 2, 3), (0, 1, 1)])
-    obj = field_code_to_json(code)
+    obj = code_to_json(code)
     back = field_code_from_json(obj)
     assert back == code
 
@@ -407,7 +464,7 @@ def test_field_codes_refuse_lengths_below_one(n):
             make(f, n)
     with pytest.raises(ValueError, match=f"length must be >= 1, got {n}"):
         FieldCode.from_rows(f, n, [])
-    obj = field_code_to_json(FieldCode.from_rows(f, 1, []))
+    obj = code_to_json(FieldCode.from_rows(f, 1, []))
     obj["n"] = n
     # both loaders give the message LinearCode gives
     for load in (code_from_json, field_code_from_json):
@@ -501,7 +558,7 @@ def test_code_documents_must_be_objects(load, obj):
 @pytest.mark.parametrize("load", [code_from_json, field_code_from_json])
 @pytest.mark.parametrize("key", ["p", "m", "e", "n", "modulus", "rows"])
 def test_code_documents_missing_a_key_are_malformed(load, key):
-    obj = field_code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
+    obj = code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
     assert load(dict(obj)).n == 2
     del obj[key]
     with pytest.raises(ValueError, match=f"malformed code document: missing key '{key}'"):
@@ -509,7 +566,7 @@ def test_code_documents_missing_a_key_are_malformed(load, key):
 
 
 def test_field_code_entries_hold_one_coefficient_list():
-    obj = field_code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
+    obj = code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
     assert field_code_from_json(obj).basis == ((1, 4),)
     for entry in ([], [[1, 0], [0, 0]]):
         obj["rows"][0][0] = entry
