@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from .gf import Field, field_make, factor_prime_power
 from .chainring import ChainRing, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
-                    _unpermute, fmat, fmat_add, fmat_dagger, fmat_identity,
-                    fmat_inv, fmat_mul, fmat_neg, inner_product)
+                    _unpermute, field_rref, fmat, fmat_add, fmat_dagger,
+                    fmat_identity, fmat_inv, fmat_mul, fmat_neg, inner_product)
 from .counting import count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
@@ -498,9 +498,7 @@ def enumerate_self_dual(ring: ChainRing, n: int,
                         inner: str = EUCLIDEAN) -> Census:
     """The self-dual codes of length n: the self-orthogonal submodules the
     cover search reaches (see `_climb`) with |C|^2 = |R|^n."""
-    _check_inner(inner)
-    if inner == HERMITIAN and not ring.field.has_conjugation:
-        raise ValueError("Hermitian census needs a square field order")
+    _check_inner(inner, ring.field)
     view, bases = _climb(ring, n, inner)
     rank = ring.e * ring.field.m * n
     return _census_of(ring, n, f"self-dual-{inner}",
@@ -581,8 +579,7 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
     deterministic order.
     """
     f = c1.field
-    if not f.has_conjugation:
-        raise ValueError("needs a square field order")
+    _check_inner(HERMITIAN, f)
     n = c1.n
     if 2 * c1.dim != n or not c1.is_self_dual(HERMITIAN):
         raise ValueError("c1 must be Hermitian self-dual of dimension n/2")
@@ -651,8 +648,7 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     R^n, and a repeat would stay in the census."""
     p, m = factor_prime_power(q)
     field = field_make(p, m)
-    if not field.has_conjugation:
-        raise ValueError("Hermitian enumeration needs a square field order")
+    _check_inner(HERMITIAN, field)
     ring = ring_over(field, 3)
     label = f"self-dual-{HERMITIAN}-constructive"
     if n % 2:
@@ -678,28 +674,26 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                                 inner: str = EUCLIDEAN) -> Census:
-    """Third route to the self-dual census for e = 3: run over all standard
-    generator matrices of self-dual shape (k = h, l = m) whose blocks pass
-    the orthogonality congruences, and deduplicate the spans.  Level-wise
-    filtering keeps the search tiny at desk scale.  The congruences see only
-    the block shape (k, l), so each shape is solved once; a span's code is
-    its first standard form in (k, column choice, solution) order."""
-    _check_inner(inner)
+    """Third route to the self-dual census for e = 3: the standard generator
+    matrices of self-dual shape (k = h, l = m) whose blocks pass the
+    orthogonality congruences, solved once per shape, each placed under its
+    canonical column choice only, so every code is built once.  That choice
+    makes s0, s0+s1, s0+s1+s2 the RREF pivots of Tor_0 < Tor_1 < Tor_2, the
+    greedy (lex-least) column bases, so it is the code's first in the
+    sweep's order.  Its last block is Tor_2's non-pivot columns, on which
+    the dual Tor_0 is invertible: A40 is invertible and fixes C4 and B41."""
+    _check_inner(inner, ring.field)
     if ring.e != 3:
         raise ValueError("standard-form enumeration is for e = 3")
-    f = ring.field
-    if inner == HERMITIAN and not f.has_conjugation:
-        raise ValueError("Hermitian enumeration needs a square field order")
+    f, q = ring.field, ring.q
     label = f"self-dual-{inner}-standard-forms"
     if n % 2:
         return _census_of(ring, n, label, [])
 
-    if inner == HERMITIAN:
-        def dag(mat):
+    def dag(mat):
+        if inner == HERMITIAN:
             return fmat_dagger(f, mat)
-    else:
-        def dag(mat):
-            return fmat(zip(*mat)) if mat else ()
+        return fmat(zip(*mat)) if mat else ()
 
     def is_zero(mat) -> bool:
         return all(not x for row in mat for x in row)
@@ -707,15 +701,13 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     def tilde(mat):
         return fmat_add(f, mat, dag(mat))
 
-    q = f.q
-    # distinct spans are told apart by their canonical GF(p) basis; only the
-    # survivors are fingerprinted
-    view = _FpView(ring, n)
-    seen: dict[tuple, LinearCode] = {}
+    def forced(a40_inv, t, l: int):
+        # the l x k block X with A40 X^dagger = -t; dag(()) loses l if k = 0
+        return dag(fmat_neg(f, fmat_mul(f, a40_inv, t))) if t else ((),) * l
 
     def level0_blocks(k: int, l: int):
         """All (A2, A30, A40, B3, B40, C4) over GF(q) passing the
-        valuation-0 part of the congruences."""
+        valuation-0 part of the congruences, and the inverse of A40."""
         ident_k, ident_l = fmat_identity(k), fmat_identity(l)
         for B3 in _all_matrices(q, l, l):
             for B40 in _all_matrices(q, l, k):
@@ -725,6 +717,9 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                     continue
                 b3d, b40d = dag(B3), dag(B40)
                 for A40 in _all_matrices(q, k, k):
+                    a40_inv = fmat_inv(f, A40)
+                    if a40_inv is None:
+                        continue
                     a40a40 = fmat_mul(f, A40, dag(A40))
                     for A30 in _all_matrices(q, k, l):
                         A2 = fmat_neg(f, fmat_add(f, fmat_mul(f, A30, b3d),
@@ -733,14 +728,11 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                                      fmat_mul(f, A2, dag(A2), cols=k))
                         g = fmat_add(f, g, fmat_mul(f, A30, dag(A30), cols=k))
                         g = fmat_add(f, g, a40a40)
-                        if not is_zero(g):
-                            continue
-                        for C4 in _all_matrices(q, l, k):
-                            g = fmat_add(f, A30, fmat_mul(f, A40, dag(C4)))
-                            if is_zero(g):
-                                yield A2, A30, A40, B3, B40, C4
+                        if is_zero(g):
+                            yield (A2, A30, A40, B3, B40,
+                                   forced(a40_inv, A30, l), a40_inv)
 
-    def lifts(k: int, l: int, A2, A30, A40, B3, B40, C4):
+    def lifts(k: int, l: int, A2, A30, A40, B3, B40, C4, a40_inv):
         """The rows of every lift (A31, A41, A42, B41) passing the
         valuation-1 and -2 parts."""
         for A31 in _all_matrices(q, k, l):
@@ -752,34 +744,46 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                 if not is_zero(g):
                     continue
                 h2 = fmat_add(f, a31a31, fmat_mul(f, A41, dag(A41)))
-                a41b40 = fmat_mul(f, A41, dag(B40))
-                for B41 in _all_matrices(q, l, k):
-                    g = fmat_add(f, a31b3, fmat_mul(f, A40, dag(B41)))
-                    g = fmat_add(f, g, a41b40)
-                    if not is_zero(g):
-                        continue
-                    for A42 in _all_matrices(q, k, k):
-                        g = fmat_add(f, h2, tilde(fmat_mul(f, A42, dag(A40))))
-                        if is_zero(g):
-                            yield _assemble_e3_rows(q, k, l, A2, A30, A31, A40,
-                                                    A41, A42, B3, B40, B41, C4)
+                t = fmat_add(f, a31b3, fmat_mul(f, A41, dag(B40)))
+                B41 = forced(a40_inv, t, l)
+                for A42 in _all_matrices(q, k, k):
+                    g = fmat_add(f, h2, tilde(fmat_mul(f, A42, dag(A40))))
+                    if is_zero(g):
+                        yield _assemble_e3_rows(q, k, l, A2, A30, A31, A40,
+                                                A41, A42, B3, B40, B41, C4)
 
+    view = _FpView(ring, n)
+    members = []
     for k in range(n // 2 + 1):
         l = n // 2 - k
-        shape_rows = [rows for blocks in level0_blocks(k, l)
-                      for rows in lifts(k, l, *blocks)]
+        solutions = []
+        for blocks in level0_blocks(k, l):
+            shape_rows = list(lifts(k, l, *blocks))   # the zero lift passes
+            # rows of valuation v <= t, over u^v and mod u, span Tor_t with I
+            # on its first k + l*t columns: its RREF in block order, row p
+            # pivoting at p; bit j of masks[p]: such a row is nonzero at j
+            tor = [tuple(x // q ** ((i >= k) + (i >= k + l)) % q for x in row)
+                   for i, row in enumerate(shape_rows[0])]
+            masks = [0] * (k + 2 * l)
+            for basis in (tor[:k], field_rref(f, n, tor[:k + l]),
+                          field_rref(f, n, tor)):
+                for p, row in enumerate(basis):
+                    masks[p] |= sum(1 << j for j, x in enumerate(row) if x) ^ 1 << p
+            solutions.append((masks, shape_rows))
         for s0 in itertools.combinations(range(n), k):
             left1 = [c for c in range(n) if c not in s0]
             for s1 in itertools.combinations(left1, l):
                 left2 = [c for c in left1 if c not in s1]
                 for s2 in itertools.combinations(left2, l):
-                    block4 = tuple(c for c in left2 if c not in s2)
-                    perm = s0 + s1 + s2 + block4
-                    for rows in shape_rows:
-                        gens = [_unpermute(perm, row) for row in rows]
-                        key = tuple(view.module_basis(gens))
-                        if key not in seen:
-                            seen[key] = LinearCode(ring, n, gens)
-                    # a standard form of any self-dual code appears under
-                    # some sorted block choice, so this sweep is exhaustive
-    return _census_of(ring, n, label, seen.items(), view)
+                    perm = s0 + s1 + s2 + tuple(c for c in left2 if c not in s2)
+                    # canonical: no row is nonzero on a column left of its pivot
+                    left = [sum(1 << j for j, c in enumerate(perm) if c < pc)
+                            for pc in perm[:k + 2 * l]]
+                    for masks, shape_rows in solutions:
+                        if any(mask & b for mask, b in zip(masks, left)):
+                            continue
+                        for rows in shape_rows:
+                            gens = [_unpermute(perm, row) for row in rows]
+                            members.append((view.module_basis(gens),
+                                            LinearCode(ring, n, gens)))
+    return _census_of(ring, n, label, members, view)

@@ -27,9 +27,12 @@ EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
 
 
-def _check_inner(inner: str) -> str:
+def _check_inner(inner: str, field: Field | None = None) -> str:
     if inner not in (EUCLIDEAN, HERMITIAN):
         raise ValueError(f"inner product must be {EUCLIDEAN!r} or {HERMITIAN!r}")
+    if inner == HERMITIAN and field is not None and not field.has_conjugation:
+        raise ValueError("the Hermitian product needs a square field order, "
+                         f"got q={field.q}")
     return inner
 
 
@@ -266,10 +269,7 @@ class LinearCode:
 
     def dual(self, inner: str = EUCLIDEAN) -> LinearCode:
         """The dual code under the chosen inner product."""
-        _check_inner(inner)
-        if inner == HERMITIAN:
-            if not self.ring.field.has_conjugation:
-                raise ValueError("Hermitian dual needs a square field order")
+        if _check_inner(inner, self.ring.field) == HERMITIAN:
             # [v, w] = sum v_i conj(w_i) vanishes on C exactly when the
             # Euclidean product of conj(C) with w does
             return self.conjugate_code().dual(EUCLIDEAN)
@@ -313,9 +313,7 @@ class LinearCode:
         sesquilinear, so then the whole code does.  The standard-form rows
         span C, are sparse, and share one column permutation, which leaves
         every inner product unchanged."""
-        _check_inner(inner)
-        if inner == HERMITIAN and not self.ring.field.has_conjugation:
-            raise ValueError("Hermitian product needs a square field order")
+        _check_inner(inner, self.ring.field)
         rows = self.standard_form().rows
         return all(inner_product(self.ring, a, b, inner) == 0
                    for a in rows for b in rows)
@@ -556,10 +554,8 @@ def code_from_json(obj: dict) -> LinearCode:
 def field_code_from_json(obj: dict) -> FieldCode:
     if _doc_key(_doc(obj, dict, "document"), "e", int) != 1:
         raise ValueError("field codes must have e = 1")
-    f = _doc_field(obj)
-    rows = [[_doc_entry(f, 1, entry)[0] for entry in _doc(row, list, "row")]
-            for row in _doc_key(obj, "rows", list)]
-    return FieldCode.from_rows(f, _doc_key(obj, "n", int), rows)
+    code = code_from_json(obj)
+    return FieldCode(code.ring.field, code.n, code.gens)
 
 
 def dumps_code(code: LinearCode) -> str:

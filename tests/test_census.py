@@ -451,11 +451,13 @@ def test_is_self_dual_is_membership_in_the_scan_oracle(q, e, n):
 
 
 def test_climb_census_matches_standard_forms_at_ne_2_4():
-    ring = chain_ring(2, 3)
-    climb = enumerate_self_dual(ring, 4, EUCLIDEAN)
-    assert climb.size == 87 == count_esd(2, 4)
-    assert climb.fingerprint_set() == enumerate_sd_standard_forms(
-        ring, 4, EUCLIDEAN).fingerprint_set()
+    """NE(2,4) and NE(3,4): the climb and the sweep find the same codes."""
+    for q, expected in ((2, 87), (3, 176)):
+        ring = chain_ring(q, 3)
+        climb = enumerate_self_dual(ring, 4, EUCLIDEAN)
+        assert climb.size == expected == count_esd(q, 4)
+        assert climb.fingerprint_set() == enumerate_sd_standard_forms(
+            ring, 4, EUCLIDEAN).fingerprint_set()
 
 
 @pytest.mark.parametrize("q,e,n,inner,expected", [
@@ -576,10 +578,12 @@ def test_extension_stream_rejects_bad_inputs():
     (2, 2, EUCLIDEAN, 3),
     (4, 2, HERMITIAN, 15),
     (9, 2, HERMITIAN, 40),
+    (4, 4, EUCLIDEAN, 1685),
 ])
 def test_standard_form_sweep_counts(q, n, inner, expected):
     sweep = enumerate_sd_standard_forms(chain_ring(q, 3), n, inner)
-    assert sweep.size == expected
+    count = count_esd if inner == EUCLIDEAN else count_hsd
+    assert sweep.size == expected == count(q, n)
     for code in sweep.codes:
         assert code.is_self_dual(inner)
 
@@ -606,13 +610,18 @@ def test_standard_form_sweep_matches_constructive_route_on_slow_path():
 
 
 def test_standard_form_sweep_work_pins(monkeypatch):
-    """On R(2,3)^4 the congruences are solved once for each of the 3 block
-    shapes, not once for each of the 36 column choices: at most 640 fmat_mul
-    calls, against 6,612 when they were solved inside the column loops.
-    A code is built only for a span not seen before, one per census member,
-    against 492 when every solution under every column choice was built."""
-    muls, built = [], []
+    """The sweep solves the congruences once per block shape, not once per
+    column choice, and places each solution under its canonical column
+    choice only: one GF(p) reduction (`_FpView.module_basis`) and one
+    LinearCode per census member.  Placing every solution under every
+    column choice and dropping the repeated spans took 492 reductions for
+    the 87 codes of R(2,3)^4 and 1,632 for the 176 of R(3,3)^4.  On R(2,3)^4
+    the sweep makes at most 551 fmat_mul calls: 6,612 when the congruences
+    were solved inside the column loops, 640 while C4 and B41 were filtered
+    instead of solved."""
+    muls, built, reduced = [], [], []
     fmat_mul, linear_code = census_module.fmat_mul, census_module.LinearCode
+    module_basis = _FpView.module_basis
 
     def counted_mul(*args, **kwargs):
         muls.append(None)
@@ -621,17 +630,26 @@ def test_standard_form_sweep_work_pins(monkeypatch):
     def counted_code(*args):
         built.append(None)
         return linear_code(*args)
-    enumerate_sd_standard_forms.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(census_module, "fmat_mul", counted_mul)
-            patch.setattr(census_module, "LinearCode", counted_code)
-            sweep = enumerate_sd_standard_forms(chain_ring(2, 3), 4, EUCLIDEAN)
-    finally:
+
+    def counted_basis(self, gens):
+        reduced.append(None)
+        return module_basis(self, gens)
+    for q, expected, mul_bound in ((2, 87, 551), (3, 176, None)):
+        muls.clear(), built.clear(), reduced.clear()
         enumerate_sd_standard_forms.cache_clear()
-    assert sweep.size == count_esd(2, 4) == 87
-    assert len(muls) <= 640
-    assert len(built) == sweep.size
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(census_module, "fmat_mul", counted_mul)
+                patch.setattr(census_module, "LinearCode", counted_code)
+                patch.setattr(_FpView, "module_basis", counted_basis)
+                sweep = enumerate_sd_standard_forms(chain_ring(q, 3), 4,
+                                                    EUCLIDEAN)
+        finally:
+            enumerate_sd_standard_forms.cache_clear()
+        assert sweep.size == count_esd(q, 4) == expected
+        assert len(reduced) == len(built) == sweep.size
+        if mul_bound is not None:
+            assert len(muls) <= mul_bound
 
 
 def test_standard_form_sweep_guards():
