@@ -17,7 +17,9 @@ out of the row span without decoding any codeword.  For p = 2 they are the
 XOR closure of the basis rows' codes; for odd p the whole span is built in
 one int, a codeword per byte-aligned window of whole lanes, and one
 multiplication reads every window's code at once (see
-`_FpView.fingerprint` for why no carry crosses a window).
+`_FpView.fingerprint` for why no carry crosses a window).  Neither is
+sorted: with the basis echelonized on each row's top lane and the rows
+added in increasing pivot order, the span comes out in code order.
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -49,10 +51,11 @@ from .chainring import ChainRing, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
                     _unpermute, field_rref, fmat, fmat_add, fmat_dagger,
                     fmat_identity, fmat_inv, fmat_mul, fmat_neg, inner_product)
-from .counting import count_linear
+from .counting import count_esd, count_hsd, count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
 MEMBER_CAP = 1 << 16        # largest full census, counted by count_linear
+CODEWORD_CAP = 1 << 26      # most codewords an e = 3 self-dual census holds
 CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
 
 
@@ -307,12 +310,51 @@ class _FpView:
                 self.insert_row(basis, pivots, row)
         return basis
 
+    def top_echelon(self, basis) -> list[int]:
+        """The reduced echelon basis of the same span whose rows each have
+        their pivot, 1, on their top lane, in increasing pivot order.  An
+        echelon first: while a row's top lane is a pivot, a multiple of
+        that pivot's row is subtracted.  Then, from the lowest pivot up,
+        each row is cleared on the pivots below its own, whose rows are
+        reduced by then."""
+        p, lane, mask, reduce = self.p, self.lane, self.lane_mask, self.reduce
+        tops: dict[int, int] = {}                   # pivot bit -> row
+        for row in basis:
+            while True:
+                top = row.bit_length() - 1
+                pc = top - top % lane
+                prow = tops.get(pc)
+                if prow is None:
+                    break
+                row = reduce(row + (p - (row >> pc)) * prow)
+            c = row >> pc
+            tops[pc] = row if c == 1 else reduce(row * pow(c, p - 2, p))
+        rows: list[tuple[int, int]] = []            # (pivot bit, row)
+        for pc in sorted(tops):
+            row = tops[pc]
+            for bpc, brow in rows:
+                c = (row >> bpc) & mask
+                if c:
+                    row = reduce(row + (p - c) * brow)
+            rows.append((pc, row))
+        return [row for _, row in rows]
+
     def fingerprint(self, basis) -> tuple[int, ...]:
         """Every vector in the GF(p)-span, encoded as a single integer in
         base |R| (coordinate 0 least significant), sorted.
 
+        The span comes out sorted with no sort: the basis is re-echelonized
+        so that each row's pivot is its top lane, and the rows are added
+        in increasing pivot order, each new row's coefficient the most
+        significant digit of a word's place.  Two words agree above the
+        highest pivot where their coefficients differ (every row is zero
+        above its pivot), and at that pivot each holds its own coefficient
+        (no other row is nonzero there), so their codes compare as those
+        coefficients do, and so as their places do.
+
         For p = 2 a row's code is its lanes read as bits, so the span is
-        the XOR closure of the basis rows' codes.
+        the XOR closure of the basis rows' codes, echelonized by XOR on
+        their top bits.
 
         For odd p the whole span is built in one int, one codeword per
         window of W = w'*L bits, where w' >= w is the least lane count with
@@ -336,10 +378,21 @@ class _FpView:
         memoryview cast when they fit 8 bytes, and no Python code runs per
         codeword."""
         if self.p == 2:
-            acc = [0]
+            tops: dict[int, int] = {}               # top bit -> code
             for c in map(self.code, basis):
+                while (t := c.bit_length()) in tops:
+                    c ^= tops[t]
+                tops[t] = c
+            acc, rows = [0], []
+            for t in sorted(tops):
+                c = tops[t]
+                for b in rows:
+                    if c ^ b < c:                   # c has b's top bit
+                        c ^= b
+                rows.append(c)
                 acc += [x ^ c for x in acc]
-            return tuple(sorted(acc))
+            return tuple(acc)
+        basis = self.top_echelon(basis)
         p, magic, shift, width = self.p, self._magic, self._shift, self._window
         count = p ** len(basis)
         masks = self._window_masks.get(count)
@@ -367,14 +420,14 @@ class _FpView:
         stride, size = width // 8, self._code_bytes
         data = codes.to_bytes(count * stride, "little")
         if size > 8:
-            return tuple(sorted([int.from_bytes(data[i:i + size], "little")
-                                 for i in range(0, len(data), stride)]))
+            return tuple(int.from_bytes(data[i:i + size], "little")
+                         for i in range(0, len(data), stride))
         item = 1 << (size - 1).bit_length()
         out = bytearray(count * item)
         for b in range(size):
             slot = b if sys.byteorder == "little" else item - 1 - b
             out[slot::item] = data[b::stride]
-        return tuple(sorted(memoryview(out).cast(_ITEM_FORMAT[item]).tolist()))
+        return tuple(memoryview(out).cast(_ITEM_FORMAT[item]).tolist())
 
 
 def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
@@ -409,6 +462,16 @@ def _check_bound(ring: ChainRing, n: int) -> None:
         raise ValueError(
             f"census of {ring!r}^{n} has {ring.size ** n} vectors, over the "
             f"oracle bound {DEFAULT_ORACLE_BOUND}")
+
+
+def _check_codewords(ring: ChainRing, n: int, inner: str) -> None:
+    """Refuse an e = 3 self-dual census whose members' fingerprints, by
+    the closed-form count, hold more than CODEWORD_CAP codewords."""
+    size = (count_hsd if inner == HERMITIAN else count_esd)(ring.q, n)
+    if (words := size * ring.size ** (n // 2)) > CODEWORD_CAP:
+        raise ValueError(
+            f"self-dual census of {ring!r}^{n} holds {words} codewords, over "
+            f"the codeword cap {CODEWORD_CAP}")
 
 
 def _climb(ring: ChainRing, n: int, inner: str | None = None):
@@ -477,7 +540,7 @@ def _census_of(ring: ChainRing, n: int, label: str, members,
     twice rather than compared as a code."""
     entries = sorted(
         ((view.fingerprint(basis),
-          LinearCode(ring, n, [view.decode(row) for row in basis])
+          LinearCode._trusted(ring, n, [view.decode(row) for row in basis])
           if code is None else code)
          for basis, code in members),
         key=lambda entry: entry[0])
@@ -633,7 +696,8 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
                 B41 = fmat_dagger(f, fmat_neg(f, fmat_mul(f, a40_inv, t)))
                 rows = _assemble_e3_rows(f.q, k, l, A2, A30, A31, A40, A41,
                                          A42, B3, B40, B41, C4)
-                yield LinearCode(ring, n, [_unpermute(perm, r) for r in rows])
+                yield LinearCode._trusted(ring, n,
+                                          [_unpermute(perm, r) for r in rows])
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -645,7 +709,8 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     the residue codes c0 inside c1 are the images of the subspaces of
     GF(q)^(n/2), taken once from the e = 1 cover search, under c1's
     reduced basis.  Every constructed code is reduced by one packed view of
-    R^n, and a repeat would stay in the census."""
+    R^n, and a repeat would stay in the census.  A census whose count_hsd
+    members would hold more than CODEWORD_CAP codewords is refused."""
     p, m = factor_prime_power(q)
     field = field_make(p, m)
     _check_inner(HERMITIAN, field)
@@ -653,6 +718,7 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     label = f"self-dual-{HERMITIAN}-constructive"
     if n % 2:
         return _census_of(ring, n, label, [])
+    _check_codewords(ring, n, HERMITIAN)
     # the field censuses check their bounds before the view of R^n, whose
     # masks cost O((3mn)^3) bit operations, is built
     c1s = enumerate_field_self_dual(field, n, HERMITIAN)
@@ -671,6 +737,39 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
 # ---------------------------------------------------------------------------
 # self-dual codes by direct enumeration of admissible standard forms
 
+def _congruence_solver(field: Field, inner: str):
+    """The solver of X + dag(X) = G over the field, for k x k G with
+    dag(G) = G, where dag is the transpose, conjugated for the Hermitian
+    form.  Each solution X is a list of rows.
+
+    The strict upper triangle of X is free and forces the lower one, since
+    g_ji = x_ji + conj(x_ij).  The diagonal entry x_ii is any x with
+    x + conj(x) = g_ii: g_ii / 2 for odd-p Euclidean, anything when
+    g_ii = 0 and nothing otherwise for p = 2 Euclidean, and a trace
+    preimage of g_ii for Hermitian.  The sweep solves its last two blocks
+    with it; it shares no code with the constructive route's
+    `_hermitian_completions`, so the two routes cannot fail together."""
+    conj = field.conjugate if inner == HERMITIAN else (lambda x: x)
+    halves: dict[int, list[int]] = {}      # g -> every x with x + conj(x) = g
+    for x in range(field.q):
+        halves.setdefault(field.add(x, conj(x)), []).append(x)
+
+    def solve(G):
+        k = len(G)
+        upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for diag in itertools.product(*(halves.get(G[i][i], ())
+                                        for i in range(k))):
+            for free in itertools.product(range(field.q), repeat=len(upper)):
+                x = [[0] * k for _ in range(k)]
+                for i, v in enumerate(diag):
+                    x[i][i] = v
+                for (i, j), v in zip(upper, free):
+                    x[i][j] = v
+                    x[j][i] = field.sub(G[j][i], conj(v))
+                yield x
+    return solve
+
+
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                                 inner: str = EUCLIDEAN) -> Census:
@@ -681,7 +780,12 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     makes s0, s0+s1, s0+s1+s2 the RREF pivots of Tor_0 < Tor_1 < Tor_2, the
     greedy (lex-least) column bases, so it is the code's first in the
     sweep's order.  Its last block is Tor_2's non-pivot columns, on which
-    the dual Tor_0 is invertible: A40 is invertible and fixes C4 and B41."""
+    the dual Tor_0 is invertible: A40 is invertible, fixes C4 and B41, and
+    leaves A41 and A42 a completion each to solve (see `lifts`).
+
+    Refused: a census whose closed-form count of members would hold more
+    than CODEWORD_CAP codewords, and a level-0 search of its n/2 + 1 shapes,
+    q^((n/2)^2) block tuples each, over DEFAULT_ORACLE_BOUND."""
     _check_inner(inner, ring.field)
     if ring.e != 3:
         raise ValueError("standard-form enumeration is for e = 3")
@@ -689,6 +793,11 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
     label = f"self-dual-{inner}-standard-forms"
     if n % 2:
         return _census_of(ring, n, label, [])
+    _check_codewords(ring, n, inner)
+    if (tries := (n // 2 + 1) * q ** ((n // 2) ** 2)) > DEFAULT_ORACLE_BOUND:
+        raise ValueError(
+            f"standard-form sweep of {ring!r}^{n} searches {tries} level-0 "
+            f"blocks, over the oracle bound {DEFAULT_ORACLE_BOUND}")
 
     def dag(mat):
         if inner == HERMITIAN:
@@ -732,25 +841,27 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                             yield (A2, A30, A40, B3, B40,
                                    forced(a40_inv, A30, l), a40_inv)
 
+    solve = _congruence_solver(f, inner)
+
     def lifts(k: int, l: int, A2, A30, A40, B3, B40, C4, a40_inv):
         """The rows of every lift (A31, A41, A42, B41) passing the
-        valuation-1 and -2 parts."""
+        valuation-1 and -2 parts.  A31 is searched; A41 and A42 are solved:
+        with X = A41 dag(A40) and Y = A42 dag(A40) the two parts read
+        X + dag(X) = -w0 and Y + dag(Y) = -h2, and A40 is invertible."""
+        a40_dinv = dag(a40_inv)
         for A31 in _all_matrices(q, k, l):
             w0 = tilde(fmat_mul(f, A31, dag(A30), cols=k))
             a31a31 = fmat_mul(f, A31, dag(A31), cols=k)
             a31b3 = fmat_mul(f, A31, dag(B3))
-            for A41 in _all_matrices(q, k, k):
-                g = fmat_add(f, w0, tilde(fmat_mul(f, A41, dag(A40))))
-                if not is_zero(g):
-                    continue
+            for X in solve(fmat_neg(f, w0)):
+                A41 = fmat_mul(f, X, a40_dinv)
                 h2 = fmat_add(f, a31a31, fmat_mul(f, A41, dag(A41)))
                 t = fmat_add(f, a31b3, fmat_mul(f, A41, dag(B40)))
                 B41 = forced(a40_inv, t, l)
-                for A42 in _all_matrices(q, k, k):
-                    g = fmat_add(f, h2, tilde(fmat_mul(f, A42, dag(A40))))
-                    if is_zero(g):
-                        yield _assemble_e3_rows(q, k, l, A2, A30, A31, A40,
-                                                A41, A42, B3, B40, B41, C4)
+                for Y in solve(fmat_neg(f, h2)):
+                    yield _assemble_e3_rows(q, k, l, A2, A30, A31, A40, A41,
+                                            fmat_mul(f, Y, a40_dinv), B3,
+                                            B40, B41, C4)
 
     view = _FpView(ring, n)
     members = []
@@ -785,5 +896,5 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                         for rows in shape_rows:
                             gens = [_unpermute(perm, row) for row in rows]
                             members.append((view.module_basis(gens),
-                                            LinearCode(ring, n, gens)))
+                                            LinearCode._trusted(ring, n, gens)))
     return _census_of(ring, n, label, members, view)

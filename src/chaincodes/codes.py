@@ -173,6 +173,17 @@ class LinearCode:
         return self.ring.from_coeffs(x).code
 
     @classmethod
+    def _trusted(cls, ring: ChainRing, n: int, rows) -> LinearCode:
+        """The code on rows that are already tuples of n in-range ring
+        codes, taken as they are: for rows the library built itself."""
+        code = cls.__new__(cls)
+        code.ring = ring
+        code.n = n
+        code.gens = tuple(rows)
+        code._std = None
+        return code
+
+    @classmethod
     def zero(cls, ring: ChainRing, n: int) -> LinearCode:
         return cls(ring, n, [])
 

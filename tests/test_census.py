@@ -1,6 +1,9 @@
 """Tests for the brute-force censuses and the constructive enumerations."""
 import collections
 import itertools
+import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +11,12 @@ from hypothesis.strategies import data, integers, lists, sampled_from
 
 import chaincodes.census as census_module
 from chaincodes.census import (
+    CODEWORD_CAP,
     MEMBER_CAP,
+    _all_matrices,
     _census_of,
     _climb,
+    _congruence_solver,
     _FpView,
     code_fingerprint,
     enumerate_field_self_dual,
@@ -25,7 +31,7 @@ from chaincodes.codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode,
                               inner_product)
 from chaincodes.counting import (count_esd, count_hsd, count_linear,
                                  gaussian_binomial, sigma_e)
-from chaincodes.gf import field_make
+from chaincodes.gf import factor_prime_power, field_make
 
 
 # ---------------------------------------------------------------------------
@@ -609,38 +615,55 @@ def test_standard_form_sweep_matches_constructive_route_on_slow_path():
     assert sweep.size == cons.size == count_hsd(16, 2) == 85
 
 
+def test_standard_form_sweep_ne_2_6():
+    """NE(2,6) = 15,255: the Euclidean formula at n = 6, by the sweep."""
+    try:
+        sweep = enumerate_sd_standard_forms(chain_ring(2, 3), 6, EUCLIDEAN)
+    finally:
+        enumerate_sd_standard_forms.cache_clear()   # 15,255 x 512 codewords
+    assert sweep.size == count_esd(2, 6) == 15255
+    assert len(sweep.fingerprint_set()) == sweep.size
+    for i in range(0, sweep.size, 1017):
+        assert sweep.codes[i].is_self_dual(EUCLIDEAN)
+        assert sweep.codes[i].cardinality() == len(sweep.fingerprints[i]) == 8 ** 3
+
+
 def test_standard_form_sweep_work_pins(monkeypatch):
     """The sweep solves the congruences once per block shape, not once per
     column choice, and places each solution under its canonical column
     choice only: one GF(p) reduction (`_FpView.module_basis`) and one
-    LinearCode per census member.  Placing every solution under every
-    column choice and dropping the repeated spans took 492 reductions for
-    the 87 codes of R(2,3)^4 and 1,632 for the 176 of R(3,3)^4.  On R(2,3)^4
-    the sweep makes at most 551 fmat_mul calls: 6,612 when the congruences
-    were solved inside the column loops, 640 while C4 and B41 were filtered
-    instead of solved."""
+    LinearCode, built without re-validation (`LinearCode._trusted`), per
+    census member.  Placing every solution under every column choice and
+    dropping the repeated spans took 492 reductions for the 87 codes of
+    R(2,3)^4 and 1,632 for the 176 of R(3,3)^4.  A41 and A42 are solved,
+    not searched: on R(q,3)^4 for q = 2, 3, 4 the sweep makes at most 299,
+    1,222 and 4,971 fmat_mul calls, where filtering them over all q^(k^2)
+    matrices took 551, 3,910 and 70,875 (on R(2,3)^4, 6,612 when the
+    congruences were solved inside the column loops, 640 while C4 and B41
+    were filtered too)."""
     muls, built, reduced = [], [], []
-    fmat_mul, linear_code = census_module.fmat_mul, census_module.LinearCode
+    fmat_mul, trusted = census_module.fmat_mul, LinearCode._trusted
     module_basis = _FpView.module_basis
 
     def counted_mul(*args, **kwargs):
         muls.append(None)
         return fmat_mul(*args, **kwargs)
 
-    def counted_code(*args):
+    def counted_code(ring, n, rows):
         built.append(None)
-        return linear_code(*args)
+        return trusted(ring, n, rows)
 
     def counted_basis(self, gens):
         reduced.append(None)
         return module_basis(self, gens)
-    for q, expected, mul_bound in ((2, 87, 551), (3, 176, None)):
+    for q, expected, mul_bound in ((2, 87, 299), (3, 176, 1222),
+                                   (4, 1685, 4971)):
         muls.clear(), built.clear(), reduced.clear()
         enumerate_sd_standard_forms.cache_clear()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(census_module, "fmat_mul", counted_mul)
-                patch.setattr(census_module, "LinearCode", counted_code)
+                patch.setattr(LinearCode, "_trusted", staticmethod(counted_code))
                 patch.setattr(_FpView, "module_basis", counted_basis)
                 sweep = enumerate_sd_standard_forms(chain_ring(q, 3), 4,
                                                     EUCLIDEAN)
@@ -648,8 +671,69 @@ def test_standard_form_sweep_work_pins(monkeypatch):
             enumerate_sd_standard_forms.cache_clear()
         assert sweep.size == count_esd(q, 4) == expected
         assert len(reduced) == len(built) == sweep.size
-        if mul_bound is not None:
-            assert len(muls) <= mul_bound
+        assert len(muls) <= mul_bound
+
+
+@pytest.mark.parametrize("q,inner", [
+    (2, EUCLIDEAN), (3, EUCLIDEAN), (4, EUCLIDEAN), (5, EUCLIDEAN),
+    (9, EUCLIDEAN), (4, HERMITIAN), (9, HERMITIAN),
+])
+def test_congruence_solver_matches_brute_force(q, inner):
+    """For k <= 2 the sweep's solver of X + dag(X) = G lists exactly the
+    k x k matrices satisfying it, for random G = dag(G): q^(k(k-1)/2) r^k
+    of them for Hermitian q = r^2, q^(k(k-1)/2) for odd-p Euclidean, and
+    q^(k(k+1)/2) or none, as G's diagonal is zero or not, for p = 2."""
+    f = field_make(*factor_prime_power(q))
+    conj = f.conjugate if inner == HERMITIAN else (lambda x: x)
+    solve = _congruence_solver(f, inner)
+    rng = random.Random(q)
+    self_conj = [x for x in range(q) if conj(x) == x]
+    for k in (0, 1, 2):
+        squares = list(_all_matrices(q, k, k))
+        for trial in range(8):
+            G = [[0] * k for _ in range(k)]
+            for i in range(k):
+                G[i][i] = rng.choice(self_conj) if trial else 0
+                for j in range(i + 1, k):
+                    G[i][j] = rng.randrange(q)
+                    G[j][i] = conj(G[i][j])
+            brute = {X for X in squares
+                     if all(f.add(X[i][j], conj(X[j][i])) == G[i][j]
+                            for i in range(k) for j in range(k))}
+            solved = [tuple(map(tuple, X)) for X in solve(G)]
+            assert len(solved) == len(set(solved))
+            assert set(solved) == brute
+            if inner == HERMITIAN:
+                count = q ** (k * (k - 1) // 2) * math.isqrt(q) ** k
+            elif f.p > 2:
+                count = q ** (k * (k - 1) // 2)
+            else:
+                count = q ** (k * (k + 1) // 2) if not any(
+                    G[i][i] for i in range(k)) else 0
+            assert len(solved) == count
+
+
+def test_e3_self_dual_routes_refuse_hopeless_sizes():
+    """The sweep and the constructive route refuse, before any search, a
+    census whose closed-form count of members would hold more than
+    CODEWORD_CAP codewords in its fingerprints, and the sweep a level-0
+    search over the oracle bound; NH(4,4), the largest census either
+    route has run, holds 9,099 x 4^6 = 37.3 M codewords and stays inside."""
+    assert count_hsd(4, 4) * 64 ** 2 <= CODEWORD_CAP
+    refused = [
+        lambda: enumerate_sd_standard_forms(chain_ring(2, 3), 8, EUCLIDEAN),
+        lambda: enumerate_sd_standard_forms(chain_ring(7, 3), 4, EUCLIDEAN),
+        lambda: enumerate_hsd_constructive(4, 6),
+    ]
+    for call in refused:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="codeword cap"):
+            call()
+        assert time.perf_counter() - start < 1
+    # NE(3,10) has no members, but 6 * 3^25 level-0 block tuples to search
+    assert count_esd(3, 10) == 0
+    with pytest.raises(ValueError, match="oracle bound"):
+        enumerate_sd_standard_forms(chain_ring(3, 3), 10, EUCLIDEAN)
 
 
 def test_standard_form_sweep_guards():
