@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 violated mathematical precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -50,7 +51,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The one parser of the process: parsing leaves it unchanged, and each
+    subcommand's handler looks its library functions up when it runs."""
     parser = _Parser(prog="chaincodes",
                      description="Linear codes over GF(q)[u]/(u^e): counts, "
                                  "transforms, decompositions, verification.")

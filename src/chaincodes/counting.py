@@ -13,13 +13,20 @@ Delsarte's count of subgroups of an abelian p-group of type (e^n), which
 Honold & Landjev ("Linear codes over finite chain rings", EJC 7, 2000)
 carry over to chain rings.  The number of submodules of a given type in
 R^n depends only on q (Butler, Mem. AMS 539, 1994, gives the per-type
-product), so the count is a theorem at every depth e, not only e = 3.  It
-is evaluated as an e-level dynamic programme over the dimension,
-O(e n^2) big-integer operations.
+product), so the count is a theorem at every depth e, not only e = 3.
+
+The chain sum is an e-step dynamic programme over the dimension.  Taking
+the top binomial out of every step ([n, b] [n - b, a - b] = [n, a] [a, b])
+makes its first and last steps values of the Rogers-Szego polynomials
+H_h(x) = sum_k [h, k]_q x^k, which satisfy H_0 = 1, H_1 = 1 + x and
+H_(h+1) = (1 + x) H_h + x (q^h - 1) H_(h-1) (Andrews, The Theory of
+Partitions, ch. 3).  Depths 1 to 3 thus take O(n^2) big-by-small products
+and no division past one Gaussian row; each further depth adds a step of
+O(n^2) products.
 """
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, log2
 
 from .gf import factor_prime_power
 
@@ -49,6 +56,16 @@ def gaussian_row(h: int, q: int) -> list[int]:
 
 # ChainRing caps the bit length of q^e at 2^16, so no chain ring is deeper
 _MAX_DEPTH = 1 << 16
+# largest linear-code count, in estimated bits, that count_linear computes
+LINEAR_BITS_CAP = 1 << 18
+
+
+def _rogers_szego(h: int, q: int, x: int) -> int:
+    """H_h(x) = sum_k [h, k]_q x^k, by the three-term recurrence."""
+    prev, cur = 0, 1
+    for k in range(h):
+        prev, cur = cur, (1 + x) * cur + x * (q ** k - 1) * prev
+    return cur
 
 
 def count_linear(q: int, e: int, n: int) -> int:
@@ -59,9 +76,26 @@ def count_linear(q: int, e: int, n: int) -> int:
     binomials [n - h_{j+1}, h_j - h_{j+1}]_q times q^(h_{j+1} (n - h_j)).
 
     With every chain padded by zeros to length e, the sum is e steps from
-    g = [1, 0, ..., 0] over dimensions 0..n, each step
+    g_0 = [1, 0, ..., 0] over dimensions 0..n, each step
     g'[a] = sum_{b <= a} [n - b, a - b]_q q^(b (n - a)) g[b], then sum(g).
-    Depths over _MAX_DEPTH are refused before the first step.
+    Since [n, b] [n - b, a - b] = [n, a] [a, b], g_j[a] = [n, a] f_j[a] with
+    f_1 = 1 and f_(j+1)[a] = sum_{b <= a} [a, b] q^(b (n - a)) f_j[b]:
+
+    - f_2[a] = H_a(q^(n - a)), a Rogers-Szego value (`_rogers_szego`);
+    - the last step sums over a first: sum_a [n, a] [a, b] q^(b (n - a)) is
+      [n, b] H_(n - b)(q^b) = [n, b] f_2[n - b], so the count is
+      sum_b [n, b] f_(e-1)[b] f_2[n - b];
+    - e = 1 is sum_b [n, b], e = 3 is sum_b [n, b] f_2[b] f_2[n - b];
+    - each depth past 3 is one middle step, by Horner's rule in q^(n - a)
+      over the Gaussian row [a, .]; the rows come from the q-Pascal rule,
+      one from the last, so a step holds one row and two levels of f.
+
+    The count has about e floor(n^2 / 4) log2(q) bits, and never fewer: the
+    chain with every h_j = floor(n / 2) alone gives q^(e floor(n^2 / 4)),
+    and each of the at most (n + 1)^e chains gives under 4^e times that, so
+    the bit length exceeds the estimate by at most e (log2(n + 1) + 2) + 1.
+    An estimate over LINEAR_BITS_CAP is refused, as are depths over
+    _MAX_DEPTH, before any big-integer work.
     """
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
@@ -69,16 +103,31 @@ def count_linear(q: int, e: int, n: int) -> int:
     if e > _MAX_DEPTH:
         raise ValueError(f"depth e = {e} is over {_MAX_DEPTH}, "
                          f"the largest a chain ring allows")
-    g = gaussian_row(n, q)                    # g after the first step
-    for _ in range(e - 1):
-        g_next = [0] * (n + 1)
-        for b, x in enumerate(g):
-            weight = q ** (b * (n - b)) * x       # q^(b (n - a)) g[b] at a = b
-            for a, c in enumerate(gaussian_row(n - b, q), b):
-                g_next[a] += c * weight
-                weight //= q ** b
-        g = g_next
-    return sum(g)
+    exponent = e * (n * n // 4)                # the count is about q^exponent
+    # clipped first, since log2(q) >= 1 and a float cannot hold every int
+    if min(exponent, LINEAR_BITS_CAP + 1) * log2(q) > LINEAR_BITS_CAP:
+        raise ValueError(f"the count is about q^{exponent} with q = {q}, "
+                         f"over the cap of {LINEAR_BITS_CAP} bits")
+    top = gaussian_row(n, q)
+    if e == 1:
+        return sum(top)
+    pw = [q ** k for k in range(n + 1)]
+    ends = [_rogers_szego(a, q, pw[n - a]) for a in range(n + 1)]   # f_2
+    f = ends if e >= 3 else [1] * (n + 1)
+    for _ in range(e - 3):
+        g = []
+        row = [1]                                     # [a, .] at a = 0
+        for a in range(n + 1):
+            if a:                  # [a, b] = [a-1, b-1] + q^b [a-1, b]
+                row = [1] + [row[b - 1] + pw[b] * row[b]
+                             for b in range(1, a)] + [1]
+            x = pw[n - a]
+            total = 0
+            for b in range(a, -1, -1):
+                total = total * x + row[b] * f[b]
+            g.append(total)
+        f = g
+    return sum(t * y * ends[n - b] for b, (t, y) in enumerate(zip(top, f)))
 
 
 def sigma_e(q: int, n: int) -> int:

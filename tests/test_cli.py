@@ -129,6 +129,38 @@ def test_count_math_precondition_errors(capsys):
                "--n", "1")[0] == 2
 
 
+def test_count_linear_over_the_bit_cap_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "linear", "--q", "2", "--n", "700")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("chaincodes: error: the count is about q^367500 with "
+                   "q = 2, over the cap of 262144 bits\n")
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
+    """main() parses with one parser per process; interleaved calls, a
+    usage error first, answer exactly as calls on a newly built parser."""
+    doc = write_code(tmp_path, "code.json",
+                     LinearCode(chain_ring(4, 3), 2, [(1, 7)]))
+    calls = [["count", "esd", "--q", "2"],
+             ["count", "linear", "--q", "2", "--n", "3"],
+             ["--help"],
+             ["code", "dual", doc],
+             ["count", "--help"],
+             ["count", "linear", "--q", "2", "--e", "65537", "--n", "1"],
+             ["count", "hsd", "--q", "4", "--range", "2:4", "--format", "json"],
+             []]
+    shared = [run(capsys, *argv) for argv in calls + calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls + calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in fresh[:len(calls)]] == [1, 0, 0, 0, 0, 2, 0, 1]
+
+
 @pytest.mark.parametrize("q,e,n,message", [
     ("6", "2", "1", "not a prime power: 6"), ("6", "3", "1", "not a prime power: 6"),
     ("2", "0", "1", "need n >= 1 and e >= 1"),

@@ -1,5 +1,7 @@
 """Tests for the closed-form code-counting formulas."""
 import itertools
+import time
+from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,9 @@ from chaincodes.chainring import chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN, field_rref
 from chaincodes.counting import (
     _MAX_DEPTH,
+    LINEAR_BITS_CAP,
+    _rogers_szego,
+    _row_sum,
     count_esd,
     count_hsd,
     count_linear,
@@ -69,6 +74,24 @@ def chain_sum_reference(q, e, n):
                 term *= q ** (hs[j + 1] * (n - hs[j]))
             total += term
     return total
+
+
+def linear_dp_reference(q, e, n):
+    """The chain sum as an e-step programme over the dimension, every step
+    g'[a] = sum_{b <= a} [n - b, a - b]_q q^(b (n - a)) g[b] from
+    g = [1, 0, ..., 0], then sum(g); it divides and builds its Gaussian
+    rows anew in every step, so past `gaussian_row` it shares nothing with
+    the library's Rogers-Szego route."""
+    g = gaussian_row(n, q)
+    for _ in range(e - 1):
+        g_next = [0] * (n + 1)
+        for b, x in enumerate(g):
+            weight = q ** (b * (n - b)) * x       # q^(b (n - a)) g[b] at a = b
+            for a, c in enumerate(gaussian_row(n - b, q), b):
+                g_next[a] += c * weight
+                weight //= q ** b
+        g = g_next
+    return sum(g)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +192,46 @@ def test_count_linear_matches_literal_chain_sum(q):
     for e in range(1, 6):
         for n in range(1, 9):
             assert count_linear(q, e, n) == chain_sum_reference(q, e, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_count_linear_matches_dynamic_programme(q):
+    for e in range(1, 6):
+        for n in range(1, 41):
+            assert count_linear(q, e, n) == linear_dp_reference(q, e, n), (e, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rogers_szego_values_match_gaussian_row_sums(q):
+    for h in range(61):
+        for c in range(7):
+            assert _rogers_szego(h, q, q ** c) == _row_sum(h, q, c), (h, c)
+
+
+def test_count_linear_at_length_300_is_pinned():
+    # residue and bit length computed once by linear_dp_reference (17.7 s
+    # on a 2-vCPU Xeon); the library answers in about 0.5 s
+    value = count_linear(2, 3, 300)
+    assert value % (2 ** 61 - 1) == 1259067240832744557
+    assert value.bit_length() == 67505
+
+
+@pytest.mark.parametrize("q,e,n", [(2, 1, 60), (2, 2, 60), (2, 3, 59),
+                                   (3, 3, 40), (4, 4, 30), (9, 5, 21),
+                                   (2, 7, 12), (5, 2, 1), (2, _MAX_DEPTH, 1)])
+def test_count_linear_bit_length_within_stated_slack(q, e, n):
+    estimate = e * (n * n // 4) * log2(q)
+    bits = count_linear(q, e, n).bit_length()
+    assert estimate <= bits <= estimate + e * (log2(n + 1) + 2) + 1
+
+
+@pytest.mark.parametrize("q,e,n", [(2, 3, 700), (9, 3, 333), (2, 4, 513),
+                                   (2, 2, 10 ** 400), (2, 65536, 5)])
+def test_count_linear_over_the_bit_cap_is_refused_at_once(q, e, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"over the cap of {LINEAR_BITS_CAP} bits"):
+        count_linear(q, e, n)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
