@@ -560,8 +560,13 @@ def enumerate_submodules(ring: ChainRing, n: int) -> Census:
 def enumerate_self_dual(ring: ChainRing, n: int,
                         inner: str = EUCLIDEAN) -> Census:
     """The self-dual codes of length n: the self-orthogonal submodules the
-    cover search reaches (see `_climb`) with |C|^2 = |R|^n."""
+    cover search reaches (see `_climb`) with |C|^2 = |R|^n.  At e = 3 a
+    census whose closed-form count of members would hold more than
+    CODEWORD_CAP codewords is refused before the search."""
     _check_inner(inner, ring.field)
+    if ring.e == 3 and n >= 1:
+        _check_bound(ring, n)
+        _check_codewords(ring, n, inner)
     view, bases = _climb(ring, n, inner)
     rank = ring.e * ring.field.m * n
     return _census_of(ring, n, f"self-dual-{inner}",

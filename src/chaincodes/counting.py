@@ -32,11 +32,14 @@ from .gf import factor_prime_power
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n."""
+    """Number of k-dimensional subspaces of GF(q)^n.  Since q^(k(n - k))
+    <= [n, k]_q < 3.47 q^(k(n - k)), the bit length exceeds that estimate
+    by at most 3; an estimate over COUNT_BITS_CAP is refused."""
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     if k < 0 or k > n:
         return 0
+    check_bits(k * (n - k), q)
     num = 1
     den = 1
     for i in range(k):
@@ -56,8 +59,51 @@ def gaussian_row(h: int, q: int) -> list[int]:
 
 # ChainRing caps the bit length of q^e at 2^16, so no chain ring is deeper
 _MAX_DEPTH = 1 << 16
-# largest linear-code count, in estimated bits, that count_linear computes
-LINEAR_BITS_CAP = 1 << 18
+# largest count, in estimated bits, that the closed forms here compute
+COUNT_BITS_CAP = 1 << 18
+
+
+def check_bits(exponent: int, q: int) -> None:
+    """Refuse a count estimated at q^exponent if that is over
+    COUNT_BITS_CAP bits; called before any big-integer work."""
+    # clipped first, since log2(q) >= 1 and a float cannot hold every int
+    if min(exponent, COUNT_BITS_CAP + 1) * log2(q) > COUNT_BITS_CAP:
+        raise ValueError(f"the count is about q^{exponent} with q = {q}, "
+                         f"over the cap of {COUNT_BITS_CAP} bits")
+
+
+def linear_exponent(e: int, n: int) -> int:
+    """X with q^X the estimate of count_linear(q, e, n) (see there)."""
+    return e * (n * n // 4)
+
+
+def self_dual_exponent(q: int, n: int, kind: str) -> int | None:
+    """X with q^X the estimate of the count of self-dual codes of length n
+    named by kind ("sigma-e", "sigma-h", "esd" or "hsd"); None when the
+    count is 0 for its length alone (odd n, or a Euclidean count with
+    q = 3 mod 4 and n = 2 mod 4).
+
+    With h = n/2, the estimate is never above the count: it keeps the top
+    term of every factor of sigma_e, sigma_h and of the Gaussian row sum.
+    The factors of sigma_e are under 2.39 times their top terms all told,
+    those of sigma_h under 1.76 times.  Since [h, k]_q < 3.47 q^(k(h - k)),
+    the row sum against q^(h k) is under 5.5 times its top term
+    q^(h^2), and the one against q^((h - 1) k) under 8 times q^(h^2 - h).
+    So the bit length exceeds the estimate by at most 7 bits (count_esd,
+    whose odd-q sigma has a factor 2), 4 bits (sigma_e), 5 bits (count_hsd)
+    or 2 bits (sigma_h), plus log2(q)/2 when the Hermitian exponents
+    3h^2/2 and h^2/2 are rounded down.
+    """
+    if n % 2 or (q % 4 == 3 and n % 4 and kind in ("sigma-e", "esd")):
+        return None
+    h = n // 2
+    if kind == "hsd":
+        return 3 * h * h // 2
+    if kind == "sigma-h":
+        return h * h // 2
+    if kind == "sigma-e":
+        return h * (h - 1) // 2
+    return h * (h - 1) // 2 + h * (h if q % 2 == 0 else h - 1)
 
 
 def _rogers_szego(h: int, q: int, x: int) -> int:
@@ -94,7 +140,7 @@ def count_linear(q: int, e: int, n: int) -> int:
     chain with every h_j = floor(n / 2) alone gives q^(e floor(n^2 / 4)),
     and each of the at most (n + 1)^e chains gives under 4^e times that, so
     the bit length exceeds the estimate by at most e (log2(n + 1) + 2) + 1.
-    An estimate over LINEAR_BITS_CAP is refused, as are depths over
+    An estimate over COUNT_BITS_CAP is refused, as are depths over
     _MAX_DEPTH, before any big-integer work.
     """
     if n < 1 or e < 1:
@@ -103,11 +149,7 @@ def count_linear(q: int, e: int, n: int) -> int:
     if e > _MAX_DEPTH:
         raise ValueError(f"depth e = {e} is over {_MAX_DEPTH}, "
                          f"the largest a chain ring allows")
-    exponent = e * (n * n // 4)                # the count is about q^exponent
-    # clipped first, since log2(q) >= 1 and a float cannot hold every int
-    if min(exponent, LINEAR_BITS_CAP + 1) * log2(q) > LINEAR_BITS_CAP:
-        raise ValueError(f"the count is about q^{exponent} with q = {q}, "
-                         f"over the cap of {LINEAR_BITS_CAP} bits")
+    check_bits(linear_exponent(e, n), q)
     top = gaussian_row(n, q)
     if e == 1:
         return sum(top)
@@ -130,38 +172,57 @@ def count_linear(q: int, e: int, n: int) -> int:
     return sum(t * y * ends[n - b] for b, (t, y) in enumerate(zip(top, f)))
 
 
-def sigma_e(q: int, n: int) -> int:
-    """Number of Euclidean self-dual codes of length n over GF(q)."""
+def _checked_exponent(q: int, n: int, kind: str) -> int | None:
+    """`self_dual_exponent` after validating q and n, refused over
+    COUNT_BITS_CAP.  sigma_h wants a square q at every length, count_hsd
+    only where the count is not 0 by its length alone."""
     factor_prime_power(q)
+    if kind == "sigma-h":
+        _square_root(q)
     if n < 1:
         raise ValueError("need n >= 1")
-    if n % 2:
-        return 0
+    exponent = self_dual_exponent(q, n, kind)
+    if exponent is None:
+        return None
+    if kind == "hsd":
+        _square_root(q)
+    check_bits(exponent, q)
+    return exponent
+
+
+def _square_root(q: int) -> int:
+    r = isqrt(q)
+    if r * r != q:
+        raise ValueError(f"Hermitian counts need a square field order, got q={q}")
+    return r
+
+
+def _sigma(q: int, n: int, hermitian: bool) -> int:
+    """sigma_h or sigma_e at an even n where it is not 0, unchecked."""
     prod = 1
+    if hermitian:
+        r = isqrt(q)
+        for i in range(n // 2):
+            prod *= r ** (2 * i + 1) + 1
+        return prod
     for i in range(1, n // 2):
         prod *= q ** i + 1
-    if q % 2 == 0:
-        return prod
-    if q % 4 == 1:
-        return 2 * prod
-    # q = 3 mod 4: self-dual codes exist only when 4 divides n
-    return 2 * prod if n % 4 == 0 else 0
+    return prod if q % 2 == 0 else 2 * prod
+
+
+def sigma_e(q: int, n: int) -> int:
+    """Number of Euclidean self-dual codes of length n over GF(q); 0 for
+    odd n, and for q = 3 mod 4 unless 4 divides n."""
+    if _checked_exponent(q, n, "sigma-e") is None:
+        return 0
+    return _sigma(q, n, False)
 
 
 def sigma_h(q: int, n: int) -> int:
     """Number of Hermitian self-dual codes of length n over GF(q), q square."""
-    factor_prime_power(q)
-    r = isqrt(q)
-    if r * r != q:
-        raise ValueError(f"Hermitian counts need a square field order, got q={q}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n % 2:
+    if _checked_exponent(q, n, "sigma-h") is None:
         return 0
-    prod = 1
-    for i in range(n // 2):
-        prod *= r ** (2 * i + 1) + 1
-    return prod
+    return _sigma(q, n, True)
 
 
 def _row_sum(h: int, q: int, c: int) -> int:
@@ -174,31 +235,24 @@ def _row_sum(h: int, q: int, c: int) -> int:
 
 
 def count_esd(q: int, n: int) -> int:
-    """Number of Euclidean self-dual codes of length n over GF(q)[u]/(u^3)."""
-    factor_prime_power(q)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n % 2:
-        return 0
-    sig = sigma_e(q, n)
-    if sig == 0:
+    """Number of Euclidean self-dual codes of length n over GF(q)[u]/(u^3).
+    A count estimated over COUNT_BITS_CAP is refused (see
+    `self_dual_exponent`)."""
+    if _checked_exponent(q, n, "esd") is None:
         return 0
     half = n // 2
     exp_base = half if q % 2 == 0 else half - 1
-    return sig * _row_sum(half, q, exp_base)
+    return _sigma(q, n, False) * _row_sum(half, q, exp_base)
 
 
 def count_hsd(q: int, n: int) -> int:
     """Number of Hermitian self-dual codes of length n over GF(q)[u]/(u^3).
 
-    Odd lengths give 0 outright; even lengths require a square q.
+    Odd lengths give 0 outright; even lengths require a square q.  A count
+    estimated over COUNT_BITS_CAP is refused (see `self_dual_exponent`).
     """
-    factor_prime_power(q)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n % 2:
+    if _checked_exponent(q, n, "hsd") is None:
         return 0
-    sig = sigma_h(q, n)  # validates squareness
     half = n // 2
-    return sig * _row_sum(half, q, half)
+    return _sigma(q, n, True) * _row_sum(half, q, half)
 

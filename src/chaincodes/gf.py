@@ -181,7 +181,7 @@ def digit_neg(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# eager tables of a GF(p)-bilinear product on base-p digit strings
+# eager tables of GF(p)-linear and -bilinear maps on base-p digit strings
 
 def _span(p: int, basis: list, zero, plus) -> list:
     """Every GF(p)-combination sum d_k * basis[k], listed at its code
@@ -196,25 +196,39 @@ def _span(p: int, basis: list, zero, plus) -> list:
     return out
 
 
-def bilinear_tables(p: int, digits: int, product) -> tuple[list, list]:
-    """The add and mul tables on the codes of `digits` base-p digits, for
-    a product that is GF(p)-bilinear in those digits.
-
-    Row a of the add table is row a - p^k composed with the row
-    b -> p^k + b.  Row a of the mul table is row a - p^k plus row p^k,
-    added entry by entry through the add table, and row p^k is built the
-    same way in b from the products of p^k with each p^t.  So `product` is
-    called digits^2 times, on pairs of digit units only.
-    """
+def add_table(p: int, digits: int) -> list:
+    """The digitwise add table on the codes of `digits` base-p digits: row
+    a is row a - p^k composed with the row b -> p^k + b."""
     n = p ** digits
     units = [p ** k for k in range(digits)]
-    add = _span(p, [[digit_add(u, b, p) for b in range(n)] for u in units],
-                list(range(n)), lambda row, shifted: [row[b] for b in shifted])
-    unit_rows = [_span(p, [product(u, t) for t in units], 0,
-                       lambda x, y: add[x][y]) for u in units]
-    mul = _span(p, unit_rows, [0] * n,
-                lambda row, v: [add[x][y] for x, y in zip(row, v)])
-    return add, mul
+    return _span(p, [[digit_add(u, b, p) for b in range(n)] for u in units],
+                 list(range(n)), lambda row, shifted: [row[b] for b in shifted])
+
+
+def linear_table(p: int, add: list, images: list) -> list:
+    """The table of a GF(p)-linear map on the codes of `add`, from the
+    images of the digit units p^k; one `add` lookup per entry."""
+    return _span(p, images, 0, lambda x, y: add[x][y])
+
+
+def bilinear_table(p: int, add: list, unit_products: list) -> list:
+    """The table of a GF(p)-bilinear product on the codes of `add`, from
+    unit_products[k][t], the product of the digit units p^k and p^t.  Row
+    p^k is `linear_table` of unit_products[k]; row a is row a - p^k plus
+    row p^k, added entry by entry through `add`."""
+    rows = [linear_table(p, add, images) for images in unit_products]
+    return _span(p, rows, [0] * len(add),
+                 lambda row, v: [add[x][y] for x, y in zip(row, v)])
+
+
+def bilinear_tables(p: int, digits: int, product) -> tuple[list, list]:
+    """The add and mul tables on the codes of `digits` base-p digits, for
+    a product that is GF(p)-bilinear in those digits; `product` is called
+    digits^2 times, on pairs of digit units only."""
+    units = [p ** k for k in range(digits)]
+    add = add_table(p, digits)
+    return add, bilinear_table(p, add, [[product(u, t) for t in units]
+                                        for u in units])
 
 
 # ---------------------------------------------------------------------------

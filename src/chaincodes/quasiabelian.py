@@ -582,6 +582,10 @@ def chain_to_cyclic(ring: ChainRing, group: AbelianGroup,
 # ---------------------------------------------------------------------------
 # closed-form counts of quasi-abelian codes and their self-dual subfamilies
 
+# the `counting` kind of the self-dual codes each factor type holds
+_SELF_DUAL_KIND = {"I": "esd", "II": "hsd", "I'": "hsd"}
+
+
 def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
            kind: str | None) -> int:
     """Validate the arguments, decompose, and multiply per-factor counts.
@@ -592,6 +596,13 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
     self-dual ones, and types III and II' pair each orbit with its dual
     orbit, so each pair carries one free linear code.  The self-dual closed
     forms hold for depth 3 only, so other depths are refused.
+
+    The product is estimated, before any count is taken, as the sum over
+    the factors of their `counting` estimates times the number of factor
+    counts multiplied in; in powers of p that is never above the product,
+    and under it by at most the sum of the factors' slacks.  An estimate
+    over counting.COUNT_BITS_CAP is refused, and a self-dual factor that
+    is 0 by its length alone makes the product 0 outright.
     """
     e = _chain_depth(p, m, s)
     if n < 1:
@@ -601,20 +612,32 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
     if kind and e != 3:
         raise ValueError(f"self-dual counts have closed forms for depth 3 "
                          f"only, got depth {e}")
-    total = 1
+    terms = []                          # (factor field order, power, kind)
+    exponent = 0                        # of the estimate, a power of p
+    linear = counting.linear_exponent(e, n)
     for f in decompose(p, m, s, group).factors:
-        qf = p ** f.degree
         label = getattr(f, kind) if kind else None
-        if label is None:
-            total *= counting.count_linear(qf, e, n) ** f.multiplicity
-        elif label == "I":
-            total *= counting.count_esd(qf, n) ** f.multiplicity
-        elif label in ("II", "I'"):
-            total *= counting.count_hsd(qf, n) ** f.multiplicity
-        else:
-            if f.multiplicity % 2:
+        power = f.multiplicity
+        if label in ("III", "II'"):
+            if power % 2:
                 raise AssertionError("paired orbits failed to pair up")
-            total *= counting.count_linear(qf, e, n) ** (f.multiplicity // 2)
+            power //= 2
+        qf = p ** f.degree
+        sd = _SELF_DUAL_KIND.get(label)
+        x = linear if sd is None else counting.self_dual_exponent(qf, n, sd)
+        if x is None:
+            return 0
+        exponent += power * f.degree * x
+        terms.append((qf, power, sd))
+    counting.check_bits(exponent, p)
+    total = 1
+    for qf, power, sd in terms:
+        if sd is None:
+            total *= counting.count_linear(qf, e, n) ** power
+        elif sd == "esd":
+            total *= counting.count_esd(qf, n) ** power
+        else:
+            total *= counting.count_hsd(qf, n) ** power
     return total
 
 

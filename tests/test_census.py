@@ -736,6 +736,18 @@ def test_e3_self_dual_routes_refuse_hopeless_sizes():
         enumerate_sd_standard_forms(chain_ring(3, 3), 10, EUCLIDEAN)
 
 
+def test_climb_refuses_e3_censuses_over_the_codeword_cap():
+    """R(2,3)^8 passes the 2^24 vector bound, but its 18,383,895 self-dual
+    codes hold 7.5e10 codewords: the climb is refused before it starts.
+    NH(4,4), the largest census the climb has run, stays inside."""
+    assert count_esd(2, 8) == 18383895
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="codeword cap"):
+        enumerate_self_dual(chain_ring(2, 3), 8, EUCLIDEAN)
+    assert time.perf_counter() - start < 1
+    assert count_hsd(4, 4) * 64 ** 2 <= CODEWORD_CAP
+
+
 def test_standard_form_sweep_guards():
     with pytest.raises(ValueError):
         enumerate_sd_standard_forms(chain_ring(2, 2), 2, EUCLIDEAN)

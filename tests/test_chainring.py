@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers
 
 from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring, ring_over
-from chaincodes.gf import digit_add, field_make
+from chaincodes.gf import Field, digit_add, digit_neg, digit_sub, field_make
 
 MAX_EXAMPLES = 200
 
 SMALL_RINGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4), (5, 2)]
-# above the 256-element table limit: add, neg and mul take the slow path
+# above the 256-element table limit: R(9,3) splits into tabled halves of
+# 81 elements, R(16,3)'s halves (256) are too large and keep the digit loops
 SLOW_RINGS = [(9, 3), (16, 3)]
+# the regime each ring above the table limit takes: halves of q^ceil(e/2)
+# elements are tabled up to 128 of them
+HALF_RINGS = {(9, 3): "half", (8, 3): "half", (3, 6): "half", (4, 5): "half",
+              (2, 9): "half", (3, 7): "half", (16, 3): "digits"}
 # table-path rings at the 256-element limit, and with odd p
 TABLE_EDGE_RINGS = [(16, 2), (4, 4), (2, 8), (9, 2), (5, 3)]
 
@@ -73,6 +78,80 @@ def test_multiplication_matches_digit_convolution(q, e):
         p = r.field.p
         assert r._add_table == [[digit_add(a, b, p) for b in els] for a in els]
         assert r._val_table == [r._valuation_slow(a) for a in els]
+
+
+def regime(ring) -> str:
+    if ring._mul_table is not None:
+        return "table"
+    return "digits" if ring._half is None else "half"
+
+
+def gf9_alt_ring():
+    """R(9,3) over GF(9) with the non-canonical modulus x^2 + x + 2."""
+    return ring_over(Field(3, 2, [2, 1, 1]), 3)
+
+
+@pytest.mark.parametrize("ring", [chain_ring(q, e) for q, e in HALF_RINGS]
+                         + [chain_ring(4, 3), gf9_alt_ring()], ids=repr)
+def test_every_regime_matches_the_digit_loops(ring):
+    f, p = ring.field, ring.field.p
+    els = list(ring.elements())
+    sample = els[:: max(1, len(els) // 40)] + [els[-1]]
+    for a in sample:
+        assert ring.neg(a) == digit_neg(a, p)
+        if f.has_conjugation:
+            digits = [f.conjugate(d) for d in ring.decode(a)]
+            assert ring.conjugate(a) == ring.encode(digits)
+        if ring.is_unit(a):
+            assert ring.unit_inverse(a) == ring._unit_inverse_slow(a)
+        for b in sample:
+            assert ring.add(a, b) == digit_add(a, b, p)
+            assert ring.sub(a, b) == digit_sub(a, b, p)
+            assert ring.mul(a, b) == brute_mul(ring, a, b)
+
+
+@pytest.mark.parametrize("ring", [chain_ring(9, 3), gf9_alt_ring()], ids=repr)
+def test_half_tables_invert_every_unit(ring):
+    for a in ring.elements():
+        if ring.is_unit(a):
+            inv = ring.unit_inverse(a)
+            assert inv == ring._unit_inverse_slow(a) and ring.mul(a, inv) == 1
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ring.unit_inverse(a)
+
+
+def test_each_ring_takes_its_regime():
+    got = {(q, e): regime(chain_ring(q, e)) for q, e in HALF_RINGS}
+    assert got == HALF_RINGS
+    assert regime(gf9_alt_ring()) == "half"
+    for q, e in SMALL_RINGS + TABLE_EDGE_RINGS:
+        assert regime(chain_ring(q, e)) == "table"
+    # a ring over 256 elements whose halves are at the limit of 128
+    assert regime(chain_ring(2, 14)) == "half"
+    assert regime(chain_ring(2, 15)) == "digits"
+    # conjugation is tabled with the rest, and refused without a square q
+    assert chain_ring(9, 3)._half.conj is not None
+    assert chain_ring(8, 3)._half.conj is None
+    with pytest.raises(ValueError):
+        chain_ring(8, 3).conjugate(1)
+
+
+def test_half_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):
+    calls = []
+    slow = ChainRing._mul_slow
+
+    def counted(ring, a, b):
+        calls.append((a, b))
+        return slow(ring, a, b)
+    monkeypatch.setattr(ChainRing, "_mul_slow", counted)
+    ring = ChainRing(field_make(3, 2), 3)  # R(9,3): halves of h*m = 4 digits
+    units = [3 ** k for k in range(4)]
+    assert sorted(calls) == [(a, b) for a in units for b in units]
+    calls.clear()
+    ring.mul(300, 500)
+    ring.unit_inverse(301)
+    assert calls == []
 
 
 def test_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):

@@ -138,6 +138,19 @@ def test_count_linear_over_the_bit_cap_exits_two_at_once(capsys):
                    "q = 2, over the cap of 262144 bits\n")
 
 
+@pytest.mark.parametrize("argv,exponent,q", [
+    (("esd", "--q", "2", "--n", "20000"), 149995000, 2),
+    (("qa", "--p", "3", "--A", ",".join(["2"] * 10), "--n", "150"), 17280000, 3)])
+def test_self_dual_and_qa_counts_over_the_bit_cap_exit_two_at_once(
+        capsys, argv, exponent, q):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"chaincodes: error: the count is about q^{exponent} with "
+                   f"q = {q}, over the cap of 262144 bits\n")
+
+
 def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
     """main() parses with one parser per process; interleaved calls, a
     usage error first, answer exactly as calls on a newly built parser."""

@@ -16,7 +16,7 @@ from chaincodes.chainring import chain_ring
 from chaincodes.codes import EUCLIDEAN, HERMITIAN, field_rref
 from chaincodes.counting import (
     _MAX_DEPTH,
-    LINEAR_BITS_CAP,
+    COUNT_BITS_CAP,
     _rogers_szego,
     _row_sum,
     count_esd,
@@ -24,6 +24,7 @@ from chaincodes.counting import (
     count_linear,
     gaussian_binomial,
     gaussian_row,
+    self_dual_exponent,
     sigma_e,
     sigma_h,
 )
@@ -229,7 +230,7 @@ def test_count_linear_bit_length_within_stated_slack(q, e, n):
                                    (2, 2, 10 ** 400), (2, 65536, 5)])
 def test_count_linear_over_the_bit_cap_is_refused_at_once(q, e, n):
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"over the cap of {LINEAR_BITS_CAP} bits"):
+    with pytest.raises(ValueError, match=f"over the cap of {COUNT_BITS_CAP} bits"):
         count_linear(q, e, n)
     assert time.perf_counter() - start < 1
 
@@ -307,6 +308,62 @@ def test_count_hsd_checks_squareness_only_for_even_lengths():
         count_hsd(2, 2)
     with pytest.raises(ValueError):
         count_hsd(3, 4)
+
+
+SELF_DUAL_COUNTS = {"esd": count_esd, "hsd": count_hsd,
+                    "sigma-e": sigma_e, "sigma-h": sigma_h}
+# bits the bit length may exceed the estimate by, plus log2(q)/2 for the
+# rounded-down Hermitian exponents
+SELF_DUAL_SLACK = {"esd": 7, "sigma-e": 4, "hsd": 5, "sigma-h": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(SELF_DUAL_COUNTS))
+def test_self_dual_bit_length_within_stated_slack(kind):
+    hermitian = kind in ("hsd", "sigma-h")
+    for q in ((4, 9, 16, 25, 64, 81, 121, 1024) if hermitian
+              else (2, 3, 4, 5, 7, 8, 9, 11, 27, 125, 128, 243)):
+        for n in range(1, 121):
+            value = SELF_DUAL_COUNTS[kind](q, n)
+            exponent = self_dual_exponent(q, n, kind)
+            assert (value == 0) == (exponent is None), (q, n)
+            if value:
+                estimate = exponent * log2(q)
+                slack = SELF_DUAL_SLACK[kind] + (log2(q) / 2 if hermitian else 0)
+                assert estimate <= value.bit_length() <= estimate + slack, (q, n)
+
+
+@pytest.mark.parametrize("kind,q,n", [("esd", 2, 20000), ("esd", 3, 10 ** 400),
+                                      ("hsd", 9, 2000), ("sigma-e", 2, 10 ** 6),
+                                      ("sigma-h", 4, 2000), ("esd", 5, 1700)])
+def test_self_dual_counts_over_the_bit_cap_are_refused_at_once(kind, q, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"over the cap of {COUNT_BITS_CAP} bits"):
+        SELF_DUAL_COUNTS[kind](q, n)
+    assert time.perf_counter() - start < 1
+
+
+def test_gaussian_binomial_bit_length_and_cap():
+    for q in (2, 3, 4, 6, 9):
+        for n in range(0, 41):
+            for k in range(n + 1):
+                estimate = k * (n - k) * log2(q)
+                bits = gaussian_binomial(n, k, q).bit_length()
+                assert estimate <= bits <= estimate + 3, (q, n, k)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"over the cap of {COUNT_BITS_CAP} bits"):
+        gaussian_binomial(4000, 2000, 2)
+    assert time.perf_counter() - start < 1
+    assert gaussian_binomial(10 ** 9, 10 ** 9 + 1, 2) == 0
+
+
+def test_self_dual_bit_cap_leaves_zero_counts_and_the_largest_pins():
+    # counts that are 0 by their length alone are answered, whatever n
+    assert count_esd(3, 10 ** 6 + 2) == 0 == count_esd(2, 10 ** 9 + 1)
+    assert count_hsd(4, 10 ** 9 + 1) == 0 == count_hsd(2, 10 ** 9 + 1)
+    with pytest.raises(ValueError, match="square field order"):
+        count_hsd(2, 10 ** 9)
+    # the largest self-dual count the benchmark's golden file pins
+    assert count_hsd(9, 300).bit_length() == 106986
 
 
 def test_count_domain_errors():

@@ -11,7 +11,14 @@ from hypothesis.strategies import integers
 
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import ChainRing, chain_ring
-from chaincodes.counting import count_esd, count_hsd, count_linear
+from chaincodes.counting import (
+    COUNT_BITS_CAP,
+    count_esd,
+    count_hsd,
+    count_linear,
+    linear_exponent,
+    self_dual_exponent,
+)
 from chaincodes.gf import DEFAULT_MAX_ORDER, factor_prime_power, field_make
 from chaincodes.quasiabelian import (
     AbelianGroup,
@@ -666,3 +673,32 @@ def test_count_qa_gates_unproven_depths():
         count_qa_hsd(2, 2, 2, z2, 2)
     with pytest.raises(ValueError, match="depth 3 only, got depth 2"):
         count_qa_esd(2, 1, 1, AbelianGroup.from_spec("7"), 2)
+
+
+@pytest.mark.parametrize("count,m,spec,n", [
+    (count_qa, 1, ",".join(["2"] * 10), 150),     # 1,024 factors of 26.7 k bits
+    (count_qa_esd, 1, ",".join(["2"] * 10), 200),
+    (count_qa_hsd, 2, "2,2,2,2,2", 400),
+])
+def test_count_qa_over_the_bit_cap_is_refused_at_once(count, m, spec, n):
+    """The factors' estimates, times their multiplicities, add up over the
+    cap before any factor is counted."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"over the cap of {COUNT_BITS_CAP} bits"):
+        count(3, m, 1, AbelianGroup.from_spec(spec), n)
+    assert time.perf_counter() - start < 1
+
+
+def test_count_qa_estimate_is_the_sum_of_the_factor_estimates():
+    # the benchmark's largest qa count, over F_3[A x Z_3] with
+    # A = Z_125 x Z_128, stays inside the cap
+    group = AbelianGroup.from_spec("125,128")
+    value = count_qa(3, 1, 1, group, 2)
+    estimate = sum(f.multiplicity * f.degree * linear_exponent(3, 2)
+                   for f in decompose(3, 1, 1, group).factors) * math.log2(3)
+    assert estimate <= value.bit_length() == 76084 <= COUNT_BITS_CAP
+    # a self-dual factor that is 0 by its length alone makes the count 0,
+    # however large the other factors are
+    assert self_dual_exponent(3, 2, "esd") is None
+    assert count_qa_esd(3, 1, 1, AbelianGroup.from_spec(",".join(["2"] * 10)),
+                        10 ** 6 + 2) == 0
