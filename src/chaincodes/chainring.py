@@ -66,9 +66,36 @@ class _HalfTables:
     """The tables of a ring split as a = a_l + Q*a_h (see the module
     docstring): add, sub, lo and hi are Q x Q, neg, conj and inv have Q
     entries, conj is None without a conjugation, and inv[x] is the inverse
-    in R of the low unit x (0 for non-units)."""
+    in R of the low unit x (0 for non-units).
+
+    Each entry is one lookup in the tables built before it; the (h*m)^2
+    products of digit units are the only slow products."""
 
     __slots__ = ("Q", "T", "add", "sub", "neg", "conj", "lo", "hi", "inv")
+
+    def __init__(self, ring: ChainRing):
+        f, p = ring.field, ring.field.p
+        h = (ring.e + 1) // 2
+        Q, T = ring.q ** h, ring.q ** (ring.e - h)
+        units = [p ** k for k in range(h * f.m)]
+        A = add_table(p, h * f.m)
+        N = linear_table(p, A, [(p - 1) * t for t in units])
+        products = [[ring._mul_slow(s, t) for t in units] for s in units]
+        L = bilinear_table(p, A, [[x % Q for x in row] for row in products])
+        H = bilinear_table(p, A, [[x // Q for x in row] for row in products])
+        # y = L[x].index(1) inverts x modulo u^h, so x*y = 1 + Q*H[x][y],
+        # and one Newton step y*(2 - x*y) = y - Q*(y*H[x][y]) lifts it to R
+        inv = [0] * Q
+        for x in range(Q):
+            if x % ring.q:
+                y = L[x].index(1)
+                inv[x] = y + Q * N[L[y][H[x][y]] % T]
+        self.Q, self.T, self.add, self.neg, self.lo, self.hi = Q, T, A, N, L, H
+        self.sub = [[row[y] for y in N] for row in A]         # A[x][N[y]]
+        self.inv = inv
+        self.conj = linear_table(
+            p, A, [ring._conjugate_slow(t) for t in units]
+        ) if f.has_conjugation else None
 
 
 class ChainRing:
@@ -95,7 +122,7 @@ class ChainRing:
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
         elif self.q ** ((e + 1) // 2) <= _HALF_TABLE_LIMIT:
-            self._build_half_tables()
+            self._half = _HalfTables(self)
 
     # -- representation ------------------------------------------------------
 
@@ -200,35 +227,6 @@ class ChainRing:
             self._conj_table = linear_table(
                 f.p, self._add_table,
                 [self._conjugate_slow(f.p ** k) for k in range(digits)])
-
-    def _build_half_tables(self) -> None:
-        """Tables over the low halves, each entry one lookup in the tables
-        built before it; the (h*m)^2 products of digit units are the only
-        slow products."""
-        f, p = self.field, self.field.p
-        h = (self.e + 1) // 2
-        Q, T = self.q ** h, self.q ** (self.e - h)
-        units = [p ** k for k in range(h * f.m)]
-        A = add_table(p, h * f.m)
-        N = linear_table(p, A, [(p - 1) * t for t in units])
-        products = [[self._mul_slow(s, t) for t in units] for s in units]
-        L = bilinear_table(p, A, [[x % Q for x in row] for row in products])
-        H = bilinear_table(p, A, [[x // Q for x in row] for row in products])
-        # y = L[x].index(1) inverts x modulo u^h, so x*y = 1 + Q*H[x][y],
-        # and one Newton step y*(2 - x*y) = y - Q*(y*H[x][y]) lifts it to R
-        inv = [0] * Q
-        for x in range(Q):
-            if x % self.q:
-                y = L[x].index(1)
-                inv[x] = y + Q * N[L[y][H[x][y]] % T]
-        half = _HalfTables()
-        half.Q, half.T, half.add, half.neg, half.lo, half.hi = Q, T, A, N, L, H
-        half.sub = [[row[y] for y in N] for row in A]         # A[x][N[y]]
-        half.inv = inv
-        half.conj = linear_table(
-            p, A, [self._conjugate_slow(t) for t in units]
-        ) if f.has_conjugation else None
-        self._half = half
 
     # -- chain structure --------------------------------------------------------
 
