@@ -18,8 +18,8 @@ XOR closure of the basis rows' codes; for odd p the whole span is built in
 one int, a codeword per byte-aligned window of whole lanes, and one
 multiplication reads every window's code at once (see
 `_FpView.fingerprint` for why no carry crosses a window).  Neither is
-sorted: with the basis echelonized on each row's top lane and the rows
-added in increasing pivot order, the span comes out in code order.
+sorted: every basis in the view pivots on each row's top lane, so with the
+rows added in increasing pivot order the span comes out in code order.
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -95,6 +95,11 @@ class _FpView:
     with nothing carried in from below, which needs 2^L >= p^w.  So a row
     takes about w^2 * log2(p) bits: a few hundred at census sizes, where
     p^w = |R|^n is at most the oracle bound.
+
+    A basis is kept in reduced echelon form with each row's pivot, 1, on
+    its top nonzero lane, every other row 0 there, and the rows in
+    increasing pivot order; it is canonical, one per GF(p)-span, and it is
+    the basis `fingerprint` needs as it stands.
 
     An odd-p fingerprint lays whole rows side by side in one int, each in
     a window of W = w'*L bits, w' >= w lanes with W a multiple of 8, so
@@ -203,24 +208,26 @@ class _FpView:
         GF(q)-subspaces (pivot lanes come in whole blocks of m lanes, the
         GF(q)-coordinates), so reduction mod M is a GF(q)-linear projection
         onto C and S/M is the kernel K of v -> u*v mod M on C.  K comes out
-        of one elimination over the unit rows of C, from the top lane down,
-        each paired with its image: u*e_i is e_(i+m), which reduces mod M to
-        itself off the pivots and to e_P - r_P on the pivot P of the basis
-        row r_P.  A source whose image cancels is a kernel row with its
-        pivot on its own lane, so K's reduced echelon basis builds up as it
-        goes.  K is x-closed, so its rows come in blocks of m: a row g with
-        the field element 1 in its leading block, followed by x g, ...,
-        x^(m-1) g.  The lines of K are then g plus any GF(p) combination of
-        the rows of later blocks, once per leading block.  Every line vector
-        is zero on M's pivots and has 1 in its leading block, so its rows
-        x^j v are already reduced against M and against each other.
+        of one elimination over the unit rows of C, from the lowest lane
+        up, each paired with its image: u*e_i is e_(i+m), which reduces mod
+        M to itself off the pivots and to e_P - r_P on the pivot P of the
+        basis row r_P.  A source whose image cancels is a kernel row with
+        its pivot on its own lane, its top lane, so K's reduced echelon
+        basis builds up as it goes.  K is x-closed, so its rows come in
+        blocks of m: a row g with the field element 1 in its leading (top
+        nonzero) block, g pivoting on that block's lane 0, followed by
+        x g, ..., x^(m-1) g.  The lines of K are then g plus any GF(p)
+        combination of the rows of lower blocks, once per leading block.
+        Every line vector is zero on M's pivots and has 1 in its leading
+        block, so its rows x^j v are already reduced against M and against
+        each other.
         """
         p, lane, mask, m, reduce = self.p, self.lane, self.lane_mask, self.m, self.reduce
         pivot_row = dict(zip(pivots, basis))
         step = m * lane
         images: dict[int, tuple[int, int]] = {}   # pivot bit -> (image, source)
-        kernel: list[tuple[int, int]] = []        # (row, pivot bit), pivots descending
-        for bit in range(self._gather_shift, -1, -lane):
+        kernel: list[tuple[int, int]] = []        # (row, pivot bit), pivots ascending
+        for bit in range(0, self._gather_shift + 1, lane):
             if bit in pivot_row:
                 continue
             src = 1 << bit
@@ -232,9 +239,9 @@ class _FpView:
             else:
                 img = 0                            # u*e_i = 0 at the top u-power
             while img:
-                low = (img & -img).bit_length() - 1
-                pc = low - low % lane
-                c = (img >> pc) & mask
+                top = img.bit_length() - 1
+                pc = top - top % lane
+                c = img >> pc
                 hit = images.get(pc)
                 if hit is None:
                     inv = pow(c, p - 2, p)
@@ -244,17 +251,17 @@ class _FpView:
                 img = reduce(img + (p - c) * bimg)
                 src = reduce(src + (p - c) * bsrc)
             else:
-                # every kernel row so far pivots above this lane and is zero here
+                # every kernel row so far pivots below this lane and is zero here
                 for krow, kbit in kernel:
                     c = (src >> kbit) & mask
                     if c:
                         src = reduce(src + (p - c) * krow)
                 kernel.append((src, bit))
-        rows = [row for row, _ in reversed(kernel)]
+        rows = [row for row, _ in kernel]
         lines = []
         for lead in range(0, len(rows), m):
             acc = [rows[lead]]
-            for row in rows[lead + m:]:
+            for row in rows[:lead]:
                 if p == 2:
                     acc += [v ^ row for v in acc]
                 else:
@@ -265,7 +272,7 @@ class _FpView:
 
     def reduce_row(self, basis, pivots, row: int) -> int:
         """The row minus its projection on a reduced echelon basis; pivots
-        are the bit offsets of the basis rows' leading lanes."""
+        are the bit offsets of the basis rows' top lanes."""
         p, mask = self.p, self.lane_mask
         for brow, bp in zip(basis, pivots):
             c = (row >> bp) & mask
@@ -279,8 +286,8 @@ class _FpView:
         row = self.reduce_row(basis, pivots, row)
         if not row:
             return False
-        low = (row & -row).bit_length() - 1
-        c = (row >> (low - low % self.lane)) & self.lane_mask
+        top = row.bit_length() - 1
+        c = row >> (top - top % self.lane)
         if c != 1:
             row = self.reduce(row * pow(c, self.p - 2, self.p))
         self.insert_reduced(basis, pivots, row)
@@ -288,10 +295,10 @@ class _FpView:
 
     def insert_reduced(self, basis: list, pivots: list, row: int) -> None:
         """Insert a row that is zero on the basis pivots and 1 on its own
-        lowest lane: only that new pivot is cleared out of the basis."""
+        top lane: only that new pivot is cleared out of the basis."""
         p, mask = self.p, self.lane_mask
-        low = (row & -row).bit_length() - 1
-        pc = low - low % self.lane
+        top = row.bit_length() - 1
+        pc = top - top % self.lane
         for idx, brow in enumerate(basis):
             c = (brow >> pc) & mask
             if c:
@@ -310,51 +317,22 @@ class _FpView:
                 self.insert_row(basis, pivots, row)
         return basis
 
-    def top_echelon(self, basis) -> list[int]:
-        """The reduced echelon basis of the same span whose rows each have
-        their pivot, 1, on their top lane, in increasing pivot order.  An
-        echelon first: while a row's top lane is a pivot, a multiple of
-        that pivot's row is subtracted.  Then, from the lowest pivot up,
-        each row is cleared on the pivots below its own, whose rows are
-        reduced by then."""
-        p, lane, mask, reduce = self.p, self.lane, self.lane_mask, self.reduce
-        tops: dict[int, int] = {}                   # pivot bit -> row
-        for row in basis:
-            while True:
-                top = row.bit_length() - 1
-                pc = top - top % lane
-                prow = tops.get(pc)
-                if prow is None:
-                    break
-                row = reduce(row + (p - (row >> pc)) * prow)
-            c = row >> pc
-            tops[pc] = row if c == 1 else reduce(row * pow(c, p - 2, p))
-        rows: list[tuple[int, int]] = []            # (pivot bit, row)
-        for pc in sorted(tops):
-            row = tops[pc]
-            for bpc, brow in rows:
-                c = (row >> bpc) & mask
-                if c:
-                    row = reduce(row + (p - c) * brow)
-            rows.append((pc, row))
-        return [row for _, row in rows]
-
     def fingerprint(self, basis) -> tuple[int, ...]:
         """Every vector in the GF(p)-span, encoded as a single integer in
         base |R| (coordinate 0 least significant), sorted.
 
-        The span comes out sorted with no sort: the basis is re-echelonized
-        so that each row's pivot is its top lane, and the rows are added
-        in increasing pivot order, each new row's coefficient the most
-        significant digit of a word's place.  Two words agree above the
-        highest pivot where their coefficients differ (every row is zero
-        above its pivot), and at that pivot each holds its own coefficient
-        (no other row is nonzero there), so their codes compare as those
-        coefficients do, and so as their places do.
+        The basis must be the view's reduced echelon basis, in increasing
+        pivot order, as `insert_row` and `insert_reduced` keep it.  Then
+        the span comes out sorted with no sort: each row's pivot is its top
+        lane, and the rows are added in pivot order, each new row's
+        coefficient the most significant digit of a word's place.  Two
+        words agree above the highest pivot where their coefficients differ
+        (every row is zero above its pivot), and at that pivot each holds
+        its own coefficient (no other row is nonzero there), so their codes
+        compare as those coefficients do, and so as their places do.
 
         For p = 2 a row's code is its lanes read as bits, so the span is
-        the XOR closure of the basis rows' codes, echelonized by XOR on
-        their top bits.
+        the XOR closure of the basis rows' codes, doubled row by row.
 
         For odd p the whole span is built in one int, one codeword per
         window of W = w'*L bits, where w' >= w is the least lane count with
@@ -378,21 +356,10 @@ class _FpView:
         memoryview cast when they fit 8 bytes, and no Python code runs per
         codeword."""
         if self.p == 2:
-            tops: dict[int, int] = {}               # top bit -> code
+            acc = [0]
             for c in map(self.code, basis):
-                while (t := c.bit_length()) in tops:
-                    c ^= tops[t]
-                tops[t] = c
-            acc, rows = [0], []
-            for t in sorted(tops):
-                c = tops[t]
-                for b in rows:
-                    if c ^ b < c:                   # c has b's top bit
-                        c ^= b
-                rows.append(c)
                 acc += [x ^ c for x in acc]
             return tuple(acc)
-        basis = self.top_echelon(basis)
         p, magic, shift, width = self.p, self._magic, self._shift, self._window
         count = p ** len(basis)
         masks = self._window_masks.get(count)
@@ -644,7 +611,8 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
 
     c1 must be Hermitian self-dual of length n = 2*dim(c1) and c0 a subcode
     of c1.  Yields exactly q^(dim(c0) * n / 2) pairwise distinct codes, in a
-    deterministic order.
+    deterministic order; a pair yielding more than DEFAULT_ORACLE_BOUND is
+    refused before any code is built.
     """
     f = c1.field
     _check_inner(HERMITIAN, f)
@@ -654,6 +622,9 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
     if c0.field != f or c0.n != n or not c0.subspace_of(c1):
         raise ValueError("c0 must be a subcode of c1")
     k = c0.dim
+    if (codes := f.q ** (k * n // 2)) > DEFAULT_ORACLE_BOUND:
+        raise ValueError(f"the pair yields {codes} codes, over the oracle "
+                         f"bound {DEFAULT_ORACLE_BOUND}")
     l = n // 2 - k
     ring = ring_over(f, 3)
 

@@ -6,8 +6,9 @@ Euclidean/Hermitian self-dual codes over GF(q) (sigma counts), and the
 number of Euclidean/Hermitian self-dual codes over the e = 3 chain ring.
 
 A row [h, 0]_q, ..., [h, h]_q of Gaussian binomials comes from the ratio
-recurrence [h, k+1]_q = [h, k]_q (q^(h-k) - 1) / (q^(k+1) - 1); the
-self-dual counts sum one such row against powers of q.  The linear-code
+recurrence [h, k+1]_q = [h, k]_q (q^(h-k) - 1) / (q^(k+1) - 1).  The
+self-dual counts sum the row [n/2, .]_q against powers q^(c k), which is
+the Rogers-Szego value H_(n/2)(q^c) below.  The linear-code
 count is a sum over chains of column-span dimensions: Birkhoff and
 Delsarte's count of subgroups of an abelian p-group of type (e^n), which
 Honold & Landjev ("Linear codes over finite chain rings", EJC 7, 2000)
@@ -107,10 +108,11 @@ def self_dual_exponent(q: int, n: int, kind: str) -> int | None:
 
 
 def _rogers_szego(h: int, q: int, x: int) -> int:
-    """H_h(x) = sum_k [h, k]_q x^k, by the three-term recurrence."""
+    """H_h(x) = sum_k [h, k]_q x^k, by the three-term recurrence, each
+    step written to multiply by the big x once."""
     prev, cur = 0, 1
     for k in range(h):
-        prev, cur = cur, (1 + x) * cur + x * (q ** k - 1) * prev
+        prev, cur = cur, cur + x * (cur + (q ** k - 1) * prev)
     return cur
 
 
@@ -225,15 +227,6 @@ def sigma_h(q: int, n: int) -> int:
     return _sigma(q, n, True)
 
 
-def _row_sum(h: int, q: int, c: int) -> int:
-    """sum_k [h, k]_q q^(c k), by Horner's rule in x = q^c."""
-    x = q ** c
-    total = 0
-    for g in reversed(gaussian_row(h, q)):
-        total = total * x + g
-    return total
-
-
 def count_esd(q: int, n: int) -> int:
     """Number of Euclidean self-dual codes of length n over GF(q)[u]/(u^3).
     A count estimated over COUNT_BITS_CAP is refused (see
@@ -242,7 +235,7 @@ def count_esd(q: int, n: int) -> int:
         return 0
     half = n // 2
     exp_base = half if q % 2 == 0 else half - 1
-    return _sigma(q, n, False) * _row_sum(half, q, exp_base)
+    return _sigma(q, n, False) * _rogers_szego(half, q, q ** exp_base)
 
 
 def count_hsd(q: int, n: int) -> int:
@@ -254,5 +247,5 @@ def count_hsd(q: int, n: int) -> int:
     if _checked_exponent(q, n, "hsd") is None:
         return 0
     half = n // 2
-    return _sigma(q, n, True) * _row_sum(half, q, half)
+    return _sigma(q, n, True) * _rogers_szego(half, q, q ** half)
 

@@ -100,6 +100,39 @@ def test_fingerprint_is_sorted_packed_codewords_for_random_generators(p, m, draw
     assert code_fingerprint(code) == tuple(packed)
 
 
+def assert_top_lane_echelon(view, basis):
+    """The view's one basis convention: each row is 1 on its top lane and
+    every other row is 0 there, and the rows go by ascending pivot."""
+    pivots = []
+    for row in basis:
+        top = row.bit_length() - 1
+        pivots.append(top - top % view.lane)
+        assert row >> pivots[-1] == 1
+    assert pivots == sorted(set(pivots))
+    for row, pc in zip(basis, pivots):
+        assert all((row >> other) & view.lane_mask == 0
+                   for other in pivots if other != pc)
+
+
+@pytest.mark.parametrize("q,e,n,inner", [
+    (2, 3, 2, None), (4, 2, 2, None), (2, 3, 4, EUCLIDEAN),
+    (3, 3, 2, None), (9, 1, 2, None), (5, 2, 2, None), (9, 3, 2, HERMITIAN),
+])
+def test_every_basis_pivots_on_its_rows_top_lanes(q, e, n, inner):
+    """Climb bases, their members' module bases and module bases of random
+    generators all pivot on top lanes, the form `fingerprint` reads."""
+    ring = chain_ring(q, e)
+    view, bases = _climb(ring, n, inner)
+    for basis in bases:
+        assert_top_lane_echelon(view, basis)
+        assert view.module_basis([view.decode(row) for row in basis]) == basis
+    rng = random.Random(100 * q + 10 * e + n)
+    for _ in range(30):
+        gens = [[rng.randrange(ring.size) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        assert_top_lane_echelon(view, view.module_basis(gens))
+
+
 def _fingerprint_reference(view, basis):
     """The odd-p fingerprint one codeword at a time: the closure of the
     packed rows with every sum reduced, each codeword read by itself."""
@@ -575,6 +608,29 @@ def test_extension_stream_rejects_bad_inputs():
     with pytest.raises(ValueError):
         list(hermitian_sd_extend(FieldCode.from_rows(f2, 2, [(1, 1)]),
                                  FieldCode.zero(f2, 2)))
+
+
+def test_extension_stream_refuses_pairs_over_the_oracle_bound(monkeypatch):
+    """c1 = c0 = four copies of <(1,1)> in GF(4)^8 would stream 4^16 codes;
+    the pair is refused before any code is built.  With dim(c0) = 3 there
+    are 4^12 = DEFAULT_ORACLE_BOUND codes, and the first one comes out."""
+    f = field_make(2, 2)
+    rows = [tuple(int(j // 2 == i) for j in range(8)) for i in range(4)]
+    c1 = FieldCode.from_rows(f, 8, rows)
+    assert c1.is_self_dual(HERMITIAN)
+    built = []
+    trusted = LinearCode._trusted
+
+    def counted(ring, n, gens):
+        built.append(None)
+        return trusted(ring, n, gens)
+    monkeypatch.setattr(LinearCode, "_trusted", staticmethod(counted))
+    with pytest.raises(ValueError, match="oracle bound"):
+        next(hermitian_sd_extend(c1, c1))
+    assert not built
+    assert 4 ** 12 == census_module.DEFAULT_ORACLE_BOUND
+    first = next(hermitian_sd_extend(c1, FieldCode.from_rows(f, 8, rows[:3])))
+    assert first.is_self_dual(HERMITIAN) and len(built) == 1
 
 
 # ---------------------------------------------------------------------------
