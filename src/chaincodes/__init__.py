@@ -6,7 +6,7 @@ generator for Hermitian self-dual codes, and the per-divisor
 decomposition of group algebras with cyclic Sylow p-subgroup into chain
 rings that counts quasi-abelian codes.
 """
-from .gf import (DEFAULT_MAX_ORDER, Field, FieldElement, canonical_modulus,
+from .gf import (DEFAULT_MAX_ORDER, Field, canonical_modulus,
                  factor_prime_power, field_make, is_irreducible, is_prime)
 from .chainring import ChainRing, ChainRingElement, chain_ring, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, StandardForm,
@@ -29,7 +29,7 @@ from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
                            multiplicative_order, subgroup_closure)
 
 __all__ = [
-    "DEFAULT_MAX_ORDER", "Field", "FieldElement", "canonical_modulus",
+    "DEFAULT_MAX_ORDER", "Field", "canonical_modulus",
     "factor_prime_power", "field_make", "is_irreducible", "is_prime",
     "ChainRing", "ChainRingElement", "chain_ring", "ring_over",
     "EUCLIDEAN", "HERMITIAN", "FieldCode", "LinearCode", "StandardForm",

@@ -8,9 +8,7 @@ and `valuation` returns v (with e for the zero element).
 A ring code is also the base-p digit string sum c_(t,j) p^(t*m + j) of
 the x^j u^t coefficients, so ring addition, subtraction and negation are
 the field's carry-free digit arithmetic (`gf.digit_add`, `gf.digit_sub`,
-`gf.digit_neg`) over all e*m digits at once.  Elements compare with plain
-ints as field elements do: an element equals k only when k lies in
-range(p) and is its code.
+`gf.digit_neg`) over all e*m digits at once.
 
 Rings of at most 256 elements get eager add, mul, valuation, unit-inverse
 and conjugation tables.  The ring product is GF(p)-bilinear in the e*m
@@ -42,10 +40,11 @@ only available when q is a square.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
-from .gf import (Field, FieldElement, _Element, add_table, bilinear_table,
-                 bilinear_tables, digit_add, digit_neg, digit_sub, field_make,
-                 factor_prime_power, linear_table)
+from .gf import (Field, add_table, bilinear_table, bilinear_tables, digit_add,
+                 digit_neg, digit_sub, field_make, factor_prime_power,
+                 linear_table)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
@@ -309,36 +308,6 @@ class ChainRing:
         f = self.field
         return self.encode([f.conjugate(d) for d in self.decode(a)])
 
-    # -- construction -----------------------------------------------------------
-
-    def element(self, x) -> ChainRingElement:
-        if isinstance(x, ChainRingElement):
-            if x.ring != self:
-                raise ValueError("element belongs to a different ring")
-            return x
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise ValueError("coefficient from a different field")
-            return ChainRingElement(self, x.code)
-        if isinstance(x, int):
-            return ChainRingElement(self, self.check(x))
-        return self.from_coeffs(x)
-
-    def from_coeffs(self, coeffs) -> ChainRingElement:
-        """Build an element from u-coefficients (field codes, elements, or
-        coefficient lists), constant term first."""
-        digits = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != self.field:
-                    raise ValueError("coefficient from a different field")
-                digits.append(c.code)
-            elif isinstance(c, int):
-                digits.append(self.field.check(c))
-            else:
-                digits.append(self.field.encode(c))
-        return ChainRingElement(self, self.encode(digits))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ChainRing) and self.e == other.e
                 and self.field == other.field)
@@ -364,55 +333,10 @@ def chain_ring(q: int, e: int) -> ChainRing:
     return ring_over(field_make(p, m), e)
 
 
-class ChainRingElement(_Element):
-    """A ring element bound to its ChainRing; supports +, -, *."""
+@dataclass(frozen=True)
+class ChainRingElement:
+    """The image `quasiabelian.cyclic_to_chain` returns: an element code
+    of `ring`, with no arithmetic of its own."""
 
-    __slots__ = ()
-
-    @property
-    def ring(self) -> ChainRing:
-        return self._parent
-
-    @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        f = self.ring.field
-        return tuple(FieldElement(f, d) for d in self.ring.decode(self.code))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, ChainRingElement):
-            if other.ring != self.ring:
-                raise ValueError("mixed-ring operands")
-            return other.code
-        if isinstance(other, FieldElement):
-            if other.field != self.ring.field:
-                raise ValueError("mixed-field operands")
-            return other.code
-        if isinstance(other, int):
-            return other % self.ring.field.p
-        return NotImplemented  # type: ignore[return-value]
-
-    @property
-    def valuation(self) -> int:
-        return self.ring.valuation(self.code)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.code)
-
-    def inverse(self) -> ChainRingElement:
-        return ChainRingElement(self.ring, self.ring.unit_inverse(self.code))
-
-    def __repr__(self) -> str:
-        f = self.ring.field
-        terms = []
-        for i, d in enumerate(self.ring.decode(self.code)):
-            if not d:
-                continue
-            upow = "" if i == 0 else ("u" if i == 1 else f"u^{i}")
-            if i == 0 or d != 1:
-                coeff = str(d) if f.m == 1 else f"[{','.join(map(str, f.decode(d)))}]"
-                terms.append(f"{coeff}{'*' if upow else ''}{upow}")
-            else:
-                terms.append(upow)
-        body = " + ".join(terms) if terms else "0"
-        return f"{self.ring!r}({body})"
+    ring: ChainRing
+    code: int

@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .gf import Field, FieldElement
-from .chainring import ChainRing, ChainRingElement, ring_over
+from .gf import Field
+from .chainring import ChainRing, ring_over
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -156,21 +156,12 @@ class LinearCode:
         self.n = n
         packed = []
         for row in gens:
-            vec = tuple(self._entry(x) for x in row)
+            vec = tuple(map(ring.check, row))
             if len(vec) != n:
                 raise ValueError(f"generator length {len(vec)} != n = {n}")
             packed.append(vec)
         self.gens: tuple[tuple[int, ...], ...] = tuple(packed)
         self._std: StandardForm | None = None
-
-    def _entry(self, x) -> int:
-        if isinstance(x, ChainRingElement):
-            if x.ring != self.ring:
-                raise ValueError("generator entry from a different ring")
-            return x.code
-        if isinstance(x, int):
-            return self.ring.check(x)
-        return self.ring.from_coeffs(x).code
 
     @classmethod
     def _trusted(cls, ring: ChainRing, n: int, rows) -> LinearCode:
@@ -209,7 +200,7 @@ class LinearCode:
         return self.ring.q ** sum(e - v for v in self.standard_form().pivot_vals)
 
     def contains(self, word) -> bool:
-        w = [self._entry(x) for x in word]
+        w = list(map(self.ring.check, word))
         if len(w) != self.n:
             raise ValueError("word length mismatch")
         ring = self.ring
@@ -381,14 +372,6 @@ class FieldCode(LinearCode):
     def __init__(self, field: Field, n: int, rows):
         super().__init__(ring_over(field, 1), n, rows)
         self.gens = field_rref(field, n, self.gens)
-
-    def _entry(self, x) -> int:
-        # field codes and FieldElements only: nothing is coerced
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise ValueError("entry from a different field")
-            return x.code
-        return self.field.check(x)
 
     @classmethod
     def from_rows(cls, field: Field, n: int, rows) -> FieldCode:

@@ -3,15 +3,12 @@
 An element is an integer in ``range(q)`` whose base-p digits are the
 coefficients of its representative polynomial, constant term first.  The
 Field object owns the modulus and performs all arithmetic on these integer
-codes; FieldElement is a thin operator-overloading wrapper on top.
+codes.
 
 Addition, subtraction and negation are carry-free base-p digit arithmetic
 on the codes (`digit_add`, `digit_sub`, `digit_neg`; XOR, XOR and the
 identity when p = 2).  A chain-ring code is a base-p digit string too, so
-`chainring` uses the same functions.  `_Element` holds the operators that
-FieldElement and ChainRingElement share.  An element equals a plain int k
-only when k lies in range(p) and is the element's code, which keeps `==`
-consistent with `hash`: an element hashes as its code.
+`chainring` uses the same functions.
 
 Fields with m > 1 and q <= 128 get eager mul and inv tables.  The product
 is GF(p)-bilinear in the base-p digits, so `bilinear_tables` fills the
@@ -399,23 +396,6 @@ class Field:
             self._trace_pre = {k: tuple(v) for k, v in pre.items()}
         return self._trace_pre.get(t, ())
 
-    # -- wrapping ------------------------------------------------------------
-
-    def element(self, x) -> FieldElement:
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise ValueError("element belongs to a different field")
-            return x
-        if isinstance(x, int):
-            return FieldElement(self, self.check(x))
-        return FieldElement(self, self.encode(x))
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field)
                 and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
@@ -431,124 +411,3 @@ class Field:
 def field_make(p: int, m: int) -> Field:
     """The field GF(p^m) with the canonical modulus (cached)."""
     return Field(p, m)
-
-
-def _poly_str(coeffs: tuple[int, ...]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            x = "x" if i == 1 else f"x^{i}"
-            terms.append(x if c == 1 else f"{c}{x}")
-    return " + ".join(reversed(terms)) if terms else "0"
-
-
-class _Element:
-    """Operators shared by FieldElement and ChainRingElement.
-
-    `_parent` is the Field or ChainRing that does the arithmetic on codes.
-    A subclass supplies `_coerce`, its rule for turning an operand into a
-    code (or NotImplemented); every rule sends an int k to k mod p.
-    """
-
-    __slots__ = ("_parent", "code")
-
-    def __init__(self, parent, code: int):
-        self._parent = parent
-        self.code = parent.check(code)
-
-    def _new(self, code: int):
-        return type(self)(self._parent, code)
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self._new(self._parent.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self._new(self._parent.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self._new(self._parent.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self._new(self._parent.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._new(self._parent.neg(self.code))
-
-    def conjugate(self):
-        return self._new(self._parent.conjugate(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._parent == other._parent and self.code == other.code
-        if isinstance(other, int):
-            # k equals only the element whose code is k, and only when k is
-            # its own residue mod p, so equal values hash alike
-            return self.code == other and self._coerce(other) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-
-class FieldElement(_Element):
-    """A field element bound to its Field; supports +, -, *, /, **."""
-
-    __slots__ = ()
-
-    @property
-    def field(self) -> Field:
-        return self._parent
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed-field operands")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p  # lift a plain integer through GF(p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(c)))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.code, k))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def trace(self) -> FieldElement:
-        return FieldElement(self.field, self.field.trace(self.code))
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q})({_poly_str(self.coeffs)})"

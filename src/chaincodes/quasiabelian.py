@@ -22,8 +22,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .chainring import ChainRing, ChainRingElement, ring_over
-from .gf import (Field, FieldElement, field_make, factor_prime_power,
-                 factorize, is_prime)
+from .gf import Field, field_make, factor_prime_power, factorize, is_prime
 from . import counting
 from .counting import _MAX_DEPTH
 
@@ -342,10 +341,6 @@ class GroupAlgebraElement:
         self.field = field
         clean: dict[tuple[int, ...], int] = {}
         for g, c in (coeffs or {}).items():
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise ValueError("coefficient from a different field")
-                c = c.code
             c = field.check(c)
             if c:
                 clean[group.check(g)] = c
@@ -394,9 +389,7 @@ class GroupAlgebraElement:
                 out[g] = f.add(out.get(g, 0), f.mul(c1, c2))
         return GroupAlgebraElement(self.group, self.field, out)
 
-    def scale(self, c) -> "GroupAlgebraElement":
-        if isinstance(c, FieldElement):
-            c = c.code
+    def scale(self, c: int) -> "GroupAlgebraElement":
         c = self.field.check(c)
         return GroupAlgebraElement(
             self.group, self.field,
@@ -544,7 +537,8 @@ def _one_plus_u_powers(ring: ChainRing) -> tuple[int, ...]:
 
 def cyclic_to_chain(ring: ChainRing, x: GroupAlgebraElement) -> ChainRingElement:
     """The ring isomorphism field[Z_{p^s}] -> field[u]/(u^{p^s}) fixing the
-    field and sending the degree-1 monomial to 1 + u."""
+    field and sending the degree-1 monomial to 1 + u.  The image comes back
+    as a ChainRingElement record: its `ring` and its element `code`."""
     _cyclic_match(ring, x.group)
     if x.field != ring.field:
         raise ValueError("element field does not match the ring")
@@ -556,15 +550,11 @@ def cyclic_to_chain(ring: ChainRing, x: GroupAlgebraElement) -> ChainRingElement
 
 
 def chain_to_cyclic(ring: ChainRing, group: AbelianGroup,
-                    a) -> GroupAlgebraElement:
-    """Inverse of cyclic_to_chain.  The change of basis is unitriangular
-    (binomial coefficients), so back-substitution from the top power down
-    recovers the coefficients."""
+                    a: int) -> GroupAlgebraElement:
+    """Inverse of cyclic_to_chain, on the element code a.  The change of
+    basis is unitriangular (binomial coefficients), so back-substitution
+    from the top power down recovers the coefficients."""
     _cyclic_match(ring, group)
-    if isinstance(a, ChainRingElement):
-        if a.ring != ring:
-            raise ValueError("element from a different ring")
-        a = a.code
     f = ring.field
     rows = [ring.decode(p) for p in _one_plus_u_powers(ring)]
     target = list(ring.decode(ring.check(a)))

@@ -1,12 +1,8 @@
 """Tests for the chain ring GF(q)[u]/(u^e)."""
 import pytest
-from hypothesis import given, settings
-from hypothesis.strategies import integers
 
-from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring, ring_over
+from chaincodes.chainring import ChainRing, chain_ring, ring_over
 from chaincodes.gf import Field, digit_add, digit_neg, digit_sub, field_make
-
-MAX_EXAMPLES = 200
 
 SMALL_RINGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4), (5, 2)]
 # above the 256-element table limit: R(9,3) splits into tabled halves of
@@ -266,51 +262,6 @@ def test_conjugation_refused_without_square_residue_field():
     r = chain_ring(2, 3)
     with pytest.raises(ValueError):
         r.conjugate(1)
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-
-def test_from_coeffs_and_wrapper_arithmetic():
-    r = chain_ring(4, 3)
-    f = r.field
-    x = f.encode((0, 1))
-    a = r.from_coeffs((1, x, 0))
-    b = r.from_coeffs((0, 1, 1))
-    assert isinstance(a, ChainRingElement)
-    assert (a + b).code == r.add(a.code, b.code)
-    assert (a * b).code == r.mul(a.code, b.code)
-    assert (-a) + a == r.element(0)
-    assert a.valuation == 0 and a.is_unit
-    assert a.inverse() * a == r.element(1)
-    assert b.valuation == 1 and not b.is_unit
-    with pytest.raises(ZeroDivisionError):
-        b.inverse()
-
-
-@pytest.mark.parametrize(
-    "parent", [field_make(2, 2), field_make(3, 2), chain_ring(3, 3)], ids=repr)
-def test_int_equality_agrees_with_hash(parent):
-    p = getattr(parent, "field", parent).p
-    size = len(parent.elements())
-    for code in parent.elements():
-        x = parent.element(code)
-        for k in range(-2 * p, size + 2 * p):
-            assert (x == k) == (k == code and k < p)
-            if x == k:
-                assert hash(x) == hash(k)
-    assert parent.element(1) in {1}
-    assert parent.element(p - 1) != -1
-
-
-@given(a=integers(min_value=0, max_value=26), b=integers(min_value=0, max_value=26))
-@settings(deadline=None, max_examples=MAX_EXAMPLES)
-def test_wrapper_matches_raw_ops(a, b):
-    r = chain_ring(3, 3)
-    ea, eb = r.element(a), r.element(b)
-    assert (ea + eb).code == r.add(a, b)
-    assert (ea - eb).code == r.sub(a, b)
-    assert (ea * eb).code == brute_mul(r, a, b)
 
 
 def test_smul_embeds_field_scalars():

@@ -151,6 +151,21 @@ def test_self_dual_and_qa_counts_over_the_bit_cap_exit_two_at_once(
                    f"q = {q}, over the cap of 262144 bits\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    # under the length limit, but its top length is over the bit cap
+    (("esd", "--q", "2", "--range", "1:1024"), "over the cap of 262144 bits"),
+    # every count is 0, so no cap would ever stop it
+    (("gaussian", "--q", "2", "--k", "-1", "--range", "1:1000000000000"),
+     "more than 1024 lengths"),
+    (("esd", "--q", "2", "--range", "1:5000"), "more than 1024 lengths")])
+def test_count_ranges_are_bounded_before_any_count(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("chaincodes: error: ") and message in err
+
+
 def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
     """main() parses with one parser per process; interleaved calls, a
     usage error first, answer exactly as calls on a newly built parser."""
@@ -374,6 +389,67 @@ def test_malformed_code_documents_never_raise(text, action):
     code, err = run_code_on_stdin(text, action)
     assert code in (1, 2)
     assert err.startswith("chaincodes: error: ")
+
+
+# malformed, out-of-range and over-cap values for each flag; no value here
+# is valid and slow, so every argv built from them answers at once
+_INTS = ["x", "1.5", "", "0", "-1"]
+FLAG_VALUES = {
+    "count": {
+        "--q": _INTS + ["1", "6", "2", "3", "4", "1000000000000000003"],
+        "--n": _INTS + ["2", "20000", "1000000000000"],
+        "--e": _INTS + ["3", "65537"],
+        "--k": _INTS + ["2", "1000000000000"],
+        "--p": _INTS + ["1", "4", "2", "3"],
+        "--m": _INTS + ["2", "100000"],
+        "--s": _INTS + ["1", "20000"],
+        "--A": [",", "x", "", "2,,3", "0", "2,0", "1", "7", "100000007",
+                ",".join(["2"] * 10)],
+        "--range": ["3:1", "::", "1:1000000000000", "0:2", "a:b", "5",
+                    "1:3", "1:1025"],
+        "--format": ["text", "json", "xml"],
+    },
+    "decompose": {
+        "--p": _INTS + ["1", "4", "2", "3"],
+        "--m": _INTS + ["2", "100000"],
+        "--s": _INTS + ["1", "20000"],
+        "--A": [",", "x", "", "0", "2,0", "7", "100000007", "999999999989"],
+        "--format": ["text", "json", "xml"],
+    },
+    "verify": {
+        "--suite": ["", "huge", "tiny"],
+        "--format": ["text", "json", "xml"],
+    },
+}
+COUNT_KINDS = ["linear", "esd", "hsd", "sigma-e", "sigma-h", "gaussian",
+               "qa", "qa-esd", "qa-hsd", "entropy"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A count, decompose or verify command line with each flag present or
+    not, and each present flag drawn from its pool."""
+    command = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    argv = [command]
+    if command == "count":
+        argv.append(draw(st.sampled_from(COUNT_KINDS)))
+    for flag, pool in FLAG_VALUES[command].items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argvs())
+def test_malformed_flags_exit_with_a_documented_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("chaincodes: error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -312,14 +312,22 @@ def test_field_self_dual_examples():
         f4.add(f4.mul(1, f4.conjugate(1)), f4.mul(x, f4.conjugate(x))) == 0)
 
 
-@pytest.mark.parametrize("entry", [1.9, "1", 1.0, None])
+@pytest.mark.parametrize("entry", [1.9, "1", 1.0, None,
+                                   pytest.param((1, 0), id="(1, 0)")])
 def test_field_code_entries_are_not_coerced(entry):
-    f = field_make(2, 1)
+    """Entries are element codes only, over a field and over a ring alike:
+    no float, string, None or coefficient tuple is taken for one."""
+    f, ring = field_make(2, 1), chain_ring(4, 3)
     with pytest.raises(ValueError, match="not an element code"):
         FieldCode.from_rows(f, 2, [[entry, True]])
     with pytest.raises(ValueError, match="not an element code"):
         FieldCode.full(f, 2).contains([entry, 1])
-    assert FieldCode.full(f, 2).contains([f.one(), 1])
+    with pytest.raises(ValueError, match="not an element code"):
+        LinearCode(ring, 2, [[entry, 1]])
+    with pytest.raises(ValueError, match="not an element code"):
+        LinearCode.full(ring, 2).contains([entry, 1])
+    assert FieldCode.full(f, 2).contains([1, 1])
+    assert LinearCode.full(ring, 2).contains([ring.u, 1])
 
 
 def test_field_code_conjugate():

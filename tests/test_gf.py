@@ -307,26 +307,3 @@ def test_trace_partitions_the_field(q):
             assert f.trace(a) == f.add(a, f.conjugate(a))
         seen.extend(pre)
     assert sorted(seen) == list(f.elements())
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-
-def test_element_wrapper_operators():
-    f = field_make(2, 2)
-    x = f.element((0, 1))
-    y = f.element(1)
-    assert (x + y) * x == f.one()
-    assert (x / x) == 1
-    assert (-x) == x           # characteristic 2
-    assert x ** 3 == 1
-    assert x.inverse() * x == y
-    assert bool(f.zero()) is False
-    assert x.conjugate() == x + 1
-
-
-@given(code=integers(min_value=0, max_value=8), k=integers(min_value=1, max_value=7))
-@settings(deadline=None, max_examples=MAX_EXAMPLES)
-def test_element_pow_consistent_with_field_pow(code, k):
-    f = field_make(3, 2)
-    assert (f.element(code) ** k).code == f.pow(code, k)

@@ -3,14 +3,14 @@ import collections
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
 from chaincodes.census import enumerate_submodules
-from chaincodes.chainring import ChainRing, chain_ring
+from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring
 from chaincodes.counting import (
     COUNT_BITS_CAP,
     count_esd,
@@ -572,7 +572,7 @@ def test_cyclic_iso_roundtrip_both_ways():
     f = field_make(2, 2)
     ring = ChainRing(f, 4)
     for x in itertools.islice(algebra_elements(g, f), 0, 256, 7):
-        assert chain_to_cyclic(ring, g, cyclic_to_chain(ring, x)) == x
+        assert chain_to_cyclic(ring, g, cyclic_to_chain(ring, x).code) == x
     for code in range(0, ring.size, 11):
         assert cyclic_to_chain(ring, chain_to_cyclic(ring, g, code)).code == code
 
@@ -593,6 +593,19 @@ def test_cyclic_iso_rejects_mismatched_shapes():
         cyclic_to_chain(ring, GroupAlgebraElement.one(g, f))
     with pytest.raises(ValueError):
         chain_to_cyclic(ring, g, 1)
+
+
+def test_cyclic_to_chain_returns_a_code_record():
+    """The image is a frozen (ring, code) record; chain_to_cyclic takes the
+    code alone."""
+    ring = chain_ring(3, 3)
+    g = AbelianGroup.from_spec("3")
+    image = cyclic_to_chain(ring, GroupAlgebraElement.monomial(g, field_make(3, 1), (1,)))
+    assert image == ChainRingElement(ring, ring.add(1, ring.u))
+    with pytest.raises(FrozenInstanceError):
+        image.code = 0
+    with pytest.raises(ValueError, match="not an element code"):
+        chain_to_cyclic(ring, g, image)
 
 
 # ---------------------------------------------------------------------------
