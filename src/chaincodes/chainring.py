@@ -126,12 +126,16 @@ class ChainRing:
     # -- representation ------------------------------------------------------
 
     def encode(self, digits) -> int:
+        """Field codes of the u-coefficients (u^0 first) -> ring code.  Each
+        must be an int in range(q): nothing is coerced."""
         ds = list(digits)
         if len(ds) > self.e:
             raise ValueError("too many u-coefficients")
         code = 0
         for d in reversed(ds):
-            code = code * self.q + self.field.check(int(d))
+            if type(d) is not int or not 0 <= d < self.q:
+                raise ValueError(f"{d!r} is not an element code of GF({self.q})")
+            code = code * self.q + d
         return code
 
     def decode(self, a: int) -> tuple[int, ...]:

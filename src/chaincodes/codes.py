@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
-from .gf import Field
+from .gf import Field, field_make
 from .chainring import ChainRing, ring_over
 
 EUCLIDEAN = "euclidean"
@@ -478,14 +480,25 @@ def fmat_inv(field: Field, a) -> tuple[tuple[int, ...], ...] | None:
 
 # ---------------------------------------------------------------------------
 # serialization: one portable schema for ring codes (any e) and field codes
-# (e = 1); entries are length-e lists of length-m coefficient lists
+# (e = 1).  An entry is e lists of m coefficients in range(p), the x^j u^t
+# coefficient c_(t,j) at [t][j]; its code is the base-p reading
+# sum c_(t,j) p^(t*m + j) of those e*m digits, as in `chainring`.
 
 def code_to_json(code: LinearCode) -> dict:
     ring = code.ring
     f = ring.field
-    rows = [[[list(f.decode(d)) for d in ring.decode(entry)] for entry in row]
+    p, m, size = f.p, f.m, ring.e * f.m
+    digits = {}
+    for x in set(chain.from_iterable(code.gens)):
+        ds, rest = [], x
+        for _ in range(size):
+            rest, d = divmod(rest, p)
+            ds.append(d)
+        digits[x] = ds
+    cuts = range(0, size, m)
+    rows = [[[digits[x][i:i + m] for i in cuts] for x in row]
             for row in code.gens]
-    return {"p": f.p, "m": f.m, "e": ring.e, "n": code.n,
+    return {"p": p, "m": m, "e": ring.e, "n": code.n,
             "modulus": list(f.modulus), "rows": rows}
 
 
@@ -499,6 +512,15 @@ def _doc(x, kind: type, what: str):
     return x
 
 
+def _doc_all(xs: list, kind: type, what: str) -> list:
+    """xs, once every value in it is exactly `kind` (so a bool is not an
+    int); otherwise `_doc` refuses the first value that is not."""
+    if not set(map(type, xs)) <= {kind}:
+        for x in xs:
+            _doc(x, kind, what)
+    return xs
+
+
 def _doc_key(obj: dict, key: str, kind: type):
     """The value at a key that every code document has."""
     if key not in obj:
@@ -507,41 +529,37 @@ def _doc_key(obj: dict, key: str, kind: type):
 
 
 def _doc_field(obj: dict) -> Field:
-    modulus = [_doc(c, int, "modulus coefficient")
-               for c in _doc_key(obj, "modulus", list)]
-    field = Field(_doc_key(obj, "p", int), _doc_key(obj, "m", int), modulus)
-    if list(field.modulus) != modulus:      # Field reduced a coefficient mod p
+    """The document's field from `field_make`'s cache; the modulus is
+    checked first, so nothing reduced or coerced becomes a cache key."""
+    modulus = tuple(_doc_all(_doc_key(obj, "modulus", list), int,
+                             "modulus coefficient"))
+    p, m = _doc_key(obj, "p", int), _doc_key(obj, "m", int)
+    if modulus and (min(modulus) < 0 or max(modulus) >= p):
         raise ValueError("malformed code document: modulus coefficients "
-                         f"must lie in range({field.p})")
-    return field
-
-
-def _doc_entry(field: Field, e: int, entry) -> list[int]:
-    """The e field codes of one ring entry, as dumps_code writes it: e lists
-    of exactly m integers in range(p) each, nothing padded or reduced."""
-    if len(_doc(entry, list, "entry")) != e:
-        raise ValueError("malformed code document: entry does not have "
-                         f"{e} coefficient lists")
-    codes = []
-    for coeffs in entry:
-        cs = [_doc(c, int, "coefficient")
-              for c in _doc(coeffs, list, "coefficient list")]
-        if len(cs) != field.m or not all(0 <= c < field.p for c in cs):
-            raise ValueError("malformed code document: a coefficient list "
-                             f"must hold {field.m} integers in range({field.p})")
-        codes.append(field.encode(cs))
-    return codes
+                         f"must lie in range({p})")
+    return field_make(p, m, modulus)
 
 
 def code_from_json(obj: dict) -> LinearCode:
+    """The code of a document, checked whole: every entry must be e lists
+    of exactly m integers in range(p) each, nothing padded or reduced."""
     f = _doc_field(_doc(obj, dict, "document"))
     ring = ring_over(f, _doc_key(obj, "e", int))
-    gens = []
-    for row in _doc_key(obj, "rows", list):
-        vec = []
-        for entry in _doc(row, list, "row"):
-            vec.append(ring.encode(_doc_entry(f, ring.e, entry)))
-        gens.append(vec)
+    p, m, e = f.p, f.m, ring.e
+    rows = _doc_all(_doc_key(obj, "rows", list), list, "row")
+    entries = _doc_all([x for row in rows for x in row], list, "entry")
+    if not set(map(len, entries)) <= {e}:
+        raise ValueError("malformed code document: entry does not have "
+                         f"{e} coefficient lists")
+    lists = _doc_all([cs for x in entries for cs in x], list, "coefficient list")
+    coeffs = _doc_all([c for cs in lists for c in cs], int, "coefficient")
+    if not set(map(len, lists)) <= {m} or coeffs and (
+            min(coeffs) < 0 or max(coeffs) >= p):
+        raise ValueError("malformed code document: a coefficient list "
+                         f"must hold {m} integers in range({p})")
+    powers = [p ** k for k in range(e * m)]
+    gens = [[sum(map(mul, chain.from_iterable(x), powers)) for x in row]
+            for row in rows]
     return LinearCode(ring, _doc_key(obj, "n", int), gens)
 
 

@@ -31,6 +31,8 @@ DEFAULT_MAX_ORDER = 1 << 20
 # q at or below this gets an eager multiplication table (m > 1 only).
 _TABLE_LIMIT = 128
 
+FIELD_CACHE_SIZE = 64       # fields field_make keeps
+
 
 # trial division stops at this divisor; a cofactor left above its square
 # cannot be certified prime, so the number is refused
@@ -272,13 +274,17 @@ class Field:
     # -- representation ----------------------------------------------------
 
     def encode(self, coeffs) -> int:
-        """Coefficient sequence (constant term first) -> integer code."""
+        """Coefficient sequence (constant term first) -> integer code.  Each
+        coefficient must be an int in range(p): nothing is coerced or
+        reduced."""
         cs = list(coeffs)
         if len(cs) > self.m:
             raise ValueError(f"too many coefficients for GF({self.q})")
         code = 0
         for c in reversed(cs):
-            code = code * self.p + int(c) % self.p
+            if type(c) is not int or not 0 <= c < self.p:
+                raise ValueError(f"{c!r} is not a coefficient in range({self.p})")
+            code = code * self.p + c
         return code
 
     def decode(self, a: int) -> tuple[int, ...]:
@@ -407,7 +413,10 @@ class Field:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
-def field_make(p: int, m: int) -> Field:
-    """The field GF(p^m) with the canonical modulus (cached)."""
-    return Field(p, m)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def field_make(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
+    """The field GF(p^m) over `modulus`, a tuple of coefficients constant
+    term first, or over the canonical modulus when it is None.  Each field
+    builds its tables once; the cache is bounded because a code document
+    may name any field, and a construction that raises is not cached."""
+    return Field(p, m, modulus)

@@ -58,6 +58,16 @@ def test_encode_decode_roundtrip():
     assert r.decode(r.u) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("digits", [
+    [1.9, "1"], [1.0], ["1"], [True], [False], [None], [4], [-1], [0, 1, 4],
+])
+def test_encode_refuses_digits_it_would_coerce(digits):
+    """Only ints in range(q) are u-coefficients: 1.9 is not truncated and a
+    bool is not an int here."""
+    with pytest.raises(ValueError, match="is not an element code of GF"):
+        chain_ring(4, 3).encode(digits)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 

@@ -299,6 +299,7 @@ VALID_DOC = code_to_json(LinearCode(chain_ring(4, 3), 2, [(1, 7)]))
     ("modulus", "[1e400, 1, 1]"), ("rows", "[[[[1e400, 0], [0, 0], [0, 0]]]]"),
     ("p", "2.9"), ("p", '"2"'), ("n", "true"),
     ("rows", "[[[[1.5, 0], [0, 0], [0, 0]]]]"),
+    ("rows", "[[[[true, 0], [0, 0], [0, 0]]]]"), ("modulus", "[1, true, 1]"),
 ])
 def test_code_actions_reject_non_integer_entries(key, raw, action):
     obj = dict(VALID_DOC, **{key: "@"})
@@ -445,6 +446,53 @@ def cli_argvs(draw):
 def test_malformed_flags_exit_with_a_documented_code(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("chaincodes: error: ")
+
+
+# the flags of `code`, each pool mixing valid, malformed and out-of-range
+# values; --out is taken under a temporary directory: a file, the directory
+# itself, or a file in a directory that does not exist
+CODE_FLAG_VALUES = {
+    "--inner": ["euclidean", "hermitian", "", "Hermitian", "symplectic"],
+    "--i": _INTS + ["1", "2", "3", "-3", "1000000000000"],
+    "--format": ["text", "json", "xml"],
+    "--out": ["out.json", "", ".", "missing/out.json"],
+}
+# valid documents over a square field, over GF(2), which has no Hermitian
+# form, and at e = 2, which has no torsion codes
+CODE_DOCS = [json.dumps(VALID_DOC)] + [
+    dumps_code(LinearCode(chain_ring(q, e), 2, [(1, 3)]))
+    for q, e in ((2, 3), (16, 2))]
+
+
+@st.composite
+def code_argvs(draw):
+    """A code command line on stdin with each flag present or not, and each
+    present flag drawn from its pool."""
+    argv = ["code", draw(st.sampled_from(["standard-form", "dual", "torsion",
+                                          "check-sd"])), "-"]
+    for flag, pool in CODE_FLAG_VALUES.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(argv=code_argvs(), doc=st.sampled_from(CODE_DOCS))
+@example(argv=["code", "torsion", "-", "--i", "-1"], doc=CODE_DOCS[0])
+@example(argv=["code", "check-sd", "-", "--inner", "hermitian"], doc=CODE_DOCS[1])
+def test_malformed_code_flags_exit_with_a_documented_code(tmp_path, argv, doc):
+    argv = [str(tmp_path / a) if flag == "--out" and a else a
+            for flag, a in zip([None, *argv], argv)]
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(doc)), \
+            contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)

@@ -390,10 +390,57 @@ def test_documents_over_one_field_share_one_ring(monkeypatch):
         builds.append(r)
         build(r)
     monkeypatch.setattr(ChainRing, "_build_tables", counted)
+    field_builds = []
+    field_build = Field._build_tables
+
+    def field_counted(f):
+        field_builds.append(f)
+        field_build(f)
+    monkeypatch.setattr(Field, "_build_tables", field_counted)
     first, second = loads_code(text), loads_code(text)
     assert first.ring is second.ring is ring_over(field, 2)
     assert first.ring.field.modulus == (1, 1, 0, 1)
     assert len(builds) <= 1
+    # and one Field: the second load takes it from field_make's cache
+    assert len(field_builds) <= 1
+
+
+def test_documents_keep_their_own_modulus_in_either_order():
+    """GF(9) over x^2 + 1 (canonical) and over x^2 + x + 2: the field cache
+    keys on the modulus, so neither document comes back over the other's
+    field, whichever was loaded first."""
+    codes = []
+    for ring in (chain_ring(9, 3), ring_over(Field(3, 2, [2, 1, 1]), 3)):
+        u = ring.u
+        codes.append(LinearCode(ring, 3, [(1, 4 * u + 5, 7), (0, u, u * u + 2)]))
+    texts = [dumps_code(c) for c in codes]
+    for i in (0, 1, 0, 1, 1, 0):
+        back = loads_code(texts[i])
+        assert back.ring.field.modulus == codes[i].ring.field.modulus
+        assert back.ring == codes[i].ring
+        assert back.gens == codes[i].gens
+        assert dumps_code(back) == texts[i]
+    assert codes[0].ring.field.modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize("modulus", [None, (2, 1, 1)])
+def test_dump_and_load_round_trip_every_entry(modulus):
+    """Every element of R(9,3) over either GF(9), in one document."""
+    ring = ring_over(field_make(3, 2, modulus), 3)
+    rows = [tuple(range(k, k + 9)) for k in range(0, ring.size, 9)]
+    code = LinearCode(ring, 9, rows)
+    assert loads_code(dumps_code(code)).gens == code.gens
+    assert code_from_json(code_to_json(code)).gens == code.gens
+
+
+def test_dumped_entries_share_no_lists():
+    """A repeated entry is written once per occurrence, as fresh lists."""
+    ring = chain_ring(4, 3)
+    obj = code_to_json(LinearCode(ring, 3, [(5, 5, 5), (0, 5, ring.u)]))
+    lists = [x for row in obj["rows"] for entry in row for x in (entry, *entry)]
+    assert len({id(x) for x in lists}) == len(lists) == 6 * 4
+    obj["rows"][0][0][0][0] = 0
+    assert obj["rows"][0][1][0] == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +553,8 @@ NON_INTEGER_ENTRIES = [
     (("n",), float("inf")), (("modulus", 0), float("inf")),
     (("rows", 0, 1, 0, 0), float("inf")),
     (("p",), 2.9), (("p",), "2"), (("n",), True), (("rows", 0, 1, 0, 0), 1.5),
-]
+] + [(path, value) for path in (("rows", 0, 1, 0, 0), ("modulus", 0))
+     for value in (True, False, None, {})]
 
 
 @pytest.mark.parametrize("path,value", NON_INTEGER_ENTRIES)

@@ -256,6 +256,30 @@ def test_encode_decode_roundtrip():
     assert f.decode(f.encode((2, 1))) == (2, 1, 0)
 
 
+@pytest.mark.parametrize("coeffs", [
+    [2.9], [1.0], ["1"], [True], [False], [None], [2], [-1], [1, 3],
+])
+def test_encode_refuses_coefficients_it_would_coerce(coeffs):
+    """Only ints in range(p) are coefficients: 2.9 is not truncated to 2,
+    2 is not reduced to 0 over GF(2), and a bool is not an int here."""
+    f = field_make(2, 2)
+    with pytest.raises(ValueError, match="is not a coefficient in range"):
+        f.encode(coeffs)
+
+
+def test_field_make_is_one_bounded_cache_keyed_by_modulus():
+    assert field_make(3, 2) is field_make(3, 2)
+    other = field_make(3, 2, (2, 1, 1))
+    assert other is field_make(3, 2, (2, 1, 1))
+    assert other.modulus == (2, 1, 1) and other != field_make(3, 2)
+    assert field_make.cache_info().maxsize is not None
+    misses = field_make.cache_info().misses
+    for _ in range(2):          # a construction that raises is not cached
+        with pytest.raises(ValueError, match="not irreducible"):
+            field_make(2, 2, (0, 0, 1))
+    assert field_make.cache_info().misses == misses + 2
+
+
 # ---------------------------------------------------------------------------
 # conjugation and trace down to the index-2 subfield
 
