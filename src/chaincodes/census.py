@@ -14,12 +14,15 @@ adding a row are a few big-int operations, multiplication by u and by the
 field generator are lane shifts, and a row's base-p reading is the packed
 base-|R| code of its vector, so fingerprints (sorted codeword codes) come
 out of the row span without decoding any codeword.  For p = 2 they are the
-XOR closure of the basis rows' codes; for odd p the whole span is built in
-one int, a codeword per byte-aligned window of whole lanes, and one
-multiplication reads every window's code at once (see
-`_FpView.fingerprint` for why no carry crosses a window).  Neither is
-sorted: every basis in the view pivots on each row's top lane, so with the
-rows added in increasing pivot order the span comes out in code order.
+XOR closure of the basis rows' codes.  For odd p the whole span is built in
+one int, a codeword per window of narrow lanes, each lane a few bits over
+2p - 2 and each window whole bytes: every row's multiples are added by
+bytes repetition and reduced mod p by one guard-bit compare-and-subtract,
+and log2 of the window's lane count SWAR merges then read every window's
+code at once (see `_FpView.fingerprint` for why no lane, field or window
+carries into the next).  Neither is sorted: every basis in the view pivots
+on each row's top lane, so with the rows added in increasing pivot order
+the span comes out in code order.
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -42,7 +45,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 
@@ -63,20 +65,6 @@ CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
 # prime-field linear algebra on packed coefficient rows
 
 _ITEM_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}     # memoryview item sizes
-
-
-def _repeat(x: int, width: int, count: int) -> int:
-    """count copies of x, the j-th shifted up j * width bits, by doubling."""
-    out, block, pos, copies = 0, x, 0, 1
-    while True:
-        if count & 1:
-            out |= block << pos
-            pos += copies * width
-        count >>= 1
-        if not count:
-            return out
-        block |= block << (copies * width)
-        copies *= 2
 
 
 class _FpView:
@@ -101,10 +89,12 @@ class _FpView:
     increasing pivot order; it is canonical, one per GF(p)-span, and it is
     the basis `fingerprint` needs as it stands.
 
-    An odd-p fingerprint lays whole rows side by side in one int, each in
-    a window of W = w'*L bits, w' >= w lanes with W a multiple of 8, so
-    every window starts on a byte; the window's gather spills only into
-    the next window's low lanes, which stay below 2^L (see `fingerprint`).
+    An odd-p fingerprint does not use the wide lanes: it re-lays each
+    basis row into narrow lanes of b bits, b one guard bit over the width
+    of 2p - 2, and lays whole codewords side by side in one int, each in a
+    window of W narrow lanes, W the least power of two >= max(w, 8).  So
+    W*b is a multiple of 8 and every window starts on a byte (see
+    `fingerprint`).
     """
 
     def __init__(self, ring: ChainRing, n: int):
@@ -128,12 +118,13 @@ class _FpView:
                               for i in range(w))
         self._gather = sum(p ** i << ((w - 1 - i) * lane) for i in range(w))
         self._gather_shift = (w - 1) * lane      # offset of the top lane
-        # fingerprint windows: the least whole number of lanes, at least w,
-        # that is a whole number of bytes; a code takes code_bytes of them
-        per = 8 // math.gcd(lane, 8)
-        self._window = -(-w // per) * per * lane
+        # fingerprint windows of W narrow lanes of b bits (see above); a
+        # code takes code_bytes of a window's W*b/8 bytes
+        self._narrow = (2 * p - 2).bit_length() + 1
+        self._window_lanes = 1 << (max(w, 8) - 1).bit_length()
+        self._window_bytes = self._window_lanes * self._narrow // 8
         self._code_bytes = -(-(p ** w - 1).bit_length() // 8)
-        self._window_masks: dict[int, tuple[int, int]] = {}
+        self._window_masks: dict[int, tuple[int, int, list[int]]] = {}
         # multiplying by u moves each coefficient up m lanes within its
         # entry; the u^(e-1) coefficients fall off the top
         self._u_keep = sum(self.lane_mask << (i * lane)
@@ -317,6 +308,29 @@ class _FpView:
                 self.insert_row(basis, pivots, row)
         return basis
 
+    def _masks(self, count: int) -> tuple[int, int, list[int]]:
+        """The fingerprint constants over `count` windows: ONES (bit 0 of
+        every narrow lane), the guard bias (2^(b-1) - p in every lane) and
+        the merge masks (the low field of each pair of 2^j lanes, j <
+        log2(W)), each one window's bytes repeated."""
+        masks = self._window_masks.get(count)
+        if masks is None:
+            b, size = self._narrow, self._window_bytes
+            bits = 8 * size
+
+            def spread(pattern: int) -> int:
+                return int.from_bytes(pattern.to_bytes(size, "little") * count,
+                                      "little")
+            ones = spread(sum(1 << i for i in range(0, bits, b)))
+            merges, width = [], b
+            while width < bits:
+                merges.append(spread(sum(((1 << width) - 1) << i
+                                         for i in range(0, bits, 2 * width))))
+                width *= 2
+            masks = self._window_masks[count] = (
+                ones, ones * ((1 << (b - 1)) - self.p), merges)
+        return masks
+
     def fingerprint(self, basis) -> tuple[int, ...]:
         """Every vector in the GF(p)-span, encoded as a single integer in
         base |R| (coordinate 0 least significant), sorted.
@@ -335,65 +349,76 @@ class _FpView:
         the XOR closure of the basis rows' codes, doubled row by row.
 
         For odd p the whole span is built in one int, one codeword per
-        window of W = w'*L bits, where w' >= w is the least lane count with
-        w'*L a multiple of 8; lanes w..w'-1 of a window stay zero.  Each
-        basis row multiplies the window count by p: the accumulator is
-        repeated p times by shift-or, and block s of the copies gets the
-        reduced multiple s*row added to each of its windows.  Lanes are
-        reduced by the Barrett step on the whole int, only when one more
-        row could take a lane past p^2 - 1, and once at the end.
+        window of W narrow lanes of b bits, where 2p - 2 < 2^(b-1) and W is
+        the least power of two >= max(w, 8), so every window is whole
+        bytes; lanes w..W-1 of a window stay zero.  Each basis row is
+        re-laid into narrow lanes and multiplies the window count by p: the
+        accumulator's bytes are repeated p times, and copy s gets the
+        reduced multiple s*row, its bytes repeated once per window, added
+        to each of its windows.  Every lane then holds at most 2p - 2, and
+        one guard-bit step reduces it mod p: adding the bias 2^(b-1) - p to
+        a lane x < 2^(b-1) gives at most 2^(b-1) + p - 2 < 2^b, so nothing
+        carries out of the lane, and sets its top (guard) bit exactly when
+        x >= p; subtracting p (< 2^b) times each lane's guard bit leaves
+        every lane in range(p).  The multiples s*row are built the same
+        way, one addition of the row at a time.
 
-        One multiplication by the gather constant then leaves each
-        window's base-p reading in its lane w - 1, as for a single row.
-        The product of one window reaches w - 1 lanes past that lane, so it
-        spills into lanes 0..w-2 of the next window (w' >= w), always on
-        lane boundaries.  Lane s there holds at most p^(w-1-s) - 1 from the
-        window below, and at most p^w - p^(w-1-s) from its own window, so
-        at most p^w - 1 < 2^L: no lane carries, and no spill reaches the
-        next window's lane w - 1.  After a shift every window starts with
-        its code, which a mask keeps alone in the window; the codes are
-        then read out of the int's bytes by strided slices, through a
-        memoryview cast when they fit 8 bytes, and no Python code runs per
-        codeword."""
+        log2(W) merges then read each window's base-p code: merge j turns
+        each pair of fields of 2^j lanes, lo below hi, into the one field
+        lo + p^(2^j) * hi of 2^(j+1) lanes.  Before merge j each field holds
+        less than p^(2^j), as a lane holds less than p, so after it each
+        holds at most p^(2^j) - 1 + p^(2^j) * (p^(2^j) - 1) < p^(2^(j+1)),
+        which fits its 2^(j+1) * b bits since p < 2^b: no field carries into
+        the next, and no window into the next.  After the last merge every
+        window holds its code alone, and the codes are read out of the
+        int's bytes with no Python code per codeword: by a memoryview cast
+        when a window is 1, 2, 4 or 8 bytes, by strided slices of each
+        code's bytes otherwise, and one window at a time for codes over 8
+        bytes."""
         if self.p == 2:
             acc = [0]
             for c in map(self.code, basis):
                 acc += [x ^ c for x in acc]
             return tuple(acc)
-        p, magic, shift, width = self.p, self._magic, self._shift, self._window
-        count = p ** len(basis)
-        masks = self._window_masks.get(count)
-        if masks is None:
-            masks = self._window_masks[count] = (
-                _repeat(self._quot_mask, width, count),
-                _repeat(self.lane_mask, width, count))
-        quot_mask, code_mask = masks
-        acc, windows, top = 0, 1, 0          # every lane of acc is <= top
+        p, b, lane, lane_mask = self.p, self._narrow, self.lane, self.lane_mask
+        size, guard = self._window_bytes, b - 1
+        ones1, bias1, merges = self._masks(1)
+        acc, windows = 0, 1
         for row in basis:
-            if top > p * p - p:              # one more row could pass p^2 - 1
-                acc -= p * (((acc * magic) >> shift) & quot_mask)
-                top = p - 1
-            block = windows * width
-            multiples = 0
-            for s in range(1, p):
-                copies = _repeat(self.reduce(s * row), width, windows)
-                multiples |= copies << (s * block)
-            acc = _repeat(acc, block, p) + multiples
+            narrow, pos = 0, 0
+            while row:
+                narrow |= (row & lane_mask) << pos
+                row >>= lane
+                pos += b
+            multiples = [0, narrow]
+            for _ in range(p - 2):
+                x = multiples[-1] + narrow
+                multiples.append(x - p * (((x + bias1) >> guard) & ones1))
+            copies = acc.to_bytes(windows * size, "little") * p
+            added = b"".join(s.to_bytes(size, "little") * windows
+                             for s in multiples)
+            acc = (int.from_bytes(copies, "little")
+                   + int.from_bytes(added, "little"))
             windows *= p
-            top += p - 1
-        if top >= p:
-            acc -= p * (((acc * magic) >> shift) & quot_mask)
-        codes = ((acc * self._gather) >> self._gather_shift) & code_mask
-        stride, size = width // 8, self._code_bytes
-        data = codes.to_bytes(count * stride, "little")
-        if size > 8:
-            return tuple(int.from_bytes(data[i:i + size], "little")
-                         for i in range(0, len(data), stride))
-        item = 1 << (size - 1).bit_length()
-        out = bytearray(count * item)
-        for b in range(size):
-            slot = b if sys.byteorder == "little" else item - 1 - b
-            out[slot::item] = data[b::stride]
+            ones, bias, merges = self._masks(windows)
+            acc -= p * (((acc + bias) >> guard) & ones)
+        width, scale = b, p
+        for merge in merges:
+            acc = (acc & merge) + scale * ((acc >> width) & merge)
+            width *= 2
+            scale *= scale
+        data = acc.to_bytes(windows * size, "little")
+        if size in _ITEM_FORMAT and sys.byteorder == "little":
+            return tuple(memoryview(data).cast(_ITEM_FORMAT[size]).tolist())
+        code = self._code_bytes
+        if code > 8:
+            return tuple(int.from_bytes(data[i:i + code], "little")
+                         for i in range(0, len(data), size))
+        item = 1 << (code - 1).bit_length()
+        out = bytearray(windows * item)
+        for k in range(code):
+            slot = k if sys.byteorder == "little" else item - 1 - k
+            out[slot::item] = data[k::size]
         return tuple(memoryview(out).cast(_ITEM_FORMAT[item]).tolist())
 
 

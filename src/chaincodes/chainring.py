@@ -10,11 +10,12 @@ the x^j u^t coefficients, so ring addition, subtraction and negation are
 the field's carry-free digit arithmetic (`gf.digit_add`, `gf.digit_sub`,
 `gf.digit_neg`) over all e*m digits at once.
 
-Rings of at most 256 elements get eager add, mul, valuation, unit-inverse
-and conjugation tables.  The ring product is GF(p)-bilinear in the e*m
-digits, so `gf.bilinear_tables` builds the add and mul tables from (e*m)^2
-slow products of digit units instead of one per entry; conjugation is
-GF(p)-linear, so `gf.linear_table` builds its table from e*m images.
+Rings of at most 256 elements get eager add, neg, mul, valuation,
+unit-inverse and conjugation tables, and subtract as add[a][neg[b]].  The
+ring product is GF(p)-bilinear in the e*m digits, so `gf.bilinear_tables`
+builds the add and mul tables from (e*m)^2 slow products of digit units
+instead of one per entry; negation and conjugation are GF(p)-linear, so
+`gf.linear_table` builds each of their tables from e*m images.
 
 Larger rings get tables over their low halves when those are small enough.
 With h = ceil(e/2), Q = q^h and T = q^(e-h) <= Q, an element splits as
@@ -100,8 +101,9 @@ class _HalfTables:
 class ChainRing:
     """GF(q)[u]/(u^e) with elements coded as integers in range(q^e)."""
 
-    __slots__ = ("field", "e", "q", "size", "_add_table", "_mul_table",
-                 "_val_table", "_conj_table", "_inv_table", "_half")
+    __slots__ = ("field", "e", "q", "size", "_add_table", "_neg_table",
+                 "_mul_table", "_val_table", "_conj_table", "_inv_table",
+                 "_half")
 
     def __init__(self, field: Field, e: int):
         if e < 1:
@@ -113,6 +115,7 @@ class ChainRing:
         self.q = field.q
         self.size = field.q ** e
         self._add_table: list[list[int]] | None = None
+        self._neg_table: list[int] | None = None
         self._mul_table: list[list[int]] | None = None
         self._val_table: list[int] | None = None
         self._conj_table: list[int] | None = None
@@ -146,7 +149,7 @@ class ChainRing:
         return tuple(out)
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.size:
+        if type(a) is not int or not 0 <= a < self.size:
             raise ValueError(f"{a!r} is not an element code of {self!r}")
         return a
 
@@ -172,6 +175,8 @@ class ChainRing:
         return A[a % Q][b % Q] + Q * A[a // Q][b // Q]
 
     def neg(self, a: int) -> int:
+        if self._neg_table is not None:
+            return self._neg_table[a]
         half = self._half
         if half is None:
             return digit_neg(a, self.field.p)
@@ -179,6 +184,8 @@ class ChainRing:
         return N[a % Q] + Q * N[a // Q]
 
     def sub(self, a: int, b: int) -> int:
+        if self._neg_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         half = self._half
         if half is None:
             return digit_sub(a, b, self.field.p)
@@ -223,6 +230,9 @@ class ChainRing:
         digits = self.e * f.m
         self._add_table, self._mul_table = bilinear_tables(
             f.p, digits, self._mul_slow)
+        self._neg_table = linear_table(
+            f.p, self._add_table,
+            [(f.p - 1) * f.p ** k for k in range(digits)])
         self._val_table = [self._valuation_slow(a) for a in range(self.size)]
         self._inv_table = [row.index(1) if a % self.q else 0
                            for a, row in enumerate(self._mul_table)]

@@ -232,6 +232,15 @@ def bilinear_tables(p: int, digits: int, product) -> tuple[list, list]:
 
 # ---------------------------------------------------------------------------
 
+def _exact_modulus(p: int, modulus) -> tuple[int, ...]:
+    """The modulus coefficients as given: each must be an int in range(p),
+    since int() would truncate 2.9 and % p would hide a wrong 5."""
+    modulus = tuple(modulus)
+    if any(type(c) is not int or not 0 <= c < p for c in modulus):
+        raise ValueError(f"modulus coefficients must be ints in range({p})")
+    return modulus
+
+
 class Field:
     """GF(p^m) with elements coded as integers in range(p^m)."""
 
@@ -255,7 +264,7 @@ class Field:
         if modulus is None:
             modulus = canonical_modulus(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = _exact_modulus(p, modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
             if not is_irreducible(modulus, p):
@@ -295,7 +304,7 @@ class Field:
         return tuple(out)
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element code of GF({self.q})")
         return a
 
@@ -413,10 +422,18 @@ class Field:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def field_make(p: int, m: int, modulus: tuple[int, ...] | None = None) -> Field:
     """The field GF(p^m) over `modulus`, a tuple of coefficients constant
     term first, or over the canonical modulus when it is None.  Each field
     builds its tables once; the cache is bounded because a code document
-    may name any field, and a construction that raises is not cached."""
+    may name any field, and a construction that raises is not cached.  The
+    modulus is checked before the cache is looked up: 1.0 and True hash
+    and compare as 1, so they would find a field cached under 1."""
+    if modulus is not None:
+        modulus = _exact_modulus(p, modulus)
+    return _cached_field(p, m, modulus)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _cached_field(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
     return Field(p, m, modulus)

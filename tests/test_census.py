@@ -1,5 +1,6 @@
 """Tests for the brute-force censuses and the constructive enumerations."""
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,8 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import data, integers, lists, sampled_from
+from hypothesis.strategies import (booleans, data, integers, lists,
+                                   sampled_from)
 
 import chaincodes.census as census_module
 from chaincodes.census import (
@@ -133,6 +135,15 @@ def test_every_basis_pivots_on_its_rows_top_lanes(q, e, n, inner):
         assert_top_lane_echelon(view, view.module_basis(gens))
 
 
+def assert_window_layout(view):
+    """An odd-p fingerprint window is a power of two (at least 8) of lanes,
+    a whole number of bytes, each lane one guard bit over 2p - 2."""
+    lanes, bits = view._window_lanes, view._narrow
+    assert lanes >= 8 and lanes & (lanes - 1) == 0
+    assert lanes * bits == 8 * view._window_bytes
+    assert 2 * view.p - 2 < 1 << (bits - 1)
+
+
 def _fingerprint_reference(view, basis):
     """The odd-p fingerprint one codeword at a time: the closure of the
     packed rows with every sum reduced, each codeword read by itself."""
@@ -150,11 +161,12 @@ def _fingerprint_reference(view, basis):
 ])
 def test_packed_span_fingerprint_matches_reference(q, e, n, inner, padded):
     """Every basis the climb reaches, all ranks, against the per-codeword
-    closure; padded windows have lanes past w to fill a whole byte."""
+    closure; padded windows are raised to the floor of 8 lanes."""
     view, bases = _climb(chain_ring(q, e), n, inner)
-    w = n * e * view.m
-    assert (view._window > w * view.lane) == padded
-    assert view._window % 8 == 0 and view._window % view.lane == 0
+    w, lanes = n * e * view.m, view._window_lanes
+    assert_window_layout(view)
+    assert max(w, 8) <= lanes < 2 * max(w, 8)
+    assert (lanes == 8 > w) == padded
     for basis in bases:
         assert view.fingerprint(basis) == _fingerprint_reference(view, basis)
 
@@ -163,10 +175,13 @@ def test_packed_span_fingerprint_matches_reference(q, e, n, inner, padded):
     (3, 1, 4, 1), (3, 1, 10, 2), (9, 3, 2, 3), (5, 1, 27, 8), (3, 1, 50, 10),
 ])
 def test_fingerprint_read_out_at_every_code_width(q, e, n, code_bytes):
-    """Codes of 1, 2, 3 (read as 4), 8 and more than 8 bytes: the
-    memoryview casts and the per-window read above 64 bits."""
+    """Codes of 1, 2, 3, 8 and more than 8 bytes, in windows of 4, 8, 8, 20
+    and 32 bytes: the memoryview cast of whole windows, the strided read
+    into 8-byte items and the per-window read above 64 bits."""
     ring = chain_ring(q, e)
-    assert _FpView(ring, n)._code_bytes == code_bytes
+    view = _FpView(ring, n)
+    assert_window_layout(view)
+    assert view._code_bytes == code_bytes <= view._window_bytes
     gens = [[(3 * i + 7 * k + 1) % ring.size for k in range(n)]
             for i in range(3)]
     code = LinearCode(ring, n, gens)
@@ -174,6 +189,62 @@ def test_fingerprint_read_out_at_every_code_width(q, e, n, code_bytes):
                     for w in code.codewords())
     assert code_fingerprint(code) == tuple(packed)
     assert len(packed) == code.cardinality() > 1
+
+
+# (q, e, n): windows of 32 bytes with 10-byte codes (GF(3)^50), 8 and 4
+# bytes, 5 bytes (p = 5 and 7, codes of 1 and 2 bytes), 6 bytes (p = 11
+# and 13), 12, 20 and 11 bytes (p = 257), so every read-out runs
+FINGERPRINT_SPACES = [(3, 1, 50), (9, 3, 2), (3, 1, 4), (5, 3, 2), (5, 1, 3),
+                      (25, 1, 2), (7, 1, 3), (49, 1, 2), (11, 1, 4),
+                      (11, 1, 12), (13, 2, 2), (5, 1, 27), (257, 1, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_from(FINGERPRINT_SPACES), data())
+def test_fingerprint_of_random_bases_matches_reference(space, draw):
+    """Any subset of a module basis is a reduced echelon basis in pivot
+    order, so each drawn subset (at most 2,500 codewords, the empty one
+    too) is checked against the per-codeword closure."""
+    q, e, n = space
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    assert view.fingerprint([]) == (0,)
+    gens = draw.draw(lists(lists(integers(0, ring.size - 1), min_size=n,
+                                 max_size=n), min_size=1, max_size=3))
+    basis = view.module_basis(gens)
+    keep = draw.draw(lists(booleans(), min_size=len(basis),
+                           max_size=len(basis)))
+    cap = max(k for k in range(len(basis) + 1) if view.p ** k <= 2500)
+    rows = [row for row, kept in zip(basis, keep) if kept][:cap]
+    assert view.fingerprint(rows) == _fingerprint_reference(view, rows)
+
+
+# sha256 of repr(census.fingerprints): every member's sorted codeword codes,
+# in census order
+FINGERPRINT_DIGESTS = {
+    "R(3,3)^3 all": "636c0c25ec663df3fd798aa15c5ed6a58d58112cc49758095ca671887d54313b",
+    "R(9,3)^2 Hermitian": "dc9d07380d2079fbefe1c467a7cb02b1e6ee60ae37c79dcbcb1e96b9e3d7bc22",
+    "R(3,3)^4 Euclidean": "a2efba4383e5b3aa89247c58b69899abb7e8c6447228cbf3c079d1b701b00b3d",
+}
+
+
+@pytest.mark.parametrize("label,build", [
+    ("R(3,3)^3 all", lambda: enumerate_submodules(chain_ring(3, 3), 3)),
+    ("R(9,3)^2 Hermitian", lambda: enumerate_sd_standard_forms(
+        chain_ring(9, 3), 2, HERMITIAN)),
+    ("R(9,3)^2 Hermitian", lambda: enumerate_hsd_constructive(9, 2)),
+    ("R(3,3)^4 Euclidean", lambda: enumerate_sd_standard_forms(
+        chain_ring(3, 3), 4, EUCLIDEAN)),
+], ids=["submodules-3-3-3", "standard-forms-9-3-2-H", "constructive-9-2",
+        "standard-forms-3-3-4-E"])
+def test_census_fingerprints_match_their_pinned_digests(label, build):
+    """Odd-p censuses whose members' fingerprints are pinned byte for byte,
+    so a change of fingerprint kernel cannot change a census."""
+    census = build()
+    digest = hashlib.sha256(repr(census.fingerprints).encode()).hexdigest()
+    assert digest == FINGERPRINT_DIGESTS[label]
+    if label == "R(3,3)^3 all":
+        assert census.size == 5776
 
 
 # ---------------------------------------------------------------------------

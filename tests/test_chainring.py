@@ -98,7 +98,8 @@ def gf9_alt_ring():
 
 
 @pytest.mark.parametrize("ring", [chain_ring(q, e) for q, e in HALF_RINGS]
-                         + [chain_ring(4, 3), gf9_alt_ring()], ids=repr)
+                         + [chain_ring(4, 3), gf9_alt_ring(), chain_ring(3, 3),
+                            chain_ring(5, 3)], ids=repr)
 def test_every_regime_matches_the_digit_loops(ring):
     f, p = ring.field, ring.field.p
     els = list(ring.elements())
@@ -114,6 +115,24 @@ def test_every_regime_matches_the_digit_loops(ring):
             assert ring.add(a, b) == digit_add(a, b, p)
             assert ring.sub(a, b) == digit_sub(a, b, p)
             assert ring.mul(a, b) == brute_mul(ring, a, b)
+
+
+@pytest.mark.parametrize("q,e", [(3, 3), (4, 3)])
+def test_table_rings_subtract_and_negate_by_lookup(q, e, monkeypatch):
+    """Full-table rings negate from a table and subtract as add[a][neg[b]],
+    with no digit loop, for odd and even p alike."""
+    ring = chain_ring(q, e)
+    p = ring.field.p
+    els = list(ring.elements())
+    expected_neg = [digit_neg(a, p) for a in els]
+    expected_sub = [[digit_sub(a, b, p) for b in els] for a in els]
+
+    def refuse(*args):
+        raise AssertionError("digit loop on a table ring")
+    monkeypatch.setattr("chaincodes.chainring.digit_sub", refuse)
+    monkeypatch.setattr("chaincodes.chainring.digit_neg", refuse)
+    assert [ring.neg(a) for a in els] == expected_neg
+    assert [[ring.sub(a, b) for b in els] for a in els] == expected_sub
 
 
 @pytest.mark.parametrize("ring", [chain_ring(9, 3), gf9_alt_ring()], ids=repr)

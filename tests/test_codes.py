@@ -164,6 +164,20 @@ def test_contains_rejects_outsiders():
         code.contains((1,))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_not_element_codes(flag):
+    """A bool is an int to isinstance, but not an element code: refused as
+    a generator entry and as a word entry, as the document loader does."""
+    r = chain_ring(4, 3)
+    with pytest.raises(ValueError):
+        LinearCode(r, 2, [[flag, 1]])
+    code = LinearCode(r, 2, [[1, 1]])
+    with pytest.raises(ValueError):
+        code.contains((flag, 1))
+    with pytest.raises(ValueError):
+        code.contains((1, flag))
+
+
 # ---------------------------------------------------------------------------
 # torsion and residue codes
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers, lists, sampled_from
 
+from chaincodes import gf
 from chaincodes.gf import (
     Field,
     _pmul,
@@ -133,6 +134,23 @@ def test_field_rejects_bad_moduli():
         Field(4, 1)                   # not prime
     with pytest.raises(ValueError):
         field_make(2, 30)             # exceeds default order bound
+
+
+@pytest.mark.parametrize("modulus", [
+    (5, 4, 1), (2.9, 1, 1), (2, 1, 1.0), (2, True, 1), (-1, 1, 1), ("2", 1, 1),
+])
+def test_field_refuses_a_modulus_it_would_coerce(modulus):
+    """Each of these reduces to the irreducible x^2 + x + 2, yet an explicit
+    modulus is taken as given: only ints in range(p).  field_make refuses
+    it with GF(9) over x^2 + x + 2 already cached (1.0 and True compare
+    equal to 1), and caches nothing new."""
+    assert field_make(3, 2, (2, 1, 1)).modulus == (2, 1, 1)
+    cached = gf._cached_field.cache_info().currsize
+    with pytest.raises(ValueError, match="range"):
+        Field(3, 2, list(modulus))
+    with pytest.raises(ValueError, match="range"):
+        field_make(3, 2, modulus)
+    assert gf._cached_field.cache_info().currsize == cached
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +290,13 @@ def test_field_make_is_one_bounded_cache_keyed_by_modulus():
     other = field_make(3, 2, (2, 1, 1))
     assert other is field_make(3, 2, (2, 1, 1))
     assert other.modulus == (2, 1, 1) and other != field_make(3, 2)
-    assert field_make.cache_info().maxsize is not None
-    misses = field_make.cache_info().misses
+    cache = gf._cached_field       # behind field_make's modulus check
+    assert cache.cache_info().maxsize is not None
+    misses = cache.cache_info().misses
     for _ in range(2):          # a construction that raises is not cached
         with pytest.raises(ValueError, match="not irreducible"):
             field_make(2, 2, (0, 0, 1))
-    assert field_make.cache_info().misses == misses + 2
+    assert cache.cache_info().misses == misses + 2
 
 
 # ---------------------------------------------------------------------------

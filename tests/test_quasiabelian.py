@@ -475,6 +475,16 @@ def test_group_algebra_shift_and_scale():
     assert x.shift((1,)) == x * GroupAlgebraElement.monomial(g, f, (1,))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_group_algebra_refuses_bool_coefficients(flag):
+    g = AbelianGroup.from_spec("4")
+    f = field_make(5, 1)
+    with pytest.raises(ValueError):
+        GroupAlgebraElement(g, f, {(0,): flag})
+    with pytest.raises(ValueError):
+        GroupAlgebraElement.monomial(g, f, (1,), flag)
+
+
 def test_group_algebra_rejects_mixed_parents():
     f = field_make(2, 1)
     a = GroupAlgebraElement.one(AbelianGroup.from_spec("2"), f)
