@@ -372,7 +372,7 @@ class _FpView:
         the next, and no window into the next.  After the last merge every
         window holds its code alone, and the codes are read out of the
         int's bytes with no Python code per codeword: by a memoryview cast
-        when a window is 1, 2, 4 or 8 bytes, by strided slices of each
+        when a window is 4 or 8 bytes (W*b >= 32), by strided slices of each
         code's bytes otherwise, and one window at a time for codes over 8
         bytes."""
         if self.p == 2:

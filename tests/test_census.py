@@ -219,32 +219,27 @@ def test_fingerprint_of_random_bases_matches_reference(space, draw):
     assert view.fingerprint(rows) == _fingerprint_reference(view, rows)
 
 
-# sha256 of repr(census.fingerprints): every member's sorted codeword codes,
-# in census order
-FINGERPRINT_DIGESTS = {
-    "R(3,3)^3 all": "636c0c25ec663df3fd798aa15c5ed6a58d58112cc49758095ca671887d54313b",
-    "R(9,3)^2 Hermitian": "dc9d07380d2079fbefe1c467a7cb02b1e6ee60ae37c79dcbcb1e96b9e3d7bc22",
-    "R(3,3)^4 Euclidean": "a2efba4383e5b3aa89247c58b69899abb7e8c6447228cbf3c079d1b701b00b3d",
-}
+# sha256 of repr(census.fingerprints), every member's sorted codeword codes
+# in census order, as the wide-lane gather kernel computed them
+NH_9_2_DIGEST = "dc9d07380d2079fbefe1c467a7cb02b1e6ee60ae37c79dcbcb1e96b9e3d7bc22"
 
 
-@pytest.mark.parametrize("label,build", [
-    ("R(3,3)^3 all", lambda: enumerate_submodules(chain_ring(3, 3), 3)),
-    ("R(9,3)^2 Hermitian", lambda: enumerate_sd_standard_forms(
-        chain_ring(9, 3), 2, HERMITIAN)),
-    ("R(9,3)^2 Hermitian", lambda: enumerate_hsd_constructive(9, 2)),
-    ("R(3,3)^4 Euclidean", lambda: enumerate_sd_standard_forms(
-        chain_ring(3, 3), 4, EUCLIDEAN)),
+@pytest.mark.parametrize("build,size,digest", [
+    (lambda: enumerate_submodules(chain_ring(3, 3), 3), 5776,
+     "636c0c25ec663df3fd798aa15c5ed6a58d58112cc49758095ca671887d54313b"),
+    (lambda: enumerate_sd_standard_forms(chain_ring(9, 3), 2, HERMITIAN), 40,
+     NH_9_2_DIGEST),
+    (lambda: enumerate_hsd_constructive(9, 2), 40, NH_9_2_DIGEST),
+    (lambda: enumerate_sd_standard_forms(chain_ring(3, 3), 4, EUCLIDEAN), 176,
+     "a2efba4383e5b3aa89247c58b69899abb7e8c6447228cbf3c079d1b701b00b3d"),
 ], ids=["submodules-3-3-3", "standard-forms-9-3-2-H", "constructive-9-2",
         "standard-forms-3-3-4-E"])
-def test_census_fingerprints_match_their_pinned_digests(label, build):
-    """Odd-p censuses whose members' fingerprints are pinned byte for byte,
-    so a change of fingerprint kernel cannot change a census."""
+def test_census_fingerprints_match_their_pinned_digests(build, size, digest):
+    """Odd-p censuses pinned byte for byte, so no change of fingerprint
+    kernel can change a census."""
     census = build()
-    digest = hashlib.sha256(repr(census.fingerprints).encode()).hexdigest()
-    assert digest == FINGERPRINT_DIGESTS[label]
-    if label == "R(3,3)^3 all":
-        assert census.size == 5776
+    assert census.size == size
+    assert hashlib.sha256(repr(census.fingerprints).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
