@@ -9,20 +9,22 @@ because it has a composition series.  The covers of M are the GF(q)-lines
 of S/M, where S = {v : u*v in M} comes out of one elimination per M, so no
 vector outside S is ever tried (see `_climb`).
 
-The GF(p) rows are packed integers (see `_FpView`): reducing, scaling and
+The GF(p) rows are packed integers in one lane layout (see `_FpView`),
+each lane the least width at which a short fixed list of guard-bit
+compare-and-subtract steps reduces p^2 - 1 mod p: reducing, scaling and
 adding a row are a few big-int operations, multiplication by u and by the
-field generator are lane shifts, and a row's base-p reading is the packed
-base-|R| code of its vector, so fingerprints (sorted codeword codes) come
-out of the row span without decoding any codeword.  For p = 2 they are the
-XOR closure of the basis rows' codes.  For odd p the whole span is built in
-one int, a codeword per window of narrow lanes, each lane a few bits over
-2p - 2 and each window whole bytes: every row's multiples are added by
-bytes repetition and reduced mod p by one guard-bit compare-and-subtract,
-and log2 of the window's lane count SWAR merges then read every window's
-code at once (see `_FpView.fingerprint` for why no lane, field or window
-carries into the next).  Neither is sorted: every basis in the view pivots
-on each row's top lane, so with the rows added in increasing pivot order
-the span comes out in code order.
+field generator are lane shifts, and log2 of a window's lane count SWAR
+merges read a row's base-p reading, the packed base-|R| code of its vector.
+So fingerprints (sorted codeword codes) come out of the row span without
+decoding any codeword.  For p = 2 they are the XOR closure of the basis
+rows' codes.  For odd p the whole span is built in one int, a codeword per
+window of the rows' own lanes, each window whole bytes: every basis row's
+multiples are added by bytes repetition and reduced mod p by the last
+guard step of the row reduction, and the same merges then read every
+window's code at once (see `_FpView.reduce`, `code` and `fingerprint` for
+why no lane, field or window carries into the next).  Neither is sorted:
+every basis in the view pivots on each row's top lane, so with the rows
+added in increasing pivot order the span comes out in code order.
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -71,30 +73,26 @@ class _FpView:
     """Vectors over R^n as GF(p) coefficient rows, each packed into one int.
 
     Coordinate i = (k*e + t)*m + j of a row is the x^j u^t coefficient of
-    entry k, and it sits in lane i: bits [i*L, (i+1)*L) of the int.  A ring
+    entry k, and it sits in lane i: bits [i*b, (i+1)*b) of the int.  A ring
     code is sum c_{t,j} p^(t*m + j), so the base-|R| code of a vector is the
     base-p reading sum c_i p^i of its row.
 
-    The lane width L serves two jobs.  Lanes holding up to p^2 - 1 (a
-    reduced row plus a multiple of another) are reduced mod p all at once
-    by a multiply-shift (Barrett) division, which needs L bits for
-    (p^2 - 1) * magic.  Multiplying a reduced row by
-    sum_i p^i * 2^((w-1-i)*L) collects its base-p reading in lane w - 1
-    with nothing carried in from below, which needs 2^L >= p^w.  So a row
-    takes about w^2 * log2(p) bits: a few hundred at census sizes, where
-    p^w = |R|^n is at most the oracle bound.
+    Rows and fingerprint spans share one lane layout.  The lane width b is
+    the least at which a few guard-bit subtractions reduce a lane holding
+    up to p^2 - 1 (a reduced row plus a multiple of another) mod p, all
+    lanes at once (see `reduce`): the least b with p*ceil(p/2) <= 2^(b-1).
+    That is 2 bits at p = 2, 4 at p = 3 and 5 at p = 5, so a row of
+    w = n*e*m lanes takes w*b bits.  A window is W lanes, W the
+    least power of two >= max(w, 8), so W*b is a multiple of 8 and a window
+    is whole bytes.  A row is one window with lanes w..W-1 zero, and
+    log2(W) SWAR merges read its base-p code (see `code`); a fingerprint
+    span lays whole codewords side by side in one int, one per window, and
+    the same merges read every window at once (see `fingerprint`).
 
     A basis is kept in reduced echelon form with each row's pivot, 1, on
     its top nonzero lane, every other row 0 there, and the rows in
     increasing pivot order; it is canonical, one per GF(p)-span, and it is
     the basis `fingerprint` needs as it stands.
-
-    An odd-p fingerprint does not use the wide lanes: it re-lays each
-    basis row into narrow lanes of b bits, b one guard bit over the width
-    of 2p - 2, and lays whole codewords side by side in one int, each in a
-    window of W narrow lanes, W the least power of two >= max(w, 8).  So
-    W*b is a multiple of 8 and every window starts on a byte (see
-    `fingerprint`).
     """
 
     def __init__(self, ring: ChainRing, n: int):
@@ -106,46 +104,77 @@ class _FpView:
         self.p = p
         self.m = m
         self.digits = e * m                      # lanes per ring entry
-        # Barrett: floor(x / p) == (x * magic) >> shift for 0 <= x < p^2
-        shift = (p * p - 1).bit_length() + p.bit_length()
-        magic = -(-(1 << shift) // p)
-        lane = max(((p * p - 1) * magic).bit_length(), (p ** w - 1).bit_length())
-        self.lane = lane
-        self.lane_mask = (1 << lane) - 1
-        self._shift = shift
-        self._magic = magic
-        self._quot_mask = sum(((1 << (lane - shift)) - 1) << (i * lane)
-                              for i in range(w))
-        self._gather = sum(p ** i << ((w - 1 - i) * lane) for i in range(w))
-        self._gather_shift = (w - 1) * lane      # offset of the top lane
-        # fingerprint windows of W narrow lanes of b bits (see above); a
-        # code takes code_bytes of a window's W*b/8 bytes
-        self._narrow = (2 * p - 2).bit_length() + 1
+        # the subtrahends of `reduce`: each the least multiple of p at
+        # least half the one before (p^2 to start), down to p
+        steps = [p * -(-p // 2)]
+        while steps[-1] > p:
+            steps.append(p * -(-steps[-1] // (2 * p)))
+        b = (steps[0] - 1).bit_length() + 1     # 2^(b-1) >= steps[0]
+        self.lane = b
+        self.lane_mask = (1 << b) - 1
         self._window_lanes = 1 << (max(w, 8) - 1).bit_length()
-        self._window_bytes = self._window_lanes * self._narrow // 8
+        self._window_bytes = self._window_lanes * b // 8
         self._code_bytes = -(-(p ** w - 1).bit_length() // 8)
         self._window_masks: dict[int, tuple[int, int, list[int]]] = {}
+        ones, _, merges = self._masks(1)
+        self._ones = ones & ((1 << w * b) - 1)   # row constants: w lanes
+        self._steps = [(s, self._ones * ((1 << (b - 1)) - s)) for s in steps]
+        self._merges = [(b << j, (1 << (b << j)) - p ** (1 << j), mask)
+                        for j, mask in enumerate(merges)]
         # multiplying by u moves each coefficient up m lanes within its
         # entry; the u^(e-1) coefficients fall off the top
-        self._u_keep = sum(self.lane_mask << (i * lane)
+        self._u_keep = sum(self.lane_mask << (i * b)
                            for i in range(w) if i % self.digits >= m)
         # multiplying by x moves each coefficient up one lane within its
         # (entry, u-power) group; x^m folds back as -(f_0 + ... + f_(m-1) x^(m-1))
-        self._x_top = sum(self.lane_mask << (i * lane)
+        self._x_top = sum(self.lane_mask << (i * b)
                           for i in range(w) if i % m == m - 1)
-        self._x_fold = sum((-c % p) << (j * lane)
+        self._x_fold = sum((-c % p) << (j * b)
                            for j, c in enumerate(f.modulus[:m]))
 
     # -- lanes ---------------------------------------------------------------
 
     def reduce(self, x: int) -> int:
-        """Every lane mod p, for lanes holding at most p^2 - 1."""
-        quot = ((x * self._magic) >> self._shift) & self._quot_mask
-        return x - self.p * quot
+        """Every lane mod p, for lanes holding at most p^2 - 1.
+
+        One guard-bit step per subtrahend s, a multiple of p: adding the
+        bias 2^(b-1) - s to a lane x sets its top (guard) bit exactly when
+        x >= s, and subtracting s times each guard bit takes s off exactly
+        those lanes, so every lane keeps its value mod p.  That needs
+        bias >= 0, that is s <= 2^(b-1), and x + bias < 2^b, that is
+        x < 2^(b-1) + s, so that nothing carries out of the lane.
+
+        Lanes start in range(r), r = p^2, and each s is the least multiple
+        of p with 2s >= r; the step takes them into range(s), since
+        r - s <= s, and the next step starts from r = s.  So the first s is
+        p*ceil(p/2), each later s is at most the one before, and all are at
+        most 2^(b-1) by the choice of b; and x < r <= 2s <= 2^(b-1) + s.
+        The subtrahends fall strictly while r > p (p*ceil(r/2p) < r), and
+        the last, s = p, leaves range(p).  One bit less would not do: for
+        odd p, 2^(b-2) < p*ceil(p/2) = p(p + 1)/2, so any multiple s of p
+        up to 2^(b-2) is at most p(p - 1)/2, and 2^(b-2) + s < p^2 would
+        carry a lane holding p^2 - 1; for p = 2, one bit cannot hold 3."""
+        guard, ones = self.lane - 1, self._ones
+        for s, bias in self._steps:
+            x -= s * (((x + bias) >> guard) & ones)
+        return x
 
     def code(self, row: int) -> int:
-        """Base-p reading of a reduced row: the vector's code in base |R|."""
-        return ((row * self._gather) >> self._gather_shift) & self.lane_mask
+        """Base-p reading of a reduced row: the vector's code in base |R|.
+
+        Merge j turns each pair of fields of 2^j lanes, lo below hi, into
+        the one field lo + p^(2^j) * hi of 2^(j+1) lanes.  Before merge j
+        each field holds less than p^(2^j), as a lane holds less than p, so
+        after it each holds at most p^(2^j) - 1 + p^(2^j) * (p^(2^j) - 1)
+        < p^(2^(j+1)), which fits its 2^(j+1) * b bits since p < 2^b: no
+        field carries into the next.  The pair lo + 2^d * hi, d = 2^j * b,
+        becomes that field by taking (2^d - p^(2^j)) * hi off it, with hi
+        read through the low-field mask; what each pair loses is at most
+        its own value, so nothing borrows across pairs.  After log2(W)
+        merges the window is one field, the code."""
+        for width, drop, mask in self._merges:
+            row -= drop * ((row >> width) & mask)
+        return row
 
     def encode(self, vec) -> int:
         """Packed row of a vector of ring codes."""
@@ -161,7 +190,11 @@ class _FpView:
 
     def decode(self, row: int) -> tuple[int, ...]:
         """Vector of ring codes of a reduced row."""
-        code, size = self.code(row), self.ring.size
+        return self.vector(self.code(row))
+
+    def vector(self, code: int) -> tuple[int, ...]:
+        """Vector of ring codes of a base-|R| code."""
+        size = self.ring.size
         vec = []
         for _ in range(self.n):
             code, r = divmod(code, size)
@@ -218,7 +251,7 @@ class _FpView:
         step = m * lane
         images: dict[int, tuple[int, int]] = {}   # pivot bit -> (image, source)
         kernel: list[tuple[int, int]] = []        # (row, pivot bit), pivots ascending
-        for bit in range(0, self._gather_shift + 1, lane):
+        for bit in range(0, self.n * self.digits * lane, lane):
             if bit in pivot_row:
                 continue
             src = 1 << bit
@@ -309,13 +342,13 @@ class _FpView:
         return basis
 
     def _masks(self, count: int) -> tuple[int, int, list[int]]:
-        """The fingerprint constants over `count` windows: ONES (bit 0 of
-        every narrow lane), the guard bias (2^(b-1) - p in every lane) and
-        the merge masks (the low field of each pair of 2^j lanes, j <
-        log2(W)), each one window's bytes repeated."""
+        """The lane constants over `count` windows: ONES (bit 0 of every
+        lane), the bias of the last guard step of `reduce` (2^(b-1) - p in
+        every lane) and the merge masks of `code` (the low field of each
+        pair of 2^j lanes, j < log2(W)), each one window's bytes repeated."""
         masks = self._window_masks.get(count)
         if masks is None:
-            b, size = self._narrow, self._window_bytes
+            b, size = self.lane, self._window_bytes
             bits = 8 * size
 
             def spread(pattern: int) -> int:
@@ -343,56 +376,39 @@ class _FpView:
         words agree above the highest pivot where their coefficients differ
         (every row is zero above its pivot), and at that pivot each holds
         its own coefficient (no other row is nonzero there), so their codes
-        compare as those coefficients do, and so as their places do.
+        compare as those coefficients do, and so as their places do.  The
+        word at place p^i is basis row i itself.
 
         For p = 2 a row's code is its lanes read as bits, so the span is
         the XOR closure of the basis rows' codes, doubled row by row.
 
         For odd p the whole span is built in one int, one codeword per
-        window of W narrow lanes of b bits, where 2p - 2 < 2^(b-1) and W is
-        the least power of two >= max(w, 8), so every window is whole
-        bytes; lanes w..W-1 of a window stay zero.  Each basis row is
-        re-laid into narrow lanes and multiplies the window count by p: the
-        accumulator's bytes are repeated p times, and copy s gets the
-        reduced multiple s*row, its bytes repeated once per window, added
-        to each of its windows.  Every lane then holds at most 2p - 2, and
-        one guard-bit step reduces it mod p: adding the bias 2^(b-1) - p to
-        a lane x < 2^(b-1) gives at most 2^(b-1) + p - 2 < 2^b, so nothing
-        carries out of the lane, and sets its top (guard) bit exactly when
-        x >= p; subtracting p (< 2^b) times each lane's guard bit leaves
-        every lane in range(p).  The multiples s*row are built the same
+        window, with the basis rows as they stand: each row multiplies the
+        window count by p.  The accumulator's bytes are repeated p times,
+        and copy s gets the reduced multiple s*row, its bytes repeated once
+        per window, added to each of its windows.  Every lane then holds at
+        most 2p - 2 < 2^(b-1) + p, and the last guard step of `reduce`
+        (s = p) reduces it mod p.  The multiples s*row are built the same
         way, one addition of the row at a time.
 
-        log2(W) merges then read each window's base-p code: merge j turns
-        each pair of fields of 2^j lanes, lo below hi, into the one field
-        lo + p^(2^j) * hi of 2^(j+1) lanes.  Before merge j each field holds
-        less than p^(2^j), as a lane holds less than p, so after it each
-        holds at most p^(2^j) - 1 + p^(2^j) * (p^(2^j) - 1) < p^(2^(j+1)),
-        which fits its 2^(j+1) * b bits since p < 2^b: no field carries into
-        the next, and no window into the next.  After the last merge every
-        window holds its code alone, and the codes are read out of the
-        int's bytes with no Python code per codeword: by a memoryview cast
-        when a window is 4 or 8 bytes (W*b >= 32), by strided slices of each
-        code's bytes otherwise, and one window at a time for codes over 8
-        bytes."""
+        The merges of `code` then read every window's code at once; no
+        field carries into the next, so no window carries into the next.
+        The codes are read out of the int's bytes with no Python code per
+        codeword: by a memoryview cast when a window is 4 or 8 bytes, by
+        strided slices of each code's bytes otherwise, and one window at a
+        time for codes over 8 bytes."""
         if self.p == 2:
             acc = [0]
             for c in map(self.code, basis):
                 acc += [x ^ c for x in acc]
             return tuple(acc)
-        p, b, lane, lane_mask = self.p, self._narrow, self.lane, self.lane_mask
-        size, guard = self._window_bytes, b - 1
+        p, size, guard = self.p, self._window_bytes, self.lane - 1
         ones1, bias1, merges = self._masks(1)
         acc, windows = 0, 1
         for row in basis:
-            narrow, pos = 0, 0
-            while row:
-                narrow |= (row & lane_mask) << pos
-                row >>= lane
-                pos += b
-            multiples = [0, narrow]
+            multiples = [0, row]
             for _ in range(p - 2):
-                x = multiples[-1] + narrow
+                x = multiples[-1] + row
                 multiples.append(x - p * (((x + bias1) >> guard) & ones1))
             copies = acc.to_bytes(windows * size, "little") * p
             added = b"".join(s.to_bytes(size, "little") * windows
@@ -402,11 +418,8 @@ class _FpView:
             windows *= p
             ones, bias, merges = self._masks(windows)
             acc -= p * (((acc + bias) >> guard) & ones)
-        width, scale = b, p
-        for merge in merges:
-            acc = (acc & merge) + scale * ((acc >> width) & merge)
-            width *= 2
-            scale *= scale
+        for (width, drop, _), merge in zip(self._merges, merges):
+            acc -= drop * ((acc >> width) & merge)
         data = acc.to_bytes(windows * size, "little")
         if size in _ITEM_FORMAT and sys.byteorder == "little":
             return tuple(memoryview(data).cast(_ITEM_FORMAT[size]).tolist())
@@ -527,15 +540,18 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
 def _census_of(ring: ChainRing, n: int, label: str, members,
                view: _FpView | None = None) -> Census:
     """The census of (reduced GF(p) echelon basis in the view, code)
-    members, a code of None decoded from its basis; an empty census needs
-    no view.  Sorted by fingerprint alone, so a repeated member is kept
-    twice rather than compared as a code."""
-    entries = sorted(
-        ((view.fingerprint(basis),
-          LinearCode._trusted(ring, n, [view.decode(row) for row in basis])
-          if code is None else code)
-         for basis, code in members),
-        key=lambda entry: entry[0])
+    members, a code of None decoded from its basis, whose rows' codes its
+    fingerprint already holds; an empty census needs no view.  Sorted by
+    fingerprint alone, so a repeated member is kept twice rather than
+    compared as a code."""
+    entries = []
+    for basis, code in members:
+        fp = view.fingerprint(basis)
+        if code is None:        # basis row i is the word at place p^i
+            code = LinearCode._trusted(ring, n, [
+                view.vector(fp[view.p ** i]) for i in range(len(basis))])
+        entries.append((fp, code))
+    entries.sort(key=lambda entry: entry[0])
     return Census(ring, n, label, tuple(code for _, code in entries),
                   tuple(fp for fp, _ in entries))
 

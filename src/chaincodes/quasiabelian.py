@@ -33,9 +33,9 @@ class AbelianGroup:
     __slots__ = ("invariants",)
 
     def __init__(self, invariants) -> None:
-        inv = tuple(int(d) for d in invariants)
-        if any(d < 1 for d in inv):
-            raise ValueError(f"cyclic orders must be >= 1, got {inv}")
+        inv = tuple(invariants)
+        if any(type(d) is not int or d < 1 for d in inv):
+            raise ValueError(f"cyclic orders must be ints >= 1, got {inv!r}")
         # order-1 components contribute nothing; dropping them normalizes
         # the trivial group to the empty product
         self.invariants = tuple(d for d in inv if d > 1)
@@ -69,8 +69,9 @@ class AbelianGroup:
         a = tuple(a)
         if len(a) != len(self.invariants):
             raise ValueError(f"element {a} has the wrong arity for {self}")
-        if any(not 0 <= x < d for x, d in zip(a, self.invariants)):
-            raise ValueError(f"element {a} out of range for {self}")
+        if any(type(x) is not int or not 0 <= x < d
+               for x, d in zip(a, self.invariants)):
+            raise ValueError(f"element {a!r} out of range for {self}")
         return a
 
     def add(self, a, b) -> tuple[int, ...]:

@@ -40,9 +40,10 @@ from chaincodes.gf import factor_prime_power, field_make
 # packed GF(p) rows
 
 @settings(max_examples=200, deadline=None)
-@given(sampled_from([2, 3, 5, 17, 257]), integers(1, 24), data())
+@given(sampled_from([2, 3, 5, 7, 11, 13, 17, 257]), integers(1, 24), data())
 def test_lane_reduction_and_base_p_reading(p, width, draw):
     view = _FpView(chain_ring(p, 1), width)
+    assert_window_layout(view)
     lanes = draw.draw(lists(integers(0, p * p - 1), min_size=width,
                             max_size=width))
     packed = sum(x << (i * view.lane) for i, x in enumerate(lanes))
@@ -135,13 +136,29 @@ def test_every_basis_pivots_on_its_rows_top_lanes(q, e, n, inner):
         assert_top_lane_echelon(view, view.module_basis(gens))
 
 
+# the lane width b of every prime the tests use; at p = 11 it is one bit
+# over bits(p^2 - 1), so that the first guard step does not carry
+LANE_WIDTHS = {2: 2, 3: 4, 5: 5, 7: 6, 11: 8, 13: 8, 257: 17}
+
+
 def assert_window_layout(view):
-    """An odd-p fingerprint window is a power of two (at least 8) of lanes,
-    a whole number of bytes, each lane one guard bit over 2p - 2."""
-    lanes, bits = view._window_lanes, view._narrow
+    """Rows and spans share one layout: lanes of b bits, the least width
+    whose guard steps reduce p^2 - 1 mod p, and windows of a power of two
+    (at least 8) of lanes, a whole number of bytes."""
+    p, b, lanes = view.p, view.lane, view._window_lanes
+    assert LANE_WIDTHS.get(p, b) == b
     assert lanes >= 8 and lanes & (lanes - 1) == 0
-    assert lanes * bits == 8 * view._window_bytes
-    assert 2 * view.p - 2 < 1 << (bits - 1)
+    assert lanes * b == 8 * view._window_bytes
+    assert p * p - 1 < 1 << b
+    half, r = 1 << (b - 1), p * p             # lanes in range(r)
+    for s, bias in view._steps:
+        assert s % p == 0 and s <= half
+        assert bias == view._ones * (half - s)
+        assert (r - 1) + (half - s) < 1 << b  # the largest lane does not carry
+        r = max(s, r - s)
+    assert view._steps[-1][0] == p and r == p
+    # one bit less would not hold p^2 - 1, or its first step would carry
+    assert p * p - 1 >= half or p * p - 1 >= half // 2 + p * (half // 2 // p)
 
 
 def _fingerprint_reference(view, basis):
@@ -191,9 +208,12 @@ def test_fingerprint_read_out_at_every_code_width(q, e, n, code_bytes):
     assert len(packed) == code.cardinality() > 1
 
 
-# (q, e, n): windows of 32 bytes with 10-byte codes (GF(3)^50), 8 and 4
-# bytes, 5 bytes (p = 5 and 7, codes of 1 and 2 bytes), 6 bytes (p = 11
-# and 13), 12, 20 and 11 bytes (p = 257), so every read-out runs
+# (q, e, n): windows of 4 and 8 bytes read by the memoryview cast
+# (GF(3)^4; R(9,3)^2, GF(11)^4 and R(13,2)^2), strided reads of 5 bytes
+# (p = 5, codes of 1 and 2 bytes), 6 bytes (p = 7), 16 bytes (GF(11)^12),
+# 20 bytes (GF(5)^27, 8-byte codes) and 17 bytes (p = 257), and 32 bytes
+# with 10-byte codes read one window at a time (GF(3)^50), so every
+# read-out runs
 FINGERPRINT_SPACES = [(3, 1, 50), (9, 3, 2), (3, 1, 4), (5, 3, 2), (5, 1, 3),
                       (25, 1, 2), (7, 1, 3), (49, 1, 2), (11, 1, 4),
                       (11, 1, 12), (13, 2, 2), (5, 1, 27), (257, 1, 3)]
@@ -220,8 +240,10 @@ def test_fingerprint_of_random_bases_matches_reference(space, draw):
 
 
 # sha256 of repr(census.fingerprints), every member's sorted codeword codes
-# in census order, as the wide-lane gather kernel computed them
+# in census order, as computed before the row and span lanes were merged
+# into one layout
 NH_9_2_DIGEST = "dc9d07380d2079fbefe1c467a7cb02b1e6ee60ae37c79dcbcb1e96b9e3d7bc22"
+NH_4_2_DIGEST = "dc58ed84eb7adaeec0fc37ec254072a97af258e2f1f696633cbba3ea300daf11"
 
 
 @pytest.mark.parametrize("build,size,digest", [
@@ -232,11 +254,21 @@ NH_9_2_DIGEST = "dc9d07380d2079fbefe1c467a7cb02b1e6ee60ae37c79dcbcb1e96b9e3d7bc2
     (lambda: enumerate_hsd_constructive(9, 2), 40, NH_9_2_DIGEST),
     (lambda: enumerate_sd_standard_forms(chain_ring(3, 3), 4, EUCLIDEAN), 176,
      "a2efba4383e5b3aa89247c58b69899abb7e8c6447228cbf3c079d1b701b00b3d"),
+    (lambda: enumerate_submodules(chain_ring(4, 3), 2), 139,
+     "3f2b65032876b9c02fc656245a5f9fc9b493f7787b3985deb07d46d2da0df7ce"),
+    (lambda: enumerate_submodules(chain_ring(2, 3), 3), 802,
+     "11a7efc98bc728dfdfc6bb99f5bc1d4ce69f740df5a00664d8427ac1aabb1dfb"),
+    (lambda: enumerate_sd_standard_forms(chain_ring(2, 3), 4, EUCLIDEAN), 87,
+     "a25447ce3be1c983d3df63e3acff7b18fe71e886564a5edae623da296ff1921d"),
+    (lambda: enumerate_self_dual(chain_ring(4, 3), 2, HERMITIAN), 15,
+     NH_4_2_DIGEST),
+    (lambda: enumerate_hsd_constructive(4, 2), 15, NH_4_2_DIGEST),
 ], ids=["submodules-3-3-3", "standard-forms-9-3-2-H", "constructive-9-2",
-        "standard-forms-3-3-4-E"])
+        "standard-forms-3-3-4-E", "submodules-4-3-2", "submodules-2-3-3",
+        "standard-forms-2-3-4-E", "self-dual-4-3-2-H", "constructive-4-2"])
 def test_census_fingerprints_match_their_pinned_digests(build, size, digest):
-    """Odd-p censuses pinned byte for byte, so no change of fingerprint
-    kernel can change a census."""
+    """Censuses over odd and even p pinned byte for byte, so no change of
+    lane layout or fingerprint kernel can change a census."""
     census = build()
     assert census.size == size
     assert hashlib.sha256(repr(census.fingerprints).encode()).hexdigest() == digest

@@ -475,6 +475,27 @@ def test_group_algebra_shift_and_scale():
     assert x.shift((1,)) == x * GroupAlgebraElement.monomial(g, f, (1,))
 
 
+@pytest.mark.parametrize("orders", [[2.9], ["3"], [3.0], [True, 2]])
+def test_group_orders_are_exact_ints(orders):
+    """No order is coerced: 2.9 is not Z2 and "3" is not Z3."""
+    with pytest.raises(ValueError, match="cyclic orders must be ints"):
+        AbelianGroup(orders)
+
+
+@pytest.mark.parametrize("element", [(1.0,), (True,), ("1",)])
+def test_group_elements_are_exact_ints(element):
+    with pytest.raises(ValueError, match="out of range"):
+        AbelianGroup([3]).check(element)
+
+
+def test_a_float_group_element_is_refused_before_the_chain_ring_map():
+    """A float exponent used to pass the group check and end in a
+    TypeError inside cyclic_to_chain."""
+    with pytest.raises(ValueError, match="out of range"):
+        cyclic_to_chain(chain_ring(3, 3), GroupAlgebraElement(
+            AbelianGroup([3]), field_make(3, 1), {(1.0,): 2}))
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_group_algebra_refuses_bool_coefficients(flag):
     g = AbelianGroup.from_spec("4")
