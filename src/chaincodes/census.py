@@ -39,8 +39,14 @@ generator blocks level by level; trace preimages parameterize the free
 diagonal choices.  `enumerate_hsd_constructive` draws both residue codes
 from the e = 1 cover search: C1 from the Hermitian self-dual census of
 GF(q)^n, and C0 as the image of each subspace of GF(q)^(n/2) under C1's
-basis.  Every census, constructive ones included, is assembled by
-`_census_of` and sorted by fingerprint.
+basis.
+
+Every route, constructive ones included, hands `_census_of` only the
+canonical GF(p) bases of its members, and a `Census` is their sorted
+fingerprints and nothing else per member.  A member's code is built only
+when `Census.codes` is first read, on generator rows read off its
+fingerprint (the basis row i is the word at place p^i), so a code has the
+same generators in every census, whichever route found it.
 """
 from __future__ import annotations
 
@@ -67,6 +73,16 @@ CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
 # prime-field linear algebra on packed coefficient rows
 
 _ITEM_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}     # memoryview item sizes
+
+
+def _split(code: int, size: int, n: int) -> tuple[int, ...]:
+    """Vector of ring codes of a base-|R| code, |R| = size: its n digits,
+    coordinate 0 least significant."""
+    vec = []
+    for _ in range(n):
+        code, r = divmod(code, size)
+        vec.append(r)
+    return tuple(vec)
 
 
 class _FpView:
@@ -190,16 +206,7 @@ class _FpView:
 
     def decode(self, row: int) -> tuple[int, ...]:
         """Vector of ring codes of a reduced row."""
-        return self.vector(self.code(row))
-
-    def vector(self, code: int) -> tuple[int, ...]:
-        """Vector of ring codes of a base-|R| code."""
-        size = self.ring.size
-        vec = []
-        for _ in range(self.n):
-            code, r = divmod(code, size)
-            vec.append(r)
-        return tuple(vec)
+        return _split(self.code(row), self.ring.size, self.n)
 
     # -- module structure ------------------------------------------------------
 
@@ -377,7 +384,8 @@ class _FpView:
         (every row is zero above its pivot), and at that pivot each holds
         its own coefficient (no other row is nonzero there), so their codes
         compare as those coefficients do, and so as their places do.  The
-        word at place p^i is basis row i itself.
+        word at place p^i is basis row i itself, so the fingerprint holds
+        the basis too: `Census.codes` reads each member's generators there.
 
         For p = 2 a row's code is its lanes read as bits, so the span is
         the XOR closure of the basis rows' codes, doubled row by row.
@@ -447,19 +455,38 @@ def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Census:
-    """A deterministic, fingerprint-sorted list of codes."""
+    """A deterministic census: the sorted fingerprints of its members, one
+    per member, a repeated member kept twice.  That tuple is the whole
+    record; each member's code is read off its fingerprint when `codes` is
+    first read, so every route gives a code the same generators."""
     ring: ChainRing
     n: int
     filter_label: str
-    codes: tuple[LinearCode, ...]
     fingerprints: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.codes)
+        return len(self.fingerprints)
 
     def fingerprint_set(self) -> frozenset:
         return frozenset(self.fingerprints)
+
+    @functools.cached_property
+    def codes(self) -> tuple[LinearCode, ...]:
+        """The members' codes in fingerprint order, built on first read.  A
+        fingerprint is the span of a canonical GF(p) basis, whose row i is
+        the word at place p^i (see `_FpView.fingerprint`), and those rows
+        generate the code."""
+        ring, n, p = self.ring, self.n, self.ring.field.p
+
+        def gens(fp):
+            rows, place = [], 1
+            while place < len(fp):
+                rows.append(_split(fp[place], ring.size, n))
+                place *= p
+            return rows
+        return tuple(LinearCode._trusted(ring, n, gens(fp))
+                     for fp in self.fingerprints)
 
 
 def _check_bound(ring: ChainRing, n: int) -> None:
@@ -537,23 +564,13 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
     return view, [basis for basis, _, _ in found.values()]
 
 
-def _census_of(ring: ChainRing, n: int, label: str, members,
+def _census_of(ring: ChainRing, n: int, label: str, bases,
                view: _FpView | None = None) -> Census:
-    """The census of (reduced GF(p) echelon basis in the view, code)
-    members, a code of None decoded from its basis, whose rows' codes its
-    fingerprint already holds; an empty census needs no view.  Sorted by
-    fingerprint alone, so a repeated member is kept twice rather than
-    compared as a code."""
-    entries = []
-    for basis, code in members:
-        fp = view.fingerprint(basis)
-        if code is None:        # basis row i is the word at place p^i
-            code = LinearCode._trusted(ring, n, [
-                view.vector(fp[view.p ** i]) for i in range(len(basis))])
-        entries.append((fp, code))
-    entries.sort(key=lambda entry: entry[0])
-    return Census(ring, n, label, tuple(code for _, code in entries),
-                  tuple(fp for fp, _ in entries))
+    """The census of the codes with these reduced GF(p) echelon bases in
+    the view: their sorted fingerprints.  A repeated basis is kept twice,
+    not merged, and an empty census needs no view."""
+    return Census(ring, n, label,
+                  tuple(sorted(view.fingerprint(basis) for basis in bases)))
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -561,7 +578,7 @@ def enumerate_submodules(ring: ChainRing, n: int) -> Census:
     """Every linear code of length n over the ring, by the cover search
     (see `_climb`)."""
     view, bases = _climb(ring, n)
-    return _census_of(ring, n, "all", [(basis, None) for basis in bases], view)
+    return _census_of(ring, n, "all", bases, view)
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -578,8 +595,7 @@ def enumerate_self_dual(ring: ChainRing, n: int,
     view, bases = _climb(ring, n, inner)
     rank = ring.e * ring.field.m * n
     return _census_of(ring, n, f"self-dual-{inner}",
-                      [(basis, None) for basis in bases if 2 * len(basis) == rank],
-                      view)
+                      [basis for basis in bases if 2 * len(basis) == rank], view)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +671,14 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
     deterministic order; a pair yielding more than DEFAULT_ORACLE_BOUND is
     refused before any code is built.
     """
+    ring = ring_over(c1.field, 3)
+    for rows in _hermitian_sd_rows(c1, c0):
+        yield LinearCode._trusted(ring, c1.n, rows)
+
+
+def _hermitian_sd_rows(c1: FieldCode, c0: FieldCode):
+    """The generator rows of each code `hermitian_sd_extend` yields, in the
+    same order and after the same checks."""
     f = c1.field
     _check_inner(HERMITIAN, f)
     n = c1.n
@@ -667,7 +691,6 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
         raise ValueError(f"the pair yields {codes} codes, over the oracle "
                          f"bound {DEFAULT_ORACLE_BOUND}")
     l = n // 2 - k
-    ring = ring_over(f, 3)
 
     # complete c0's basis to a basis of c1: c0's pivots are among c1's, so
     # c1's RREF rows with any other pivot vanish on c0's pivot columns and
@@ -679,22 +702,21 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
 
     rest = [c for c in range(n) if c not in p0 and c not in p1]
     top_rest = [[row[c] for c in rest] for row in c0.basis]
-    # regroup the non-pivot columns so the k x k tail block of c0 inverts;
-    # self-duality of c1 guarantees some k-subset works
-    for comb in itertools.combinations(range(len(rest)), k):
-        a40 = fmat([[top_rest[i][j] for j in comb] for i in range(k)])
-        a40_inv = fmat_inv(f, a40)
-        if a40_inv is not None:
-            block4 = [rest[j] for j in comb]
-            block3 = [rest[j] for j in range(len(rest)) if j not in comb]
-            break
-    else:
+    # regroup the non-pivot columns so the k x k tail block of c0 inverts:
+    # self-duality of c1 makes c0 rank k on them, and the pivots of its
+    # RREF there are the first k-subset of them that inverts
+    comb = [next(j for j, x in enumerate(row) if x)
+            for row in field_rref(f, len(rest), top_rest)]
+    if len(comb) < k:
         raise AssertionError("no invertible tail block; is c1 self-dual?")
+    block4 = [rest[j] for j in comb]
+    block3 = [rest[j] for j in range(len(rest)) if j not in comb]
+    A40 = fmat([[top_rest[i][j] for j in comb] for i in range(k)])
+    a40_inv = fmat_inv(f, A40)
 
     perm = tuple(p0 + p1 + block3 + block4)
     A2 = fmat([[row[c] for c in p1] for row in c0.basis])
     A30 = fmat([[row[c] for c in block3] for row in c0.basis])
-    A40 = a40
     B3 = fmat([[row[c] for c in block3] for row in ext])
     B40 = fmat([[row[c] for c in block4] for row in ext])
     C4 = fmat_dagger(f, fmat_neg(f, fmat_mul(f, a40_inv, A30)))
@@ -713,8 +735,7 @@ def hermitian_sd_extend(c1: FieldCode, c0: FieldCode):
                 B41 = fmat_dagger(f, fmat_neg(f, fmat_mul(f, a40_inv, t)))
                 rows = _assemble_e3_rows(f.q, k, l, A2, A30, A31, A40, A41,
                                          A42, B3, B40, B41, C4)
-                yield LinearCode._trusted(ring, n,
-                                          [_unpermute(perm, r) for r in rows])
+                yield [_unpermute(perm, r) for r in rows]
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -733,22 +754,18 @@ def enumerate_hsd_constructive(q: int, n: int) -> Census:
     _check_inner(HERMITIAN, field)
     ring = ring_over(field, 3)
     label = f"self-dual-{HERMITIAN}-constructive"
+    _check_codewords(ring, n, HERMITIAN)
     if n % 2:
         return _census_of(ring, n, label, [])
-    _check_codewords(ring, n, HERMITIAN)
     # the field censuses check their bounds before the view of R^n, whose
     # masks cost O((3mn)^3) bit operations, is built
     c1s = enumerate_field_self_dual(field, n, HERMITIAN)
     subs = enumerate_submodules(ring_over(field, 1), n // 2).codes
     view = _FpView(ring, n)
-    members = []
-    for c1 in c1s:
-        for sub in subs:
-            c0 = FieldCode.from_rows(
-                field, n, fmat_mul(field, sub.gens, c1.basis, cols=n))
-            for code in hermitian_sd_extend(c1, c0):
-                members.append((view.module_basis(code.gens), code))
-    return _census_of(ring, n, label, members, view)
+    bases = [view.module_basis(rows) for c1 in c1s for sub in subs
+             for rows in _hermitian_sd_rows(c1, FieldCode.from_rows(
+                 field, n, fmat_mul(field, sub.gens, c1.basis, cols=n)))]
+    return _census_of(ring, n, label, bases, view)
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +825,9 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
         raise ValueError("standard-form enumeration is for e = 3")
     f, q = ring.field, ring.q
     label = f"self-dual-{inner}-standard-forms"
+    _check_codewords(ring, n, inner)
     if n % 2:
         return _census_of(ring, n, label, [])
-    _check_codewords(ring, n, inner)
     if (tries := (n // 2 + 1) * q ** ((n // 2) ** 2)) > DEFAULT_ORACLE_BOUND:
         raise ValueError(
             f"standard-form sweep of {ring!r}^{n} searches {tries} level-0 "
@@ -881,7 +898,7 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                                             B40, B41, C4)
 
     view = _FpView(ring, n)
-    members = []
+    bases = []
     for k in range(n // 2 + 1):
         l = n // 2 - k
         solutions = []
@@ -910,8 +927,7 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                     for masks, shape_rows in solutions:
                         if any(mask & b for mask, b in zip(masks, left)):
                             continue
-                        for rows in shape_rows:
-                            gens = [_unpermute(perm, row) for row in rows]
-                            members.append((view.module_basis(gens),
-                                            LinearCode._trusted(ring, n, gens)))
-    return _census_of(ring, n, label, members, view)
+                        bases += [view.module_basis(
+                            [_unpermute(perm, row) for row in rows])
+                            for rows in shape_rows]
+    return _census_of(ring, n, label, bases, view)

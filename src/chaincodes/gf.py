@@ -41,7 +41,9 @@ _TRIAL_LIMIT = 1 << 20
 
 def factorize(n: int) -> dict[int, int]:
     """{prime: exponent} for n >= 1, by trial division up to _TRIAL_LIMIT;
-    a number that this cannot finish is refused with ValueError."""
+    a number that this cannot finish is refused with ValueError.  A prime
+    d's power d^k is stripped in O(log k) divisions: by d, d^2, d^4, ...
+    while they divide, then by the same powers downward."""
     if n < 1:
         raise ValueError("need n >= 1")
     out: dict[int, int] = {}
@@ -52,10 +54,15 @@ def factorize(n: int) -> dict[int, int]:
                 f"cannot factor a {n.bit_length()}-bit number by trial "
                 f"division up to {_TRIAL_LIMIT}")
         if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
+            powers = [d]
+            while n % powers[-1] == 0:
+                n //= powers[-1]
+                powers.append(powers[-1] * powers[-1])
+            k = (1 << (len(powers) - 1)) - 1
+            for i in range(len(powers) - 2, -1, -1):
+                if n % powers[i] == 0:
+                    n //= powers[i]
+                    k += 1 << i
             out[d] = k
         d += 1 if d == 2 else 2
     if n > 1:

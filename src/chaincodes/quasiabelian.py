@@ -305,14 +305,15 @@ def decompose(p: int, m: int, s: int, group: AbelianGroup) -> DecompositionRepor
     """Split F_{p^m}[A x Z_{p^s}] into chain-ring factors, one per orbit of
     A under multiplication by q = p^m, each GF(p^{m * orbit size})[u]/(u^{p^s}).
     The n_of_order(d) elements of order d fall into orbits of ord_d(q)
-    members each, so one record per divisor d of exp(A) lists them all."""
+    members each, so one record per divisor d of exp(A) lists them all.
+    Only q mod d and sqrt(q) mod d enter, so q itself is never built."""
     _chain_depth(p, m, s)
     if group.order % p == 0:
         raise ValueError(
             f"group order {group.order} not coprime to the characteristic {p}")
-    q = p ** m
     factors = []
     for d in divisors(group.exponent):
+        q = pow(p, m, d)
         t = multiplicative_order(q, d)
         count = group.n_of_order(d)
         if count % t:
@@ -320,7 +321,7 @@ def decompose(p: int, m: int, s: int, group: AbelianGroup) -> DecompositionRepor
         factors.append(DivisorFactor(
             divisor=d, degree=m * t, multiplicity=count // t,
             euclidean_type=_euclidean_type(d, q, t),
-            hermitian_type=(_hermitian_type(d, p ** (m // 2), t)
+            hermitian_type=(_hermitian_type(d, pow(p, m // 2, d), t)
                             if m % 2 == 0 else None)))
     return DecompositionReport(p, m, s, group, tuple(factors))
 
@@ -593,7 +594,9 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
     counts multiplied in; in powers of p that is never above the product,
     and under it by at most the sum of the factors' slacks.  An estimate
     over counting.COUNT_BITS_CAP is refused, and a self-dual factor that
-    is 0 by its length alone makes the product 0 outright.
+    is 0 by its length alone makes the product 0 outright.  A factor whose
+    field order p^degree would have over COUNT_BITS_CAP bits is refused
+    before that order is built.
     """
     e = _chain_depth(p, m, s)
     if n < 1:
@@ -613,6 +616,12 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
             if power % 2:
                 raise AssertionError("paired orbits failed to pair up")
             power //= 2
+        # p^degree has floor(degree * log2(p)) + 1 bits; clipped first, as
+        # in `counting.check_bits`, since a float cannot hold every int
+        if (min(f.degree, counting.COUNT_BITS_CAP + 1) * math.log2(p)
+                >= counting.COUNT_BITS_CAP):
+            raise ValueError(f"factor field order {p}^{f.degree} has over "
+                             f"{counting.COUNT_BITS_CAP} bits")
         qf = p ** f.degree
         sd = _SELF_DUAL_KIND.get(label)
         x = linear if sd is None else counting.self_dual_exponent(qf, n, sd)

@@ -30,7 +30,7 @@ from chaincodes.census import (
 )
 from chaincodes.chainring import ChainRing, chain_ring
 from chaincodes.codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode,
-                              inner_product)
+                              dumps_code, inner_product)
 from chaincodes.counting import (count_esd, count_hsd, count_linear,
                                  gaussian_binomial, sigma_e)
 from chaincodes.gf import factor_prime_power, field_make
@@ -327,7 +327,7 @@ def all_extensions_reference(ring, n):
                 found[nkey] = (nb, np_)
                 queue.append(nkey)
     return _census_of(ring, n, "all",
-                      [(basis, None) for basis, _ in found.values()], view)
+                      [basis for basis, _ in found.values()], view)
 
 
 def count_by_type(q, e, n, conj):
@@ -597,6 +597,23 @@ def test_climb_census_matches_standard_forms_at_ne_2_4():
             ring, 4, EUCLIDEAN).fingerprint_set()
 
 
+def test_a_code_has_the_same_generators_in_every_census():
+    """Every route's census reads each member's generator rows off its
+    fingerprint, so one code has the same rows in every census: NE(2,4)
+    by the climb and the sweep, NH(4,2) and NH(9,2) by those two and by
+    the constructive route."""
+    for q, n, inner, expected in ((2, 4, EUCLIDEAN, 87), (4, 2, HERMITIAN, 15),
+                                  (9, 2, HERMITIAN, 40)):
+        ring = chain_ring(q, 3)
+        routes = [enumerate_self_dual(ring, n, inner),
+                  enumerate_sd_standard_forms(ring, n, inner)]
+        if inner == HERMITIAN:
+            routes.append(enumerate_hsd_constructive(q, n))
+        docs = [[dumps_code(code) for code in census.codes] for census in routes]
+        assert len(docs[0]) == expected
+        assert all(other == docs[0] for other in docs[1:])
+
+
 @pytest.mark.parametrize("q,e,n,inner,expected", [
     (2, 2, 4, EUCLIDEAN, 39), (3, 2, 4, EUCLIDEAN, 41), (4, 2, 4, HERMITIAN, 523),
 ])
@@ -644,10 +661,12 @@ def test_census_keeps_a_repeated_member():
     view = _FpView(ring, 1)
     basis = view.module_basis([(2,)])
     code = LinearCode(ring, 1, [(2,)])
-    census = _census_of(ring, 1, "twice", [(basis, code), (basis, None)], view)
+    census = _census_of(ring, 1, "twice", [basis, basis], view)
     assert census.size == 2
     assert len(census.fingerprint_set()) == 1 < census.size
     assert census.fingerprints[0] == census.fingerprints[1] == code_fingerprint(code)
+    first, second = census.codes
+    assert first.equal(code) and first.gens == second.gens
 
 
 def test_constructive_census_without_oracle_support():
@@ -676,6 +695,15 @@ def test_constructive_census_rejects_bad_parameters():
     with pytest.raises(ValueError):
         enumerate_hsd_constructive(3, 2)     # non-square order
     assert enumerate_hsd_constructive(4, 3).size == 0
+
+
+@pytest.mark.parametrize("n", [-3, -1, 0])
+def test_sweep_and_constructive_route_refuse_lengths_below_one(n):
+    # both return at once on odd n, so the length is checked before that
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_hsd_constructive(4, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_sd_standard_forms(chain_ring(2, 3), n, EUCLIDEAN)
 
 
 def test_extension_stream_counts_and_invariants():
@@ -785,9 +813,9 @@ def test_standard_form_sweep_ne_2_6():
 def test_standard_form_sweep_work_pins(monkeypatch):
     """The sweep solves the congruences once per block shape, not once per
     column choice, and places each solution under its canonical column
-    choice only: one GF(p) reduction (`_FpView.module_basis`) and one
-    LinearCode, built without re-validation (`LinearCode._trusted`), per
-    census member.  Placing every solution under every column choice and
+    choice only: one GF(p) reduction (`_FpView.module_basis`) per census
+    member, and no LinearCode until `codes` is read, then one per member,
+    built without re-validation (`LinearCode._trusted`).  Placing every solution under every column choice and
     dropping the repeated spans took 492 reductions for the 87 codes of
     R(2,3)^4 and 1,632 for the 176 of R(3,3)^4.  A41 and A42 are solved,
     not searched: on R(q,3)^4 for q = 2, 3, 4 the sweep makes at most 299,
@@ -821,10 +849,12 @@ def test_standard_form_sweep_work_pins(monkeypatch):
                 patch.setattr(_FpView, "module_basis", counted_basis)
                 sweep = enumerate_sd_standard_forms(chain_ring(q, 3), 4,
                                                     EUCLIDEAN)
+                assert not built
+                assert len(sweep.codes) == len(built) == sweep.size
         finally:
             enumerate_sd_standard_forms.cache_clear()
         assert sweep.size == count_esd(q, 4) == expected
-        assert len(reduced) == len(built) == sweep.size
+        assert len(reduced) == sweep.size
         assert len(muls) <= mul_bound
 
 

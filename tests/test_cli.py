@@ -2,6 +2,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import chaincodes
 from chaincodes import cli
 from chaincodes.chainring import chain_ring
 from chaincodes.cli import main
@@ -149,6 +154,36 @@ def test_self_dual_and_qa_counts_over_the_bit_cap_exit_two_at_once(
     assert code == 2 and out == ""
     assert err == (f"chaincodes: error: the count is about q^{exponent} with "
                    f"q = {q}, over the cap of 262144 bits\n")
+
+
+HUGE_M = str(10 ** 30)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("decompose", "--p", "2", "--m", HUGE_M, "--A", "3"),
+     f"field order 2^{HUGE_M} has over 4300 digits, too many for the report "
+     f"to print"),
+    (("count", "qa", "--p", "2", "--m", HUGE_M, "--A", "3", "--n", "2"),
+     f"factor field order 2^{HUGE_M} has over 262144 bits"),
+    (("count", "qa", "--p", "3", "--m", "100000000000", "--A", "1", "--n", "1"),
+     "factor field order 3^100000000000 has over 262144 bits")])
+def test_huge_field_degrees_exit_two_before_any_field_order_is_built(
+        argv, message):
+    """In a fresh interpreter held to 1 GiB of address space, so that
+    building p^m would end in a MemoryError traceback (exit 1)."""
+    src = os.path.dirname(os.path.dirname(chaincodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "chaincodes.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"chaincodes: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -511,10 +511,15 @@ def test_codes_and_censuses_pickle():
     cached = pickle.loads(pickle.dumps(code))
     assert fresh.equal(code) and cached.equal(code)
     assert cached.standard_form() == std
+    enumerate_submodules.cache_clear()
     census = enumerate_submodules(chain_ring(2, 3), 2)
-    back = pickle.loads(pickle.dumps(census))
-    assert back.fingerprints == census.fingerprints
-    assert all(a.equal(b) for a, b in zip(back.codes, census.codes, strict=True))
+    unread = pickle.loads(pickle.dumps(census))     # before codes are read
+    codes = census.codes
+    read = pickle.loads(pickle.dumps(census))
+    for back in (unread, read):
+        assert back.fingerprints == census.fingerprints
+        assert all(a.equal(b) and a.gens == b.gens
+                   for a, b in zip(back.codes, codes, strict=True))
 
 
 def test_field_code_json_roundtrip():

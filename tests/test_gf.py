@@ -1,6 +1,7 @@
 """Tests for the finite-field layer."""
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,15 @@ def test_factorize_matches_brute_reading():
         assert is_prime(n) == (primes == {n: 1} and n > 1)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_strips_a_prime_power_in_logarithmic_divisions():
+    start = time.perf_counter()
+    assert factorize(3 ** 200000) == {3: 200000}
+    assert time.perf_counter() - start < 1
+    for k in range(1, 70):
+        assert factorize(2 ** k * 3 ** (k // 2) * 7) == {
+            2: k, **({3: k // 2} if k > 1 else {}), 7: 1}
 
 
 def test_factoring_certifies_primes_below_its_bound():

@@ -425,6 +425,30 @@ def test_decompose_large_group_without_element_scan():
     assert [f.divisor for f in rep.factors] == divisors(999999)
 
 
+def test_decompose_never_builds_the_field_order():
+    """Only p^m mod d enters: m = 10^30 splits at once, into the factors
+    of m = 4 with the degrees scaled, as 2^m and 2^(m/2) mod 3 depend on
+    m mod 4 alone."""
+    start = time.perf_counter()
+    huge = decompose(2, 10 ** 30, 1, AbelianGroup([3]))
+    assert time.perf_counter() - start < 1
+    small = decompose(2, 4, 1, AbelianGroup([3]))
+    assert [(f.divisor, f.degree // 10 ** 30, f.multiplicity, f.euclidean_type,
+             f.hermitian_type) for f in huge.factors] == [
+        (f.divisor, f.degree // 4, f.multiplicity, f.euclidean_type,
+         f.hermitian_type) for f in small.factors]
+
+
+def test_count_qa_refuses_a_factor_field_order_over_the_bit_cap():
+    with pytest.raises(ValueError, match="factor field order 3\\^100000000000"):
+        count_qa(3, 10 ** 11, 1, AbelianGroup(()), 1)
+    # 2^100000 is under the cap: the chain ring R(2^100000, 2) has 3 codes
+    # of length 1, and counting them factors 2^100000 in O(log) divisions
+    start = time.perf_counter()
+    assert count_qa(2, 100000, 1, AbelianGroup(()), 1) == 3
+    assert time.perf_counter() - start < 1
+
+
 def test_hermitian_type_counts_need_even_degree():
     rep = decompose(3, 1, 1, AbelianGroup.from_spec("2"))
     with pytest.raises(ValueError):
