@@ -42,11 +42,13 @@ GF(q)^n, and C0 as the image of each subspace of GF(q)^(n/2) under C1's
 basis.
 
 Every route, constructive ones included, hands `_census_of` only the
-canonical GF(p) bases of its members, and a `Census` is their sorted
-fingerprints and nothing else per member.  A member's code is built only
-when `Census.codes` is first read, on generator rows read off its
-fingerprint (the basis row i is the word at place p^i), so a code has the
-same generators in every census, whichever route found it.
+canonical GF(p) bases of its members, and a `Census` records each member
+as the base-|R| codes of its basis rows and nothing else.  Fingerprints
+are built from those records when `Census.fingerprints` is first read, and
+codes when `Census.codes` is first read, with the recorded rows as their
+generators, so a code has the same generators in every census, whichever
+route found it, and a caller that reads only sizes or codes never spans a
+basis.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ from .counting import count_esd, count_hsd, count_linear
 
 DEFAULT_ORACLE_BOUND = 1 << 24
 MEMBER_CAP = 1 << 16        # largest full census, counted by count_linear
-CODEWORD_CAP = 1 << 26      # most codewords an e = 3 self-dual census holds
+CODEWORD_CAP = 1 << 26      # most codewords an e = 3 self-dual census spans
 CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
 
 
@@ -384,8 +386,9 @@ class _FpView:
         (every row is zero above its pivot), and at that pivot each holds
         its own coefficient (no other row is nonzero there), so their codes
         compare as those coefficients do, and so as their places do.  The
-        word at place p^i is basis row i itself, so the fingerprint holds
-        the basis too: `Census.codes` reads each member's generators there.
+        word at place p^i is the code of basis row i itself: those words
+        are a `Census` member's record, and `Census.codes` reads each
+        member's generators from the record, not from the fingerprint.
 
         For p = 2 a row's code is its lanes read as bits, so the span is
         the XOR closure of the basis rows' codes, doubled row by row.
@@ -455,38 +458,60 @@ def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Census:
-    """A deterministic census: the sorted fingerprints of its members, one
-    per member, a repeated member kept twice.  That tuple is the whole
-    record; each member's code is read off its fingerprint when `codes` is
-    first read, so every route gives a code the same generators."""
+    """A deterministic census: one record per member, a repeated member
+    kept twice.  A member's record is the tuple of base-|R| codes of its
+    reduced echelon GF(p) basis rows (see `_FpView`), in increasing pivot
+    order, and the sorted records are the whole census.  Fingerprints and
+    codes are built from them when first read, so a code has the same
+    generators in every census, whichever route found it.
+
+    The records sort as the fingerprints do.  A fingerprint lists the span
+    of the basis rows r_0, r_1, ... by place: the word at place
+    j = sum c_i p^i is the code of sum c_i r_i (see `_FpView.fingerprint`),
+    so the word at place p^i is the code of r_i, record entry i, and the
+    words at places below p^i depend only on the rows below i.  If two
+    records first differ at entry i, their rows below i are equal (a
+    reduced row is the base-p reading of its code), so their fingerprints
+    agree at every place below p^i and hold the two entries at place p^i:
+    they compare as those entries do.  If one record is a proper prefix of
+    the other, of length k, the first p^k words of the longer fingerprint
+    are the whole shorter one, so the shorter record and the shorter
+    fingerprint both come first.  Equal records give equal fingerprints.
+    """
     ring: ChainRing
     n: int
     filter_label: str
-    fingerprints: tuple[tuple[int, ...], ...]
+    bases: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.fingerprints)
+        return len(self.bases)
 
     def fingerprint_set(self) -> frozenset:
         return frozenset(self.fingerprints)
 
     @functools.cached_property
-    def codes(self) -> tuple[LinearCode, ...]:
-        """The members' codes in fingerprint order, built on first read.  A
-        fingerprint is the span of a canonical GF(p) basis, whose row i is
-        the word at place p^i (see `_FpView.fingerprint`), and those rows
-        generate the code."""
-        ring, n, p = self.ring, self.n, self.ring.field.p
+    def fingerprints(self) -> tuple[tuple[int, ...], ...]:
+        """The members' fingerprints (sorted codeword codes, see
+        `_FpView.fingerprint`) in record order, which is fingerprint
+        order, built on first read: each record is re-encoded as packed
+        rows of one view of R^n and spanned."""
+        if not self.bases:
+            return ()
+        size, n = self.ring.size, self.n
+        view = _FpView(self.ring, n)
+        return tuple(view.fingerprint([view.encode(_split(c, size, n))
+                                       for c in record])
+                     for record in self.bases)
 
-        def gens(fp):
-            rows, place = [], 1
-            while place < len(fp):
-                rows.append(_split(fp[place], ring.size, n))
-                place *= p
-            return rows
-        return tuple(LinearCode._trusted(ring, n, gens(fp))
-                     for fp in self.fingerprints)
+    @functools.cached_property
+    def codes(self) -> tuple[LinearCode, ...]:
+        """The members' codes in record order, built on first read; each
+        member's recorded basis rows generate its code."""
+        ring, n = self.ring, self.n
+        return tuple(LinearCode._trusted(ring, n, [_split(c, ring.size, n)
+                                                   for c in record])
+                     for record in self.bases)
 
 
 def _check_bound(ring: ChainRing, n: int) -> None:
@@ -497,8 +522,9 @@ def _check_bound(ring: ChainRing, n: int) -> None:
 
 
 def _check_codewords(ring: ChainRing, n: int, inner: str) -> None:
-    """Refuse an e = 3 self-dual census whose members' fingerprints, by
-    the closed-form count, hold more than CODEWORD_CAP codewords."""
+    """Refuse an e = 3 self-dual census whose members, by the closed-form
+    count, span more than CODEWORD_CAP codewords all told, as many as
+    their fingerprints would hold."""
     size = (count_hsd if inner == HERMITIAN else count_esd)(ring.q, n)
     if (words := size * ring.size ** (n // 2)) > CODEWORD_CAP:
         raise ValueError(
@@ -567,10 +593,11 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
 def _census_of(ring: ChainRing, n: int, label: str, bases,
                view: _FpView | None = None) -> Census:
     """The census of the codes with these reduced GF(p) echelon bases in
-    the view: their sorted fingerprints.  A repeated basis is kept twice,
-    not merged, and an empty census needs no view."""
-    return Census(ring, n, label,
-                  tuple(sorted(view.fingerprint(basis) for basis in bases)))
+    the view: their sorted records, each the codes of a basis's rows (see
+    `Census`).  A repeated basis is kept twice, not merged, and an empty
+    census needs no view."""
+    return Census(ring, n, label, tuple(sorted(tuple(map(view.code, basis))
+                                               for basis in bases)))
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)

@@ -243,9 +243,11 @@ def cmd_decompose(args) -> int:
 
 def _subspace_count(q: int, n: int, k: int) -> int:
     """The k-dimensional subspaces of GF(q)^n: the members of the e = 1
-    census with q^k codewords."""
-    return sum(1 for fp in enumerate_submodules(chain_ring(q, 1), n).fingerprints
-               if len(fp) == q ** k)
+    census whose GF(p) bases have k*m rows, q = p^m."""
+    ring = chain_ring(q, 1)
+    rank = k * ring.field.m
+    return sum(1 for basis in enumerate_submodules(ring, n).bases
+               if len(basis) == rank)
 
 
 def _iso_check() -> str:
@@ -309,6 +311,8 @@ def _full_checks() -> list[tuple[str, str, object]]:
                                              HERMITIAN).size),
         ("NH(q=9,n=2) constructive", "40",
          lambda: enumerate_hsd_constructive(9, 2).size),
+        ("NH(q=4,n=4) constructive", "9099",
+         lambda: enumerate_hsd_constructive(4, 4).size),
         ("qa(p=3,m=1,s=1,A=2,n=1) formula", "16",
          lambda: count_qa(3, 1, 1, z2, 1)),
         ("qa(p=3,m=1,s=1,A=2,n=1) factor censuses", "16",

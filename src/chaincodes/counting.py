@@ -148,6 +148,12 @@ def count_linear(q: int, e: int, n: int) -> int:
     if n < 1 or e < 1:
         raise ValueError("need n >= 1 and e >= 1")
     factor_prime_power(q)
+    return _count_linear(q, e, n)
+
+
+def _count_linear(q: int, e: int, n: int) -> int:
+    """`count_linear` for n, e >= 1 and a q known to be a prime power,
+    with every other check."""
     if e > _MAX_DEPTH:
         raise ValueError(f"depth e = {e} is over {_MAX_DEPTH}, "
                          f"the largest a chain ring allows")
@@ -175,10 +181,10 @@ def count_linear(q: int, e: int, n: int) -> int:
 
 
 def _checked_exponent(q: int, n: int, kind: str) -> int | None:
-    """`self_dual_exponent` after validating q and n, refused over
-    COUNT_BITS_CAP.  sigma_h wants a square q at every length, count_hsd
-    only where the count is not 0 by its length alone."""
-    factor_prime_power(q)
+    """`self_dual_exponent` after validating n, for a q the caller has
+    checked is a prime power, refused over COUNT_BITS_CAP.  sigma_h wants
+    a square q at every length, count_hsd only where the count is not 0
+    by its length alone."""
     if kind == "sigma-h":
         _square_root(q)
     if n < 1:
@@ -215,6 +221,7 @@ def _sigma(q: int, n: int, hermitian: bool) -> int:
 def sigma_e(q: int, n: int) -> int:
     """Number of Euclidean self-dual codes of length n over GF(q); 0 for
     odd n, and for q = 3 mod 4 unless 4 divides n."""
+    factor_prime_power(q)
     if _checked_exponent(q, n, "sigma-e") is None:
         return 0
     return _sigma(q, n, False)
@@ -222,6 +229,7 @@ def sigma_e(q: int, n: int) -> int:
 
 def sigma_h(q: int, n: int) -> int:
     """Number of Hermitian self-dual codes of length n over GF(q), q square."""
+    factor_prime_power(q)
     if _checked_exponent(q, n, "sigma-h") is None:
         return 0
     return _sigma(q, n, True)
@@ -231,6 +239,12 @@ def count_esd(q: int, n: int) -> int:
     """Number of Euclidean self-dual codes of length n over GF(q)[u]/(u^3).
     A count estimated over COUNT_BITS_CAP is refused (see
     `self_dual_exponent`)."""
+    factor_prime_power(q)
+    return _count_esd(q, n)
+
+
+def _count_esd(q: int, n: int) -> int:
+    """`count_esd` for a q known to be a prime power."""
     if _checked_exponent(q, n, "esd") is None:
         return 0
     half = n // 2
@@ -244,6 +258,12 @@ def count_hsd(q: int, n: int) -> int:
     Odd lengths give 0 outright; even lengths require a square q.  A count
     estimated over COUNT_BITS_CAP is refused (see `self_dual_exponent`).
     """
+    factor_prime_power(q)
+    return _count_hsd(q, n)
+
+
+def _count_hsd(q: int, n: int) -> int:
+    """`count_hsd` for a q known to be a prime power."""
     if _checked_exponent(q, n, "hsd") is None:
         return 0
     half = n // 2

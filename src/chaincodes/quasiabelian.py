@@ -630,14 +630,16 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
         exponent += power * f.degree * x
         terms.append((qf, power, sd))
     counting.check_bits(exponent, p)
+    # each qf = p^degree is a prime power by construction, so the count
+    # cores skip only the factorisation that the public counts start with
     total = 1
     for qf, power, sd in terms:
         if sd is None:
-            total *= counting.count_linear(qf, e, n) ** power
+            total *= counting._count_linear(qf, e, n) ** power
         elif sd == "esd":
-            total *= counting.count_esd(qf, n) ** power
+            total *= counting._count_esd(qf, n) ** power
         else:
-            total *= counting.count_hsd(qf, n) ** power
+            total *= counting._count_hsd(qf, n) ** power
     return total
 
 

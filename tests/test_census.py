@@ -268,10 +268,52 @@ NH_4_2_DIGEST = "dc58ed84eb7adaeec0fc37ec254072a97af258e2f1f696633cbba3ea300daf1
         "standard-forms-2-3-4-E", "self-dual-4-3-2-H", "constructive-4-2"])
 def test_census_fingerprints_match_their_pinned_digests(build, size, digest):
     """Censuses over odd and even p pinned byte for byte, so no change of
-    lane layout or fingerprint kernel can change a census."""
+    lane layout or fingerprint kernel can change a census.  Each member's
+    record is the words at places p^j of its fingerprint, and the sorted
+    records put the fingerprints in sorted order."""
     census = build()
     assert census.size == size
     assert hashlib.sha256(repr(census.fingerprints).encode()).hexdigest() == digest
+    p = census.ring.field.p
+    assert census.bases == tuple(sorted(census.bases))
+    assert census.fingerprints == tuple(sorted(census.fingerprints))
+    for record, fp in zip(census.bases, census.fingerprints):
+        assert len(fp) == p ** len(record)
+        assert tuple(fp[p ** j] for j in range(len(record))) == record
+
+
+# p = 2 and odd p, every span at most 729 codewords
+RECORD_SPACES = [(2, 3, 3), (4, 2, 2), (3, 3, 2), (9, 1, 2), (5, 1, 3),
+                 (7, 1, 3), (25, 1, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_from(RECORD_SPACES), data())
+def test_records_compare_as_their_fingerprints_do(space, draw):
+    """A record, the codes of a reduced echelon basis's rows in pivot
+    order, is the words at places p^j of the basis's fingerprint, and two
+    records compare as their fingerprints do: two subsets of one basis
+    (rows below the first difference shared), a subset and its prefix
+    (also a reduced echelon basis), and two unrelated module bases."""
+    q, e, n = space
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    vectors = lists(lists(integers(0, ring.size - 1), min_size=n,
+                          max_size=n), min_size=1, max_size=3)
+    basis = view.module_basis(draw.draw(vectors))
+
+    def subset():
+        keep = draw.draw(lists(booleans(), min_size=len(basis),
+                               max_size=len(basis)))
+        return [row for row, kept in zip(basis, keep) if kept]
+    a, b = subset(), subset()
+    prefix = a[:draw.draw(integers(0, len(a)))]
+    other = view.module_basis(draw.draw(vectors))
+    for x, y in ((a, b), (prefix, a), (a, other)):
+        rx, ry = tuple(map(view.code, x)), tuple(map(view.code, y))
+        fx, fy = view.fingerprint(x), view.fingerprint(y)
+        assert tuple(fx[view.p ** j] for j in range(len(x))) == rx
+        assert (rx < ry) == (fx < fy) and (rx == ry) == (fx == fy)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +432,29 @@ def test_cover_search_work_pin(monkeypatch):
     enumerate_submodules.cache_clear()
     assert enumerate_submodules(chain_ring(4, 3), 2).size == 139
     assert len(calls) <= 540
+
+
+def test_censuses_span_no_basis_until_fingerprints_are_read(monkeypatch):
+    """No enumerator builds a fingerprint: the census records its members'
+    basis rows, and the first read of `fingerprints` spans each member's
+    basis once, a second read none."""
+    calls = count_calls(monkeypatch, "fingerprint")
+    builds = [
+        lambda: enumerate_submodules(chain_ring(4, 3), 2),
+        lambda: enumerate_self_dual(chain_ring(4, 3), 2, HERMITIAN),
+        lambda: enumerate_sd_standard_forms(chain_ring(9, 3), 2, HERMITIAN),
+        lambda: enumerate_hsd_constructive(9, 2),
+    ]
+    for enumerator in (enumerate_submodules, enumerate_self_dual,
+                       enumerate_sd_standard_forms,
+                       enumerate_hsd_constructive):
+        enumerator.cache_clear()
+    for build in builds:
+        census = build()
+        assert census.size > 0 and not calls
+        assert len(census.fingerprint_set()) == census.size == len(calls)
+        assert census.fingerprints and len(calls) == census.size
+        calls.clear()
 
 
 def test_socle_search_reduce_row_pin(monkeypatch):
@@ -808,6 +873,31 @@ def test_standard_form_sweep_ne_2_6():
     for i in range(0, sweep.size, 1017):
         assert sweep.codes[i].is_self_dual(EUCLIDEAN)
         assert sweep.codes[i].cardinality() == len(sweep.fingerprints[i]) == 8 ** 3
+
+
+def test_nh_4_4_by_sweep_and_constructive_route():
+    """NH(4,4) = 9,099 by two routes, member for member, from the records
+    alone: no fingerprint of 4,096 codewords is built."""
+    try:
+        sweep = enumerate_sd_standard_forms(chain_ring(4, 3), 4, HERMITIAN)
+        cons = enumerate_hsd_constructive(4, 4)
+        assert sweep.size == cons.size == count_hsd(4, 4) == 9099
+        assert sweep.bases == cons.bases
+        assert "fingerprints" not in vars(sweep)
+        assert "fingerprints" not in vars(cons)
+    finally:
+        enumerate_sd_standard_forms.cache_clear()
+        enumerate_hsd_constructive.cache_clear()
+
+
+def test_standard_form_sweep_ne_5_4():
+    """NE(5,4) = 672, where the climb refuses R(5,3)^4 for its size."""
+    try:
+        sweep = enumerate_sd_standard_forms(chain_ring(5, 3), 4, EUCLIDEAN)
+        assert sweep.size == count_esd(5, 4) == 672 == len(set(sweep.bases))
+        assert "fingerprints" not in vars(sweep)
+    finally:
+        enumerate_sd_standard_forms.cache_clear()
 
 
 def test_standard_form_sweep_work_pins(monkeypatch):

@@ -592,7 +592,7 @@ def test_verify_full_suite_passes_with_large_length_identity(capsys):
     lines = out.splitlines()
     assert lines[-2].startswith("qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2 ")
     assert lines[-2].endswith("  pass")
-    assert lines[-1] == "29/29 checks passed"
+    assert lines[-1] == "30/30 checks passed"
 
 
 FULL_SUITE_REPORT = """\
@@ -619,13 +619,14 @@ NE(q=3,n=4) standard forms               expected      176  got      176  pass
 NH(q=9,n=2) formula                      expected       40  got       40  pass
 NH(q=9,n=2) standard forms               expected       40  got       40  pass
 NH(q=9,n=2) constructive                 expected       40  got       40  pass
+NH(q=4,n=4) constructive                 expected     9099  got     9099  pass
 qa(p=3,m=1,s=1,A=2,n=1) formula          expected       16  got       16  pass
 qa(p=3,m=1,s=1,A=2,n=1) factor censuses  expected       16  got       16  pass
 qa-esd(p=3,m=1,s=1,A=2,n=4)              expected    30976  got    30976  pass
 qa-hsd(p=3,m=2,s=1,A=2,n=2)              expected     1600  got     1600  pass
 cyclic-to-chain isomorphism              expected       ok  got       ok  pass
 qa-esd(p=3,m=1,s=1,A=2,n=200) vs NE^2    expected       ok  got       ok  pass
-29/29 checks passed
+30/30 checks passed
 """
 
 
