@@ -21,10 +21,16 @@ rows' codes.  For odd p the whole span is built in one int, a codeword per
 window of the rows' own lanes, each window whole bytes: every basis row's
 multiples are added by bytes repetition and reduced mod p by the last
 guard step of the row reduction, and the same merges then read every
-window's code at once (see `_FpView.reduce`, `code` and `fingerprint` for
-why no lane, field or window carries into the next).  Neither is sorted:
+window's code at once (see `_FpView.reduce`, `code` and `_read_windows`
+for why no lane, field or window carries into the next).  Neither is sorted:
 every basis in the view pivots on each row's top lane, so with the rows
-added in increasing pivot order the span comes out in code order.
+added in increasing pivot order the span comes out in code order.  The
+census records, the codes of every member's basis rows, are read by the
+same read-out: all rows side by side, one window each, a slice of
+READ_ROWS rows per pass (`_FpView.row_codes`).  A vector is packed entry
+by entry from a per-view memo of each ring code's lanes, and at p = 2,
+where a reduced lane is 0 or 1, every row addition in the echelon
+routines is an XOR and nothing is reduced.
 
 The self-dual censuses run the same search on the self-orthogonal covers
 only, each step tested by raw inner products of ring vectors; the codes C
@@ -56,6 +62,7 @@ import bisect
 import functools
 import itertools
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf import Field, field_make, factor_prime_power
@@ -69,6 +76,7 @@ DEFAULT_ORACLE_BOUND = 1 << 24
 MEMBER_CAP = 1 << 16        # largest full census, counted by count_linear
 CODEWORD_CAP = 1 << 26      # most codewords an e = 3 self-dual census spans
 CENSUS_CACHE_SIZE = 64      # censuses each enumerator keeps
+READ_ROWS = 4096            # rows per read-out pass of `_FpView.row_codes`
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,15 @@ class _FpView:
     is whole bytes.  A row is one window with lanes w..W-1 zero, and
     log2(W) SWAR merges read its base-p code (see `code`); a fingerprint
     span lays whole codewords side by side in one int, one per window, and
-    the same merges read every window at once (see `fingerprint`).
+    the same merges read every window at once (see `fingerprint`); so do
+    census records, with a row in each window (see `row_codes`).  Both read
+    their codes out through `_read_windows`.
+
+    A vector is packed by `encode` from a memo, filled as ring codes are
+    first seen, of each code's e*m lanes.  At p = 2 every lane of a
+    reduced row is 0 or 1 and adding two reduced rows lane by lane mod 2
+    is their XOR, so `reduce_row`, `insert_reduced` and the elimination of
+    `socle_lines` add rows by XOR and call no `reduce`.
 
     A basis is kept in reduced echelon form with each row's pivot, 1, on
     its top nonzero lane, every other row 0 there, and the rows in
@@ -122,6 +138,7 @@ class _FpView:
         self.p = p
         self.m = m
         self.digits = e * m                      # lanes per ring entry
+        self._entry_lanes: dict[int, int] = {}   # ring code -> lanes (encode)
         # the subtrahends of `reduce`: each the least multiple of p at
         # least half the one before (p^2 to start), down to p
         steps = [p * -(-p // 2)]
@@ -130,6 +147,7 @@ class _FpView:
         b = (steps[0] - 1).bit_length() + 1     # 2^(b-1) >= steps[0]
         self.lane = b
         self.lane_mask = (1 << b) - 1
+        self._entry_bits = self.digits * b
         self._window_lanes = 1 << (max(w, 8) - 1).bit_length()
         self._window_bytes = self._window_lanes * b // 8
         self._code_bytes = -(-(p ** w - 1).bit_length() // 8)
@@ -195,15 +213,24 @@ class _FpView:
         return row
 
     def encode(self, vec) -> int:
-        """Packed row of a vector of ring codes."""
-        p, lane = self.p, self.lane
-        row = 0
-        pos = 0
+        """Packed row of a vector of ring codes.
+
+        An entry's e*m lanes, its base-p digits, are read from a memo of
+        the ring codes seen so far (ring code -> lanes at bit 0), filled by
+        the digit loop on a code's first use: an entry then costs a lookup
+        and a shift, and no table of all |R| codes is built."""
+        memo, step = self._entry_lanes, self._entry_bits
+        row = pos = 0
         for r in vec:
-            for _ in range(self.digits):
-                r, c = divmod(r, p)
-                row |= c << pos
-                pos += lane
+            lanes = memo.get(r)
+            if lanes is None:
+                lanes, x = 0, r
+                for shift in range(0, step, self.lane):
+                    x, c = divmod(x, self.p)
+                    lanes |= c << shift
+                memo[r] = lanes
+            row |= lanes << pos
+            pos += step
         return row
 
     def decode(self, row: int) -> tuple[int, ...]:
@@ -224,12 +251,18 @@ class _FpView:
         return out
 
     def closure_rows(self, row: int) -> list[int]:
-        """Rows of u^t x^j times the vector, t < e and j < m."""
+        """Rows of u^t x^j times the vector, t < e and j < m, the zero ones
+        left out.  x is a unit, so u^t x^j v is zero exactly when u^t v is,
+        that is for t >= e - valuation(v): the powers of u stop there."""
+        if not row:
+            return []
         step, keep = self.m * self.lane, self._u_keep
         rows = self.x_rows(row)
         out = list(rows)
         for _ in range(self.ring.e - 1):
             rows = [(r << step) & keep for r in rows]
+            if not rows[0]:
+                break
             out += rows
         return out
 
@@ -254,8 +287,13 @@ class _FpView:
         Every line vector is zero on M's pivots and has 1 in its leading
         block, so its rows x^j v are already reduced against M and against
         each other.
+
+        At p = 2 every lane of a reduced row is 0 or 1, so the elimination
+        adds rows by XOR and never reduces, and each leading coefficient
+        is already 1.
         """
         p, lane, mask, m, reduce = self.p, self.lane, self.lane_mask, self.m, self.reduce
+        xor = p == 2
         pivot_row = dict(zip(pivots, basis))
         step = m * lane
         images: dict[int, tuple[int, int]] = {}   # pivot bit -> (image, source)
@@ -267,8 +305,12 @@ class _FpView:
             if (bit // lane) % self.digits < self.digits - m:
                 target = bit + step
                 row = pivot_row.get(target)
-                img = 1 << target if row is None else reduce(
-                    (p - 1) * (row - (1 << target)))
+                if row is None:
+                    img = 1 << target
+                elif xor:
+                    img = row ^ (1 << target)
+                else:
+                    img = reduce((p - 1) * (row - (1 << target)))
             else:
                 img = 0                            # u*e_i = 0 at the top u-power
             while img:
@@ -277,25 +319,31 @@ class _FpView:
                 c = img >> pc
                 hit = images.get(pc)
                 if hit is None:
-                    inv = pow(c, p - 2, p)
-                    images[pc] = (reduce(img * inv), reduce(src * inv))
+                    if c != 1:
+                        inv = pow(c, p - 2, p)
+                        img, src = reduce(img * inv), reduce(src * inv)
+                    images[pc] = (img, src)
                     break
                 bimg, bsrc = hit
-                img = reduce(img + (p - c) * bimg)
-                src = reduce(src + (p - c) * bsrc)
+                if xor:
+                    img ^= bimg
+                    src ^= bsrc
+                else:
+                    img = reduce(img + (p - c) * bimg)
+                    src = reduce(src + (p - c) * bsrc)
             else:
                 # every kernel row so far pivots below this lane and is zero here
                 for krow, kbit in kernel:
                     c = (src >> kbit) & mask
                     if c:
-                        src = reduce(src + (p - c) * krow)
+                        src = src ^ krow if xor else reduce(src + (p - c) * krow)
                 kernel.append((src, bit))
         rows = [row for row, _ in kernel]
         lines = []
         for lead in range(0, len(rows), m):
             acc = [rows[lead]]
             for row in rows[:lead]:
-                if p == 2:
+                if xor:
                     acc += [v ^ row for v in acc]
                 else:
                     multiples = [reduce(c * row) for c in range(p)]
@@ -304,13 +352,14 @@ class _FpView:
         return lines
 
     def reduce_row(self, basis, pivots, row: int) -> int:
-        """The row minus its projection on a reduced echelon basis; pivots
-        are the bit offsets of the basis rows' top lanes."""
+        """The reduced row minus its projection on a reduced echelon basis;
+        pivots are the bit offsets of the basis rows' top lanes.  At p = 2
+        every lane is 0 or 1 and the row takes a basis row off by XOR."""
         p, mask = self.p, self.lane_mask
         for brow, bp in zip(basis, pivots):
             c = (row >> bp) & mask
             if c:
-                row = self.reduce(row + (p - c) * brow)
+                row = row ^ brow if p == 2 else self.reduce(row + (p - c) * brow)
         return row
 
     def insert_row(self, basis: list, pivots: list, row: int) -> bool:
@@ -327,15 +376,17 @@ class _FpView:
         return True
 
     def insert_reduced(self, basis: list, pivots: list, row: int) -> None:
-        """Insert a row that is zero on the basis pivots and 1 on its own
-        top lane: only that new pivot is cleared out of the basis."""
+        """Insert a reduced row that is zero on the basis pivots and 1 on
+        its own top lane: only that new pivot is cleared out of the basis
+        (by XOR at p = 2)."""
         p, mask = self.p, self.lane_mask
         top = row.bit_length() - 1
         pc = top - top % self.lane
         for idx, brow in enumerate(basis):
             c = (brow >> pc) & mask
             if c:
-                basis[idx] = self.reduce(brow + (p - c) * row)
+                basis[idx] = (brow ^ row if p == 2
+                              else self.reduce(brow + (p - c) * row))
         pos = bisect.bisect(pivots, pc)
         basis.insert(pos, row)
         pivots.insert(pos, pc)
@@ -402,12 +453,9 @@ class _FpView:
         (s = p) reduces it mod p.  The multiples s*row are built the same
         way, one addition of the row at a time.
 
-        The merges of `code` then read every window's code at once; no
-        field carries into the next, so no window carries into the next.
-        The codes are read out of the int's bytes with no Python code per
-        codeword: by a memoryview cast when a window is 4 or 8 bytes, by
-        strided slices of each code's bytes otherwise, and one window at a
-        time for codes over 8 bytes."""
+        Every window then holds a reduced codeword, and `_read_windows`,
+        the read-out `row_codes` uses for census records too, reads every
+        window's code at once."""
         if self.p == 2:
             acc = [0]
             for c in map(self.code, basis):
@@ -429,21 +477,56 @@ class _FpView:
             windows *= p
             ones, bias, merges = self._masks(windows)
             acc -= p * (((acc + bias) >> guard) & ones)
+        return tuple(self._read_windows(acc, windows, merges))
+
+    def row_codes(self, rows) -> Iterator[int]:
+        """The codes of reduced rows, in order, as `code` reads each one.
+
+        READ_ROWS rows at a time are laid side by side in one int, one
+        window each (a row's lanes w..W-1 are zero, so it fills its window
+        and no more), and `_read_windows` reads every window at once.  Every
+        pass uses the masks of the first: a shorter last pass has no bits
+        above its own windows, so the longer masks read it just the same."""
+        rows, size, merges = iter(rows), self._window_bytes, None
+        while chunk := list(itertools.islice(rows, READ_ROWS)):
+            if merges is None:
+                merges = self._masks(len(chunk))[2]
+            acc = int.from_bytes(b"".join(map(int.to_bytes, chunk,
+                                              itertools.repeat(size),
+                                              itertools.repeat("little"))),
+                                 "little")
+            yield from self._read_windows(acc, len(chunk), merges)
+
+    def _read_windows(self, acc: int, windows: int, merges) -> list[int]:
+        """The codes of the first `windows` windows of an int, each window
+        holding a reduced row (lanes in range(p)), with the merge masks of
+        `_masks` over at least that many windows.
+
+        The merges of `code` run once over the whole int.  Each merge mask
+        is the one-window mask repeated, so every window goes through the
+        merges `code` makes on a single row, and by the argument there no
+        field carries into the next: a window's last field is the window
+        itself, so no window carries or borrows into the next, and each
+        ends up holding its row's code.  The codes are read out of the
+        int's bytes with no Python code per window: by a memoryview cast
+        when a window is 2, 4 or 8 bytes, by strided slices of each code's
+        bytes otherwise, and one window at a time for codes over 8 bytes."""
         for (width, drop, _), merge in zip(self._merges, merges):
             acc -= drop * ((acc >> width) & merge)
+        size = self._window_bytes
         data = acc.to_bytes(windows * size, "little")
         if size in _ITEM_FORMAT and sys.byteorder == "little":
-            return tuple(memoryview(data).cast(_ITEM_FORMAT[size]).tolist())
+            return memoryview(data).cast(_ITEM_FORMAT[size]).tolist()
         code = self._code_bytes
         if code > 8:
-            return tuple(int.from_bytes(data[i:i + code], "little")
-                         for i in range(0, len(data), size))
+            return [int.from_bytes(data[i:i + code], "little")
+                    for i in range(0, len(data), size)]
         item = 1 << (code - 1).bit_length()
         out = bytearray(windows * item)
         for k in range(code):
             slot = k if sys.byteorder == "little" else item - 1 - k
             out[slot::item] = data[k::size]
-        return tuple(memoryview(out).cast(_ITEM_FORMAT[item]).tolist())
+        return memoryview(out).cast(_ITEM_FORMAT[item]).tolist()
 
 
 def code_fingerprint(code: LinearCode) -> tuple[int, ...]:
@@ -592,12 +675,18 @@ def _climb(ring: ChainRing, n: int, inner: str | None = None):
 
 def _census_of(ring: ChainRing, n: int, label: str, bases,
                view: _FpView | None = None) -> Census:
-    """The census of the codes with these reduced GF(p) echelon bases in
-    the view: their sorted records, each the codes of a basis's rows (see
-    `Census`).  A repeated basis is kept twice, not merged, and an empty
-    census needs no view."""
-    return Census(ring, n, label, tuple(sorted(tuple(map(view.code, basis))
-                                               for basis in bases)))
+    """The census of the codes with this list of reduced GF(p) echelon
+    bases in the view: their sorted records, each the codes of a basis's
+    rows (see `Census`).  Every row of every basis is read by one
+    `_FpView.row_codes` pass, READ_ROWS rows at a time, and the codes are
+    regrouped by basis as they come, so no more than one slice of rows is
+    packed at once.  A repeated basis is kept twice, not merged, and an
+    empty census needs no view."""
+    if not bases:
+        return Census(ring, n, label, ())
+    codes = view.row_codes(itertools.chain.from_iterable(bases))
+    return Census(ring, n, label, tuple(sorted(
+        tuple(itertools.islice(codes, len(basis))) for basis in bases)))
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)

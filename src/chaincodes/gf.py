@@ -391,13 +391,17 @@ class Field:
         return s
 
     def conjugate(self, a: int) -> int:
-        """a -> a^sqrt(q), the order-2 automorphism fixing GF(sqrt(q))."""
+        """a -> a^sqrt(q), the order-2 automorphism fixing GF(sqrt(q)).
+        Tabled on first use up to q = 4096; the table is read first, so a
+        call after the first costs one lookup."""
+        table = self._conj_table
+        if table is not None:
+            return table[a]
         s = self.sqrt_q
-        if self._conj_table is None and self.q <= 4096:
-            self._conj_table = [self.pow(x, s) for x in range(self.q)]
-        if self._conj_table is not None:
-            return self._conj_table[a]
-        return self.pow(a, s)
+        if self.q > 4096:
+            return self.pow(a, s)
+        table = self._conj_table = [self.pow(x, s) for x in range(self.q)]
+        return table[a]
 
     def trace(self, a: int) -> int:
         """Relative trace onto GF(sqrt(q)): a + a^sqrt(q)."""

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +317,91 @@ def test_records_compare_as_their_fingerprints_do(space, draw):
         assert (rx < ry) == (fx < fy) and (rx == ry) == (fx == fy)
 
 
+READ_OUT_SPACES = sorted(set(FINGERPRINT_SPACES + RECORD_SPACES))
+
+
+def test_read_out_spaces_cover_every_read_out():
+    """The spaces read rows by a memoryview cast of whole windows, by
+    strided slices of each code's bytes, and one window at a time."""
+    kinds = set()
+    for q, e, n in READ_OUT_SPACES:
+        view = _FpView(chain_ring(q, e), n)
+        kinds.add("window" if view._code_bytes > 8 else
+                  "cast" if view._window_bytes in (1, 2, 4, 8) else "strided")
+    assert kinds == {"cast", "strided", "window"}
+
+
+@pytest.mark.parametrize("q,e,n", READ_OUT_SPACES)
+def test_batched_read_out_crosses_slice_boundaries(q, e, n):
+    """Two whole slices of READ_ROWS rows and a short third one, read in
+    one `row_codes` pass, give every vector's own base-|R| code."""
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    rng = random.Random(q * 1000 + e * 100 + n)
+    vecs = [[rng.randrange(ring.size) for _ in range(n)]
+            for _ in range(2 * census_module.READ_ROWS + 3)]
+    expected = [sum(x * ring.size ** k for k, x in enumerate(v)) for v in vecs]
+    assert list(view.row_codes(map(view.encode, vecs))) == expected
+    assert list(view.row_codes([])) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_from(READ_OUT_SPACES), integers(1, 7), data())
+def test_census_records_match_per_row_codes(space, slice_rows, draw):
+    """`_census_of` reads every basis's rows in one batched pass, in slices
+    of a few rows here so that bases straddle slice boundaries; each record
+    is `tuple(map(view.code, basis))` all the same.  Empty bases, an empty
+    census and a repeated basis included."""
+    q, e, n = space
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    gens = lists(lists(integers(0, ring.size - 1), min_size=n, max_size=n),
+                 max_size=3)
+    bases = [view.module_basis(draw.draw(gens))
+             for _ in range(draw.draw(integers(0, 4)))]
+    bases += bases[:draw.draw(integers(0, 1))]
+    expected = tuple(sorted(tuple(map(view.code, basis)) for basis in bases))
+    with unittest.mock.patch.object(census_module, "READ_ROWS", slice_rows):
+        census = _census_of(ring, n, "batched", bases, view)
+    assert census.bases == expected and census.size == len(bases)
+
+
+def _encode_reference(view, vec):
+    """A vector's packed row digit by digit: digit t of entry k in lane
+    k*e*m + t."""
+    row = 0
+    for k, r in enumerate(vec):
+        for t in range(view.digits):
+            row |= (r // view.p ** t % view.p) << ((k * view.digits + t) * view.lane)
+    return row
+
+
+@pytest.mark.parametrize("q,e,n", READ_OUT_SPACES)
+def test_encode_matches_digit_reference_on_every_element(q, e, n):
+    """Every ring element at every coordinate (all 729 of R(9,3), all 257
+    of GF(257)), through a fresh memo and through a filled one."""
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    vecs = [tuple((r + 7 * k) % ring.size for k in range(n))
+            for r in range(ring.size)]
+    for _ in range(2):
+        assert [view.encode(v) for v in vecs] == [
+            _encode_reference(view, v) for v in vecs]
+    assert len(view._entry_lanes) == ring.size
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_from(READ_OUT_SPACES), data())
+def test_encode_matches_digit_reference_on_random_vectors(space, draw):
+    q, e, n = space
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    for vec in draw.draw(lists(lists(integers(0, ring.size - 1), min_size=n,
+                                     max_size=n), min_size=1, max_size=4)):
+        assert view.encode(vec) == _encode_reference(view, vec)
+        assert view.decode(view.encode(vec)) == tuple(vec)
+
+
 # ---------------------------------------------------------------------------
 # full submodule censuses
 
@@ -455,6 +541,108 @@ def test_censuses_span_no_basis_until_fingerprints_are_read(monkeypatch):
         assert len(census.fingerprint_set()) == census.size == len(calls)
         assert census.fingerprints and len(calls) == census.size
         calls.clear()
+
+
+def _reduce_row_reference(view, basis, pivots, row):
+    """Add-and-reduce: take c times each basis row off, reduce mod p."""
+    for brow, bp in zip(basis, pivots):
+        c = (row >> bp) & view.lane_mask
+        if c:
+            row = view.reduce(row + (view.p - c) * brow)
+    return row
+
+
+def _module_basis_reference(view, gens):
+    """The reduced echelon basis and pivots by add-and-reduce insertion."""
+    basis, pivots = [], []
+    for g in gens:
+        for row in view.closure_rows(view.encode(g)):
+            row = _reduce_row_reference(view, basis, pivots, row)
+            if not row:
+                continue
+            top = row.bit_length() - 1
+            pc = top - top % view.lane
+            row = view.reduce(row * pow(row >> pc, view.p - 2, view.p))
+            basis[:] = [_reduce_row_reference(view, [row], [pc], b) for b in basis]
+            pos = sum(bp < pc for bp in pivots)
+            basis.insert(pos, row)
+            pivots.insert(pos, pc)
+    return basis, pivots
+
+
+def _socle_lines_reference(view, basis, pivots):
+    """`socle_lines` with every sum added and reduced mod p.  The lines of
+    each leading block are listed as the p = 2 kernel lists them: the
+    multiples c*row of each lower row in the outer loop."""
+    p, lane, m, reduce = view.p, view.lane, view.m, view.reduce
+    pivot_row = dict(zip(pivots, basis))
+    images, kernel = {}, []
+    for bit in range(0, view.n * view.digits * lane, lane):
+        if bit in pivot_row:
+            continue
+        src, img = 1 << bit, 0
+        if (bit // lane) % view.digits < view.digits - m:
+            target = bit + m * lane
+            row = pivot_row.get(target)
+            img = 1 << target if row is None else reduce(
+                (p - 1) * (row - (1 << target)))
+        while img:
+            top = img.bit_length() - 1
+            pc = top - top % lane
+            c = img >> pc
+            if pc not in images:
+                inv = pow(c, p - 2, p)
+                images[pc] = (reduce(img * inv), reduce(src * inv))
+                break
+            bimg, bsrc = images[pc]
+            img = reduce(img + (p - c) * bimg)
+            src = reduce(src + (p - c) * bsrc)
+        else:
+            for krow, kbit in kernel:
+                src = _reduce_row_reference(view, [krow], [kbit], src)
+            kernel.append((src, bit))
+    rows = [row for row, _ in kernel]
+    lines = []
+    for lead in range(0, len(rows), m):
+        acc = [rows[lead]]
+        for row in rows[:lead]:
+            acc = [reduce(v + reduce(c * row)) for c in range(p) for v in acc]
+        lines += acc
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_from([(2, 3, 3), (4, 2, 2), (2, 2, 3), (8, 1, 3), (4, 3, 2),
+                     (2, 5, 2)]), data())
+def test_xor_kernels_match_add_and_reduce_at_p_2(space, draw):
+    """At p = 2 `reduce_row`, `insert_row` (through `module_basis`) and
+    `socle_lines` add rows by XOR; they give the bases, reduced rows and
+    lines of the add-and-reduce reference."""
+    q, e, n = space
+    ring = chain_ring(q, e)
+    view = _FpView(ring, n)
+    vectors = lists(lists(integers(0, ring.size - 1), min_size=n, max_size=n),
+                    max_size=3)
+    gens = draw.draw(vectors)
+    basis, pivots = _module_basis_reference(view, gens)
+    assert view.module_basis(gens) == basis
+    for vec in draw.draw(vectors):
+        row = view.encode(vec)
+        assert (view.reduce_row(basis, pivots, row)
+                == _reduce_row_reference(view, basis, pivots, row))
+    assert view.socle_lines(basis, pivots) == _socle_lines_reference(
+        view, basis, pivots)
+
+
+@pytest.mark.parametrize("q,e,n", [(2, 3, 2), (4, 2, 2), (8, 1, 2), (2, 2, 3)])
+def test_socle_lines_match_add_and_reduce_on_every_climb_basis(q, e, n):
+    """The XOR elimination of `socle_lines` against the reference on every
+    submodule of a p = 2 space."""
+    view, bases = _climb(chain_ring(q, e), n)
+    for basis in bases:
+        pivots = [(r.bit_length() - 1) // view.lane * view.lane for r in basis]
+        assert view.socle_lines(basis, pivots) == _socle_lines_reference(
+            view, basis, pivots)
 
 
 def test_socle_search_reduce_row_pin(monkeypatch):
@@ -863,12 +1051,15 @@ def test_standard_form_sweep_matches_constructive_route_on_slow_path():
 
 
 def test_standard_form_sweep_ne_2_6():
-    """NE(2,6) = 15,255: the Euclidean formula at n = 6, by the sweep."""
+    """NE(2,6) = 15,255: the Euclidean formula at n = 6, by the sweep.  The
+    digest pins the records, read by the batched p = 2 read-out."""
     try:
         sweep = enumerate_sd_standard_forms(chain_ring(2, 3), 6, EUCLIDEAN)
     finally:
         enumerate_sd_standard_forms.cache_clear()   # 15,255 x 512 codewords
     assert sweep.size == count_esd(2, 6) == 15255
+    assert hashlib.sha256(repr(sweep.bases).encode()).hexdigest() == (
+        "bce5cc458fc9a0ee2696a603c9beb22f83fde937c3680e24c1173eed494fba1e")
     assert len(sweep.fingerprint_set()) == sweep.size
     for i in range(0, sweep.size, 1017):
         assert sweep.codes[i].is_self_dual(EUCLIDEAN)
@@ -946,6 +1137,33 @@ def test_standard_form_sweep_work_pins(monkeypatch):
         assert sweep.size == count_esd(q, 4) == expected
         assert len(reduced) == sweep.size
         assert len(muls) <= mul_bound
+
+
+@pytest.mark.parametrize("build,calls", [
+    (lambda: enumerate_sd_standard_forms(chain_ring(2, 3), 4, EUCLIDEAN), 522),
+    (lambda: enumerate_sd_standard_forms(chain_ring(9, 3), 2, HERMITIAN), 240),
+    (lambda: enumerate_hsd_constructive(4, 2), 90),
+    (lambda: enumerate_hsd_constructive(9, 2), 240),
+], ids=["sweep-2-3-4-E", "sweep-9-3-2-H", "constructive-4-2",
+        "constructive-9-2"])
+def test_module_basis_inserts_only_nonzero_closure_rows(monkeypatch, build,
+                                                        calls):
+    """`module_basis` leaves out the closure rows u^t g that are zero, so
+    on standard-form generators every `insert_row` call inserts a row and
+    the calls add up to the members' summed rank: 522, 240, 90 and 240
+    calls, against 648, 264, 108 and 264 while the zero rows were tried."""
+    inserted = []
+    insert_row = _FpView.insert_row
+
+    def counted(self, basis, pivots, row):
+        inserted.append(insert_row(self, basis, pivots, row))
+        return inserted[-1]
+    monkeypatch.setattr(_FpView, "insert_row", counted)
+    for enumerator in (enumerate_sd_standard_forms, enumerate_hsd_constructive):
+        enumerator.cache_clear()
+    census = build()
+    assert len(inserted) == sum(map(len, census.bases)) == calls
+    assert all(inserted)
 
 
 @pytest.mark.parametrize("q,inner", [

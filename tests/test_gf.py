@@ -342,6 +342,26 @@ def test_conjugation_refused_on_odd_degree():
         f.conjugate(1)
 
 
+@pytest.mark.parametrize("q,tabled", [(4, True), (9, True), (16, True),
+                                      (25, True), (2 ** 14, False)])
+def test_conjugation_reads_its_table_first(q, tabled):
+    """Up to q = 4096 the first call tables every conjugate and later calls
+    read the table; GF(2^14) computes each power (checked on every 61st
+    element).  Either way conjugation is x -> x^sqrt(q) and an involution,
+    and GF(8) is refused on every call, not only the first."""
+    f = field_make(*factor_prime_power(q))
+    r = f.sqrt_q
+    for a in range(0, q, 1 if tabled else 61):
+        assert f.conjugate(a) == f.pow(a, r)
+        assert f.conjugate(f.conjugate(a)) == a
+    assert (f._conj_table is not None) == tabled
+    odd = field_make(2, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a quadratic extension"):
+            odd.conjugate(1)
+    assert odd._conj_table is None
+
+
 @pytest.mark.parametrize("q", SQUARE_ORDERS)
 def test_trace_partitions_the_field(q):
     p, m = factor_prime_power(q)
