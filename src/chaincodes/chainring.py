@@ -35,6 +35,10 @@ of the low unit a_l.  Rings whose halves are over _HALF_TABLE_LIMIT keep
 the digit loops: `gf.digit_add` and friends, and a convolution of decoded
 digits for the product.
 
+`scale_row` and `sub_mul_row` apply one scalar across a row of elements,
+the row steps of Gaussian elimination, and choose among these regimes
+once per row instead of once per entry.
+
 Conjugation lifts the order-2 field automorphism coefficient-wise; it is
 only available when q is a square.
 """
@@ -60,6 +64,10 @@ _HALF_TABLE_LIMIT = 128
 _SIZE_BITS_LIMIT = 1 << 16
 
 RING_CACHE_SIZE = 64        # rings ring_over keeps
+
+# rings at or below this many elements keep `doc_digits`, so no ring's
+# memo outgrows the 4,096 entries of R(16,3)
+_DOC_DIGITS_LIMIT = 4096
 
 
 class _HalfTables:
@@ -103,7 +111,7 @@ class ChainRing:
 
     __slots__ = ("field", "e", "q", "size", "_add_table", "_neg_table",
                  "_mul_table", "_val_table", "_conj_table", "_inv_table",
-                 "_half")
+                 "_half", "doc_digits")
 
     def __init__(self, field: Field, e: int):
         if e < 1:
@@ -121,6 +129,10 @@ class ChainRing:
         self._conj_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         self._half: _HalfTables | None = None
+        # `codes.code_to_json`'s memo: element code -> the base-p digits of
+        # its u-coefficients, e tuples of m; None on larger rings
+        self.doc_digits: dict[int, tuple[tuple[int, ...], ...]] | None = (
+            {} if self.size <= _DOC_DIGITS_LIMIT else None)
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
         elif self.q ** ((e + 1) // 2) <= _HALF_TABLE_LIMIT:
@@ -219,6 +231,49 @@ class ChainRing:
                     acc = f.add(acc, f.mul(ai, bj))
             out += acc * shift
             shift *= self.q
+        return out
+
+    def scale_row(self, c: int, ys) -> list[int]:
+        """[c*y for y in ys], choosing the regime once for the row: one row
+        of the full table; or c's half-table rows, fetched once, in the
+        split product of `mul` with zero entries skipped; or digit loops."""
+        if self._mul_table is not None:
+            M = self._mul_table[c]
+            return [M[y] for y in ys]
+        half = self._half
+        if half is None:
+            return [self._mul_slow(c, y) for y in ys]
+        Q, T, A = half.Q, half.T, half.add
+        Lc, Lh, Hc = half.lo[c % Q], half.lo[c // Q], half.hi[c % Q]
+        out = []
+        for y in ys:
+            if y:
+                yl = y % Q
+                y = Lc[yl] + Q * A[Hc[yl]][A[Lc[y // Q] % T][Lh[yl] % T]]
+            out.append(y)
+        return out
+
+    def sub_mul_row(self, xs, c: int, ys) -> list[int]:
+        """[x - c*y for x, y in zip(xs, ys)], computed as x + (-c)*y with
+        the regime chosen once for the row, as in `scale_row`."""
+        if self._mul_table is not None:
+            A, M = self._add_table, self._mul_table[self._neg_table[c]]
+            return [A[x][M[y]] for x, y in zip(xs, ys)]
+        half = self._half
+        if half is None:
+            p = self.field.p
+            return [digit_sub(x, self._mul_slow(c, y), p) if y else x
+                    for x, y in zip(xs, ys)]
+        Q, T, A = half.Q, half.T, half.add
+        c = self.neg(c)
+        Lc, Lh, Hc = half.lo[c % Q], half.lo[c // Q], half.hi[c % Q]
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                yl = y % Q
+                x = (A[x % Q][Lc[yl]]
+                     + Q * A[x // Q][A[Hc[yl]][A[Lc[y // Q] % T][Lh[yl] % T]]])
+            out.append(x)
         return out
 
     def smul(self, c: int, a: int) -> int:

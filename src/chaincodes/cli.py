@@ -203,7 +203,7 @@ def cmd_code(args) -> int:
 
     if args.action == "standard-form":
         sf = code.standard_form()
-        out = LinearCode(code.ring, code.n, sf.unpermuted_rows())
+        out = LinearCode._trusted(code.ring, code.n, sf.unpermuted_rows())
         _emit(dumps_code(out), args.out)
     elif args.action == "dual":
         _emit(dumps_code(code.dual(args.inner)), args.out)

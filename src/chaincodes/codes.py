@@ -4,9 +4,15 @@ A LinearCode is the row span of a generator matrix over the chain ring.
 Gaussian elimination with column permutations brings any generator matrix
 to a block-triangular standard form whose pivots are powers of u with
 nondecreasing exponents; for e = 3 the pivot multiplicities give the usual
-type (k, l, m).  Duals for both the Euclidean and the Hermitian inner
-product come out of the standard form by valuation-aware back-substitution,
-and the Hermitian dual is the Euclidean dual of the conjugated code.
+type (k, l, m).  Its row steps, and those of `contains`, are the ring's
+row kernels `scale_row` and `sub_mul_row`.  Duals for both the Euclidean
+and the Hermitian inner product come out of the standard form by
+valuation-aware back-substitution, and the rows it builds are, reordered,
+a standard form of the dual, which the dual carries.  The Hermitian dual
+is the Euclidean dual of the conjugated code, and conjugation maps
+standard forms to standard forms, so the dual of a dual that this module
+built needs no elimination.  Two codes are equal when they have the same
+size and one holds the other's generators.
 Self-duality needs no dual: a chain ring is a Frobenius ring, so
 |C| |C^perp| = |R|^n, and C = C^perp exactly when C is self-orthogonal
 and |C|^2 = |R|^n, at every depth e and for field codes alike.
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 
 from .gf import Field, field_make
 from .chainring import ChainRing, ring_over
@@ -62,7 +68,16 @@ class StandardForm:
     """Result of row reduction over the chain ring.
 
     rows are in permuted coordinates: pivot j sits at column j and equals
-    u^(pivot_vals[j]).  perm[j] is the original index of permuted column j.
+    u^(pivot_vals[j]), row j is zero left of it and divisible by
+    u^(pivot_vals[j]), and pivot_vals is nondecreasing.  perm[j] is the
+    original index of permuted column j.
+
+    `_standard_form` computes one from generators, and a conjugate code's
+    is the conjugate of its source's, exactly what `_standard_form` gives
+    on the conjugated generators.  A dual's form is read off its code's
+    form by `LinearCode.dual` and is not re-reduced: it may differ row for
+    row from `_standard_form` of the dual's generators, with the same
+    pivot_vals.
     """
     ring: ChainRing
     n: int
@@ -126,7 +141,7 @@ def _standard_form(ring: ChainRing, n: int, gens) -> StandardForm:
         # scale the pivot row so the pivot becomes exactly u^v
         winv = ring.unit_inverse(ring.shift_down(rows[r][r], v))
         if winv != 1:
-            rows[r] = [ring.mul(winv, x) for x in rows[r]]
+            rows[r] = ring.scale_row(winv, rows[r])
         # clear the u^(>=v) part of column r everywhere else; rows not yet
         # processed lose the entry entirely, earlier rows keep it mod u^v
         qv = q ** v
@@ -136,8 +151,7 @@ def _standard_form(ring: ChainRing, n: int, gens) -> StandardForm:
                 continue
             bh = rows[i2][r] // qv
             if bh:
-                rows[i2] = [ring.sub(x, ring.mul(bh, y))
-                            for x, y in zip(rows[i2], prow)]
+                rows[i2] = ring.sub_mul_row(rows[i2], bh, prow)
         pivot_vals.append(v)
         r += 1
     return StandardForm(ring, n, tuple(perm), tuple(pivot_vals),
@@ -207,15 +221,14 @@ class LinearCode:
             raise ValueError("word length mismatch")
         ring = self.ring
         std = self.standard_form()
-        w = [w[std.perm[pos]] for pos in range(self.n)]
+        w = [w[i] for i in std.perm]
         for j, v in enumerate(std.pivot_vals):
             b = w[j]
             if b:
-                if b % ring.q ** v:
+                qv = ring.q ** v
+                if b % qv:
                     return False
-                c = b // ring.q ** v
-                row = std.rows[j]
-                w = [ring.sub(x, ring.mul(c, y)) for x, y in zip(w, row)]
+                w = ring.sub_mul_row(w, b // qv, std.rows[j])
         return not any(w)
 
     def codewords(self):
@@ -238,18 +251,31 @@ class LinearCode:
             yield _unpermute(std.perm, w)
 
     def conjugate_code(self) -> LinearCode:
-        conj = self.ring.conjugate
-        return LinearCode(self.ring, self.n,
-                          [[conj(x) for x in row] for row in self.gens])
+        """The code of the conjugated generators.  Conjugation is a ring
+        automorphism that fixes u and keeps valuations, so `_standard_form`
+        makes the same pivot choices on the conjugated rows and returns
+        exactly the conjugates of this code's form, with the same perm and
+        pivot values: a form already computed here is carried over."""
+        ring, n = self.ring, self.n
+        conj = ring.conjugate
+        code = LinearCode._trusted(
+            ring, n, [tuple(map(conj, row)) for row in self.gens])
+        std = self._std
+        if std is not None:
+            code._std = StandardForm(
+                ring, n, std.perm, std.pivot_vals,
+                tuple(tuple(map(conj, row)) for row in std.rows))
+        return code
 
     def equal(self, other: LinearCode) -> bool:
-        """Same set of codewords (mutual containment of generators)."""
+        """Same set of codewords: |C| = |D| and D's generators lie in C.
+        Then D is a subset of C of the same finite size, so D = C."""
         if not isinstance(other, LinearCode):
             raise ValueError("can only compare with another LinearCode")
         if self.ring != other.ring or self.n != other.n:
             return False
-        return (all(self.contains(g) for g in other.gens)
-                and all(other.contains(g) for g in self.gens))
+        return (self.cardinality() == other.cardinality()
+                and all(self.contains(g) for g in other.gens))
 
     # -- torsion --------------------------------------------------------------
 
@@ -272,17 +298,43 @@ class LinearCode:
     # -- duality ----------------------------------------------------------------
 
     def dual(self, inner: str = EUCLIDEAN) -> LinearCode:
-        """The dual code under the chosen inner product."""
+        """The dual code under the chosen inner product, returned with its
+        standard form attached.
+
+        With C's form (rank r, pivots u^(v_i) at columns i < r, in C's
+        permuted coordinates), back-substitution builds one row g_c for
+        each free column c >= r, with 1 at c and 0 at the other free
+        columns, and one row h_i for each pivot with v_i > 0, with
+        u^(e-v_i) at i and nonzero only at pivots j < i.  The generators
+        are the g_c, then the h_i by increasing i.
+
+        These rows are a standard form of the dual once columns and rows
+        are reordered: the free columns first, then the pivots with
+        v_i > 0 by decreasing i, then the pivots with v_i = 0.  The g_c
+        come first, with pivot 1 and zeros at the free columns before
+        theirs.  The h_i follow by decreasing i, with pivot values e - v_i,
+        nondecreasing since v is nondecreasing in i; the columns before h_i
+        are free or pivots j > i, where h_i is 0.  Every h_i is divisible by
+        u^(e-v_i): by induction down from i, each sum back-substitution
+        divides at pivot j < i is a sum of (row-j entry) * (entry of h_i),
+        divisible by u^(v_j) * u^(e-v_i), and the quotient by u^(v_j) it
+        takes, the sum's digits shifted down v_j places, keeps u^(e-v_i).
+
+        The Hermitian dual is the Euclidean dual of conj(C): [v, w] =
+        sum v_i conj(w_i) vanishes on C exactly when the Euclidean product
+        of conj(C) with w does.  C's form is computed first, so that
+        conj(C) carries it and the dual of a dual this library built needs
+        no elimination."""
         if _check_inner(inner, self.ring.field) == HERMITIAN:
-            # [v, w] = sum v_i conj(w_i) vanishes on C exactly when the
-            # Euclidean product of conj(C) with w does
+            self.standard_form()
             return self.conjugate_code().dual(EUCLIDEAN)
         ring = self.ring
-        n, e, q = self.n, self.ring.e, self.ring.q
+        n, e, q = self.n, ring.e, ring.q
         std = self.standard_form()
         r = std.rank
+        vals = std.pivot_vals
 
-        def back_solve(g: list[int], start: int) -> None:
+        def back_solve(g: list[int], start: int) -> list[int]:
             # rows below `start` are already satisfied; solve upward
             for i in range(start - 1, -1, -1):
                 row = std.rows[i]
@@ -291,26 +343,35 @@ class LinearCode:
                     if row[t] and g[t]:
                         s = ring.add(s, ring.mul(row[t], g[t]))
                 s = ring.neg(s)
-                v = std.pivot_vals[i]
+                v = vals[i]
                 if s % q ** v:
                     raise AssertionError("standard form lost row divisibility")
                 g[i] = s // q ** v
+            return g
 
-        gens_std: list[list[int]] = []
+        rows = []
         for c in range(r, n):
             g = [0] * n
             g[c] = 1
-            back_solve(g, r)
-            gens_std.append(g)
-        for i in range(r):
-            v = std.pivot_vals[i]
-            if v == 0:
-                continue
+            rows.append(back_solve(g, r))
+        k = vals.count(0)     # pivots k.. have v > 0
+        for i in range(k, r):
             g = [0] * n
-            g[i] = q ** (e - v)  # the element u^(e-v)
-            back_solve(g, i)
-            gens_std.append(g)
-        return LinearCode(ring, n, [_unpermute(std.perm, g) for g in gens_std])
+            g[i] = q ** (e - vals[i])  # the element u^(e-v)
+            rows.append(back_solve(g, i))
+        dual = LinearCode._trusted(
+            ring, n, [_unpermute(std.perm, g) for g in rows])
+        # the form: the h_i by decreasing i, and the columns in the same
+        # order; at n = 1 the order is (0,), and itemgetter of one index
+        # would return the entry rather than a tuple
+        rows[n - r:] = reversed(rows[n - r:])
+        pick = itemgetter(*range(r, n), *range(r - 1, k - 1, -1),
+                          *range(k)) if n > 1 else tuple
+        dual._std = StandardForm(
+            ring, n, pick(std.perm),
+            (0,) * (n - r) + tuple([e - v for v in reversed(vals[k:])]),
+            tuple(map(pick, rows)))
+        return dual
 
     def is_self_orthogonal(self, inner: str = EUCLIDEAN) -> bool:
         """Whether the generators pairwise annihilate; the product is
@@ -485,19 +546,23 @@ def fmat_inv(field: Field, a) -> tuple[tuple[int, ...], ...] | None:
 # sum c_(t,j) p^(t*m + j) of those e*m digits, as in `chainring`.
 
 def code_to_json(code: LinearCode) -> dict:
+    """The document of a code.  Each entry's e tuples of m digits come from
+    the ring's memo (`ChainRing.doc_digits`), filled on first use, or from
+    a memo for this call on rings too large to keep one; the lists are
+    built fresh, so the result shares nothing with the memo."""
     ring = code.ring
     f = ring.field
     p, m, size = f.p, f.m, ring.e * f.m
-    digits = {}
-    for x in set(chain.from_iterable(code.gens)):
+    digits = ring.doc_digits
+    if digits is None:
+        digits = {}
+    for x in set(chain.from_iterable(code.gens)).difference(digits):
         ds, rest = [], x
         for _ in range(size):
             rest, d = divmod(rest, p)
             ds.append(d)
-        digits[x] = ds
-    cuts = range(0, size, m)
-    rows = [[[digits[x][i:i + m] for i in cuts] for x in row]
-            for row in code.gens]
+        digits[x] = tuple(tuple(ds[i:i + m]) for i in range(0, size, m))
+    rows = [[[list(cs) for cs in digits[x]] for x in row] for row in code.gens]
     return {"p": p, "m": m, "e": ring.e, "n": code.n,
             "modulus": list(f.modulus), "rows": rows}
 
@@ -570,9 +635,13 @@ def field_code_from_json(obj: dict) -> FieldCode:
     return FieldCode(code.ring.field, code.n, code.gens)
 
 
+# what json.dumps(obj, sort_keys=True, separators=(",", ":")) would build
+# on every call
+_DOC_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_code(code: LinearCode) -> str:
-    return json.dumps(code_to_json(code), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _DOC_ENCODER.encode(code_to_json(code)) + "\n"
 
 
 def loads_code(text: str) -> LinearCode:

@@ -10,10 +10,13 @@ on the codes (`digit_add`, `digit_sub`, `digit_neg`; XOR, XOR and the
 identity when p = 2).  A chain-ring code is a base-p digit string too, so
 `chainring` uses the same functions.
 
-Fields with m > 1 and q <= 128 get eager mul and inv tables.  The product
-is GF(p)-bilinear in the base-p digits, so `bilinear_tables` fills the
-q^2 entries from the m^2 products of digit units x^k * x^t, by additions
-alone; chain rings build their tables with it too.
+Fields with m > 1 and q <= 128 get eager add, neg, mul and inv tables,
+and subtract as add[a][neg[b]].  The product is GF(p)-bilinear in the
+base-p digits, so `bilinear_tables` fills the add table and the q^2
+product entries from the m^2 products of digit units x^k * x^t, by
+additions alone, and negation is GF(p)-linear, so `linear_table` fills its
+table from m images; chain rings build their tables the same way.  Prime
+fields (m = 1) compute mod p.
 
 The modulus is canonical: the lexicographically smallest monic irreducible
 polynomial of degree m over GF(p), coefficients compared from the constant
@@ -251,8 +254,8 @@ def _exact_modulus(p: int, modulus) -> tuple[int, ...]:
 class Field:
     """GF(p^m) with elements coded as integers in range(p^m)."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul_table", "_inv_table",
-                 "_conj_table", "_trace_pre")
+    __slots__ = ("p", "m", "q", "modulus", "_add_table", "_neg_table",
+                 "_mul_table", "_inv_table", "_conj_table", "_trace_pre")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         # p and m are bounded before the trial division and the power they
@@ -280,6 +283,8 @@ class Field:
         self.m = m
         self.q = q
         self.modulus = modulus
+        self._add_table: list[list[int]] | None = None
+        self._neg_table: list[int] | None = None
         self._mul_table: list[list[int]] | None = None
         self._inv_table: list[int] | None = None
         self._conj_table: list[int] | None = None
@@ -323,16 +328,22 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a][b]
         return digit_add(a, b, self.p)
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return -a % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
         return digit_neg(a, self.p)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
+        if self._neg_table is not None:
+            return self._add_table[a][self._neg_table[b]]
         return digit_sub(a, b, self.p)
 
     def mul(self, a: int, b: int) -> int:
@@ -369,10 +380,14 @@ class Field:
         return self.pow(a, self.q - 2)
 
     def _build_tables(self) -> None:
-        _, table = bilinear_tables(self.p, self.m, self._mul_slow)
+        p = self.p
+        add, table = bilinear_tables(p, self.m, self._mul_slow)
         inv = [0] * self.q
         for a in range(1, self.q):
             inv[a] = table[a].index(1)
+        self._add_table = add
+        self._neg_table = linear_table(
+            p, add, [(p - 1) * p ** k for k in range(self.m)])
         self._mul_table = table
         self._inv_table = inv
 

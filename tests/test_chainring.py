@@ -1,5 +1,7 @@
 """Tests for the chain ring GF(q)[u]/(u^e)."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincodes.chainring import ChainRing, chain_ring, ring_over
 from chaincodes.gf import Field, digit_add, digit_neg, digit_sub, field_make
@@ -115,6 +117,51 @@ def test_every_regime_matches_the_digit_loops(ring):
             assert ring.add(a, b) == digit_add(a, b, p)
             assert ring.sub(a, b) == digit_sub(a, b, p)
             assert ring.mul(a, b) == brute_mul(ring, a, b)
+
+
+# a ring per regime: full tables (R(4,3), R(9,1), R(4,2)), half tables
+# (R(9,3) over either GF(9), R(27,2) with halves of 27), digit loops
+# (R(16,3), and R(257,1) over 256 elements)
+ROW_RINGS = [chain_ring(4, 3), chain_ring(9, 3), gf9_alt_ring(),
+             chain_ring(16, 3), chain_ring(9, 1), chain_ring(257, 1),
+             chain_ring(4, 2), chain_ring(27, 2)]
+
+
+@st.composite
+def row_kernel_args(draw):
+    """A ring, a scalar (0, 1 and units among them) and two rows, the
+    second one sometimes all zero."""
+    ring = draw(st.sampled_from(ROW_RINGS))
+    element = st.integers(0, ring.size - 1)
+    unit = element.filter(ring.is_unit)
+    entry = st.sampled_from([0, 1, ring.u]) | unit | element
+    c = draw(st.sampled_from([0, 1, ring.size - 1]) | unit | element)
+    n = draw(st.integers(0, 6))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return ring, c, draw(row), draw(st.just([0] * n) | row)
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_kernel_args())
+def test_row_kernels_match_the_elementwise_products(args):
+    ring, c, xs, ys = args
+    p = ring.field.p
+    products = [brute_mul(ring, c, y) for y in ys]
+    assert ring.scale_row(c, ys) == products == [ring.mul(c, y) for y in ys]
+    assert (ring.sub_mul_row(xs, c, ys)
+            == [digit_sub(x, cy, p) for x, cy in zip(xs, products)]
+            == [ring.sub(x, ring.mul(c, y)) for x, y in zip(xs, ys)])
+
+
+@pytest.mark.parametrize("ring", [chain_ring(9, 3), chain_ring(27, 2)],
+                         ids=repr)
+def test_half_table_row_product_is_mul_on_every_pair(ring):
+    """The half-table branch of `scale_row` is `mul` with the scalar's
+    rows fetched once: every scalar, every entry."""
+    assert regime(ring) == "half"
+    els = list(ring.elements())
+    for c in els:
+        assert ring.scale_row(c, els) == [ring.mul(c, y) for y in els]
 
 
 @pytest.mark.parametrize("q,e", [(3, 3), (4, 3)])

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -573,6 +574,157 @@ def test_decompose_refuses_unprintable_sizes_promptly(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert message in err and "4300 digits) for integer" not in err
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the stdout of every code action on five fixed documents
+
+def _pinned_code(q, e, n, vals):
+    """A fixed code whose row i is divisible by exactly u^vals[i]: an
+    arithmetic pattern with one unit, the same on every Python version."""
+    ring = chain_ring(q, e)
+    rows = []
+    for i, v in enumerate(vals):
+        row = [((40503 * (i * n + j) + 7) ** 2 >> 5) % ring.size
+               for j in range(n)]
+        row[3 * i % n] = 1 + i % (q - 1)
+        rows.append([ring.shift_up(x, v) for x in row])
+    return LinearCode(ring, n, rows)
+
+
+# R(9,3) computes on half tables and R(16,3) on digit loops; GF(9)^5 is a
+# field code (e = 1)
+PINNED_CODES = {
+    "R(2,3)^6": (2, 3, 6, (0, 0, 1, 2, 2)),
+    "R(4,3)^5": (4, 3, 5, (0, 1, 1, 2)),
+    "R(9,3)^6": (9, 3, 6, (0, 0, 1, 2)),
+    "R(16,3)^3": (16, 3, 3, (0, 1, 2)),
+    "GF(9)^5": (9, 1, 5, (0, 0)),
+}
+PINNED_ACTIONS = (("standard-form",), ("dual", "--inner", "euclidean"),
+                  ("dual", "--inner", "hermitian"), ("torsion", "--i", "0"),
+                  ("torsion", "--i", "1"), ("torsion", "--i", "2"),
+                  ("check-sd", "--inner", "euclidean"),
+                  ("check-sd", "--inner", "hermitian"))
+
+
+def pinned_action_digests(name):
+    """{action: sha256 of stdout} for one pinned code, under the key
+    "document" the digest of its document; an action that exits 2 (no
+    Hermitian product over GF(2), no torsion codes at e = 1) is left out."""
+    text = dumps_code(_pinned_code(*PINNED_CODES[name]))
+    digests = {"document": hashlib.sha256(text.encode()).hexdigest()}
+    for action in PINNED_ACTIONS:
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["code", action[0], "-", *action[1:]])
+        if code == 0:
+            digests[" ".join(action)] = hashlib.sha256(
+                out.getvalue().encode()).hexdigest()
+        else:
+            assert code == 2, (name, action)
+    return digests
+
+
+PINNED_DIGESTS = {
+    'R(2,3)^6': {
+        'document':
+            '799d078dfc55ac5159e664d00521a5cd2da8bf1ad206c4c268c70743efe5eecb',
+        'standard-form':
+            '73fa3bbe248b148d188e068884565469a6985ef3b99c3fcab8959566e6ebcdf9',
+        'dual --inner euclidean':
+            'e2ee56b8214379689c4b799b591f9682744e572c741a2e34544c7dfcc47e656f',
+        'torsion --i 0':
+            'ff4f1257a29d7db20d4cffceb376b21a1fc319f40bf131dfdf8ca804bbf3a8b2',
+        'torsion --i 1':
+            'ed7d4313de76108c59cff0c28a98fc9c3dbe89484538455d2540e860fe20c55f',
+        'torsion --i 2':
+            '75cd866cb2a5321adf93448be054627c59021dc7628a6eae57a6a00f1b7838e9',
+        'check-sd --inner euclidean':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+    },
+    'R(4,3)^5': {
+        'document':
+            '59076080563e5718166148856ac1cff20fbc482f4d2f4c223217ed6f6be7992f',
+        'standard-form':
+            '56542c07382900e61c326acd36cc65f25093d33370c0fef540fb0470bce50485',
+        'dual --inner euclidean':
+            '9dff39ce5cd34beb19c2f1ee173422e81686ff2f0a7d3beb40954ce30b5104bd',
+        'dual --inner hermitian':
+            '2203f50325ea8972db518a587fc6781123e0948a94aa0d8f583748b084ab01ce',
+        'torsion --i 0':
+            'fa12a9fdba96aa84796b02d6ed60f366de59b56ee2da1810111d3314014734bc',
+        'torsion --i 1':
+            '541b9f97d5ebbe0ee5e7947d98e0e7937ebae34d51e6cdc73f6d59e714f523f3',
+        'torsion --i 2':
+            '60fc20984976e2768de1f98baa96514306c228013f8ac0839a44986361f51fb9',
+        'check-sd --inner euclidean':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+        'check-sd --inner hermitian':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+    },
+    'R(9,3)^6': {
+        'document':
+            '1cbac4e7f446cbb8bfe08c2aeabfbdfda4c3457163498e9d0e60f85305b7531b',
+        'standard-form':
+            '592427ad059d298fac21430856839f937a7891360505ecd2e8d0480ff049c2e1',
+        'dual --inner euclidean':
+            'a7b3a9e2d0a7bd1814ca07e80abfff9183b907efb0d6e1432929740d033979a0',
+        'dual --inner hermitian':
+            '855f9571c95537d06d85bf60149ea34046c283ce4183907f060d11a040eda4b6',
+        'torsion --i 0':
+            '5ff8b3503b4b644de662bb523a8fbb8a3c3ef1532174258c6878436c9b5f3e83',
+        'torsion --i 1':
+            'd480af26f4c843fbfde02d0cc6ac3e42c4e6106e0d5431dc8cba259e40715dcc',
+        'torsion --i 2':
+            '7fea11905d2d8141dcddbc6be29ba80ce56d09c262759c5f8b14dc93983ae9d9',
+        'check-sd --inner euclidean':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+        'check-sd --inner hermitian':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+    },
+    'R(16,3)^3': {
+        'document':
+            '5c05ffae1d4d2f23a17df19b1c3afa5d516bd7e61b11b1a80f6accb7cfd62b2d',
+        'standard-form':
+            '03590d28993cac886020c613e6983d31900a2aaa5a695040240e6bb76df11a45',
+        'dual --inner euclidean':
+            'bc6a09aa4935cdc8de06b1a1cb6ec2f6b85a4326fd50b73bcdf43bfa8db39dca',
+        'dual --inner hermitian':
+            'f1a88d96994d840b8258b56865e1af3360b8ffc730f533f2bc6a316510d39f66',
+        'torsion --i 0':
+            'df00144b70ea1ac7d2944c1dc18e5bc476fea8dcb2f59a85114aad41b499c44b',
+        'torsion --i 1':
+            'bc0daa1ab48891eea7d29bfd15b214c6606d7d970e294960fb0f2790c614b287',
+        'torsion --i 2':
+            'b03767f0a3ca0c93b186ebc7d4ae5640f04c016987f904eaa07eeb801bc2fc41',
+        'check-sd --inner euclidean':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+        'check-sd --inner hermitian':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+    },
+    'GF(9)^5': {
+        'document':
+            '100c14f1ce6c84983cbca96e9d853610c5812e83241584204065855d74467d48',
+        'standard-form':
+            '414b5ec7bb635dfe001236e4b19f2a9a333dfe4d64be396d3a630fef2f1c0831',
+        'dual --inner euclidean':
+            '2bd067e27cd51cb86149b0da26e9332dfcc98e193de8d1158a1a0ba985bb2b22',
+        'dual --inner hermitian':
+            '85dab1c0c0053484ecba92581e0dfb6b2733db642f606c60ca9bb496e463a44b',
+        'check-sd --inner euclidean':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+        'check-sd --inner hermitian':
+            '2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0',
+    },
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CODES)
+def test_code_action_outputs_are_pinned_byte_for_byte(name):
+    assert pinned_action_digests(name) == PINNED_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.strategies import integers, lists, tuples
 
 from chaincodes.census import enumerate_submodules
@@ -15,6 +16,7 @@ from chaincodes.codes import (
     HERMITIAN,
     FieldCode,
     LinearCode,
+    _standard_form,
     code_from_json,
     code_to_json,
     dumps_code,
@@ -289,6 +291,105 @@ def test_equal_distinguishes_codes():
     assert not a.equal(c)
 
 
+# full tables (R(2,3), R(4,3), R(4,2), R(9,1)), half tables (R(9,3)) and
+# digit loops (R(16,3))
+FORM_RINGS = [chain_ring(2, 3), chain_ring(4, 3), chain_ring(9, 3),
+              chain_ring(16, 3), chain_ring(4, 2), chain_ring(9, 1)]
+
+
+@st.composite
+def ring_codes(draw, rings=FORM_RINGS, lengths=range(1, 5)):
+    """A code of one of `lengths` over one of `rings`, its rows random
+    multiples of random powers of u."""
+    ring = draw(st.sampled_from(rings))
+    n = draw(st.sampled_from(lengths))
+    row = st.tuples(st.integers(0, ring.e - 1), st.lists(
+        st.integers(0, ring.size - 1), min_size=n, max_size=n))
+    rows = draw(st.lists(row, max_size=4))
+    return LinearCode(ring, n, [[ring.shift_up(x, v) for x in xs]
+                                for v, xs in rows])
+
+
+def assert_is_standard_form(sf):
+    """Pivot u^v at column j with zeros left of it, the whole row divisible
+    by u^v, v nondecreasing, and perm a permutation."""
+    q = sf.ring.q
+    assert sorted(sf.perm) == list(range(sf.n))
+    assert list(sf.pivot_vals) == sorted(sf.pivot_vals)
+    for j, (row, v) in enumerate(zip(sf.rows, sf.pivot_vals)):
+        assert len(row) == sf.n and 0 <= v < sf.ring.e
+        assert row[j] == q ** v and not any(row[:j])
+        assert all(x % q ** v == 0 for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=ring_codes(), hermitian=st.booleans())
+def test_dual_carries_a_standard_form_of_itself(code, hermitian):
+    ring, n = code.ring, code.n
+    inner = HERMITIAN if hermitian and ring.field.has_conjugation else EUCLIDEAN
+    dual = code.dual(inner)
+    sf = dual._std
+    assert sf is not None
+    assert_is_standard_form(sf)
+    fresh = LinearCode(ring, n, dual.gens)       # reduces its own generators
+    assert sf.pivot_vals == _standard_form(ring, n, dual.gens).pivot_vals
+    assert dual.cardinality() == fresh.cardinality()
+    # the form's rows span the dual: both lie in the other, sizes agree
+    assert all(fresh.contains(w) for w in sf.unpermuted_rows())
+    assert all(dual.contains(g) for g in fresh.standard_form().unpermuted_rows())
+    if ring.e == 3:
+        assert dual.residue() == fresh.residue()
+        for i in range(3):
+            assert dual.torsion(i) == fresh.torsion(i)
+    if ring.size ** n <= 4096:
+        assert set(dual.codewords()) == set(fresh.codewords())
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=ring_codes([chain_ring(4, 3), chain_ring(9, 3), chain_ring(16, 3),
+                        chain_ring(4, 2), chain_ring(9, 1)]),
+       reduced=st.booleans())
+def test_conjugate_code_carries_the_conjugated_form(code, reduced):
+    """conj(C)'s form is exactly the one `_standard_form` finds on the
+    conjugated generators, whether C's form was already computed or not."""
+    if reduced:
+        code.standard_form()
+    conj = code.conjugate_code()
+    assert conj.standard_form() == _standard_form(code.ring, code.n, conj.gens)
+
+
+@st.composite
+def code_pairs(draw):
+    """Two codes of one length over one ring: unrelated, a code and a
+    subcode (rows scaled and mixed), or one code on two generator sets."""
+    a = draw(ring_codes(lengths=range(1, 4)))
+    ring, n = a.ring, a.n
+    kind = draw(st.sampled_from(["random", "subcode", "same"]))
+    if kind == "random":
+        return a, draw(ring_codes([ring], [n]))
+    element = st.integers(0, ring.size - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = [0] * n
+        for g in a.gens:
+            c = draw(element)
+            row = [ring.add(x, ring.mul(c, y)) for x, y in zip(row, g)]
+        rows.append(row)
+    if kind == "same":
+        rows += [ring.sub_mul_row(g, draw(element), row) for g, row in
+                 zip(a.gens, rows + [[0] * n] * len(a.gens))]
+    return a, LinearCode(ring, n, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=code_pairs())
+def test_equal_agrees_with_two_way_containment(pair):
+    a, b = pair
+    both = (all(a.contains(g) for g in b.gens)
+            and all(b.contains(g) for g in a.gens))
+    assert a.equal(b) == b.equal(a) == both
+
+
 # ---------------------------------------------------------------------------
 # residue-field codes
 
@@ -455,6 +556,42 @@ def test_dumped_entries_share_no_lists():
     assert len({id(x) for x in lists}) == len(lists) == 6 * 4
     obj["rows"][0][0][0][0] = 0
     assert obj["rows"][0][1][0] == [1, 0]
+
+
+def digit_loop_document(code):
+    """The document the schema defines, digit by digit: entry x holds
+    c_(t,j) = the base-p digit t*m + j of x at [t][j]."""
+    f, e = code.ring.field, code.ring.e
+    rows = [[[[x // f.p ** (t * f.m + j) % f.p for j in range(f.m)]
+              for t in range(e)] for x in row] for row in code.gens]
+    return {"p": f.p, "m": f.m, "e": e, "n": code.n,
+            "modulus": list(f.modulus), "rows": rows}
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_memoized_documents_match_the_digit_loop(q, monkeypatch):
+    """Every element of R(q,3) in one code, written with an empty memo and
+    again from the memo it filled; a document changed by its caller leaves
+    the memo as it was."""
+    ring = chain_ring(q, 3)
+    monkeypatch.setattr(ring, "doc_digits", {})
+    n = min(9, ring.size)
+    code = LinearCode(ring, n, [[(k + j) % ring.size for j in range(n)]
+                                for k in range(0, ring.size, n)])
+    expected = digit_loop_document(code)
+    first = code_to_json(code)
+    assert len(ring.doc_digits) == ring.size
+    first["rows"][0][0][0][0] = 1 - first["rows"][0][0][0][0]
+    assert code_to_json(code) == expected
+    assert first != expected
+
+
+def test_rings_over_the_memo_limit_keep_no_document_memo():
+    ring = chain_ring(5, 6)                  # 15,625 elements
+    code = LinearCode(ring, 2, [(1, 12345), (0, ring.size - 1)])
+    assert code_to_json(code) == digit_loop_document(code)
+    assert ring.doc_digits is None
+    assert chain_ring(16, 3).doc_digits is not None      # 4,096 elements
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,26 @@ def test_tables_match_polynomial_arithmetic(q):
     assert all(f._mul_table[a][f._inv_table[a]] == 1 for a in range(1, q))
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 125])
+def test_table_fields_add_subtract_and_negate_as_the_digit_loops(q, monkeypatch):
+    """Extension fields with a mul table add, subtract and negate by
+    lookup, with no digit loop, on every pair."""
+    p, m = factor_prime_power(q)
+    f = field_make(p, m)
+    els = range(q)
+    expected = ([[digit_add(a, b, p) for b in els] for a in els],
+                [[digit_sub(a, b, p) for b in els] for a in els],
+                [digit_neg(a, p) for a in els])
+
+    def refuse(*args):
+        raise AssertionError("digit loop on a table field")
+    for name in ("digit_add", "digit_sub", "digit_neg"):
+        monkeypatch.setattr(gf, name, refuse)
+    assert ([[f.add(a, b) for b in els] for a in els],
+            [[f.sub(a, b) for b in els] for a in els],
+            [f.neg(a) for a in els]) == expected
+
+
 def test_tables_are_eager_exactly_on_small_extensions():
     orders = sorted(p ** m for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9)
                     if p ** m <= 256)
