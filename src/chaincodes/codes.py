@@ -255,10 +255,12 @@ class LinearCode:
         automorphism that fixes u and keeps valuations, so `_standard_form`
         makes the same pivot choices on the conjugated rows and returns
         exactly the conjugates of this code's form, with the same perm and
-        pivot values: a form already computed here is carried over."""
+        pivot values: a form already computed here is carried over.  It
+        fixes 0 and 1 too, so the conjugate of a FieldCode's RREF basis is
+        the RREF basis of the conjugate code, which stays a FieldCode."""
         ring, n = self.ring, self.n
         conj = ring.conjugate
-        code = LinearCode._trusted(
+        code = type(self)._trusted(
             ring, n, [tuple(map(conj, row)) for row in self.gens])
         std = self._std
         if std is not None:
@@ -462,9 +464,6 @@ class FieldCode(LinearCode):
 
     def subspace_of(self, other: FieldCode) -> bool:
         return all(other.contains(row) for row in self.gens)
-
-    def conjugate_code(self) -> FieldCode:
-        return FieldCode(self.field, self.n, super().conjugate_code().gens)
 
     def dual(self, inner: str = EUCLIDEAN) -> FieldCode:
         return FieldCode(self.field, self.n, super().dual(inner).gens)

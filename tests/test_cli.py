@@ -628,6 +628,9 @@ def pinned_action_digests(name):
     return digests
 
 
+
+# recorded from a library that reduced every code from its generators,
+# with no form carried from a dual or a conjugate
 PINNED_DIGESTS = {
     'R(2,3)^6': {
         'document':

@@ -454,6 +454,22 @@ def test_field_code_conjugate():
         tuple(f.conjugate(c) for c in w) for w in code.codewords()}
 
 
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([4, 9, 16]), data=st.data())
+def test_field_code_conjugates_stay_in_rref(q, data):
+    """Conjugation fixes 0 and 1, so the conjugated RREF basis is the
+    conjugate code's RREF basis: the FieldCode of the conjugated rows."""
+    f = field_make(*{4: (2, 2), 9: (3, 2), 16: (2, 4)}[q])
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                       max_size=n), max_size=3))
+    code = FieldCode(f, n, rows)
+    conj = code.conjugate_code()
+    assert isinstance(conj, FieldCode)
+    assert conj == FieldCode(f, n, [[f.conjugate(x) for x in row]
+                                    for row in rows])
+
+
 def test_field_codes_over_a_non_canonical_field():
     """GF(9) with modulus x^2 + x + 2, which chain_ring never builds: the
     torsion codes are e = 1 LinearCodes over the code's own field."""
