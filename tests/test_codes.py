@@ -376,8 +376,10 @@ def code_pairs(draw):
             row = [ring.add(x, ring.mul(c, y)) for x, y in zip(row, g)]
         rows.append(row)
     if kind == "same":
-        rows += [ring.sub_mul_row(g, draw(element), row) for g, row in
-                 zip(a.gens, rows + [[0] * n] * len(a.gens))]
+        # g - c*row for each generator g: with the rows, they span a again
+        for g, row in zip(a.gens, rows + [[0] * n] * len(a.gens)):
+            c = draw(element)
+            rows.append([ring.sub(x, ring.mul(c, y)) for x, y in zip(g, row)])
     return a, LinearCode(ring, n, rows)
 
 
