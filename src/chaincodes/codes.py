@@ -621,10 +621,17 @@ def code_from_json(obj: dict) -> LinearCode:
             min(coeffs) < 0 or max(coeffs) >= p):
         raise ValueError("malformed code document: a coefficient list "
                          f"must hold {m} integers in range({p})")
+    n = _doc_key(obj, "n", int)
+    if n < 1:
+        raise ValueError(f"length must be >= 1, got {n}")
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"generator length {len(row)} != n = {n}")
+    # every coefficient is in range(p), so every entry is in range(q^e)
     powers = [p ** k for k in range(e * m)]
-    gens = [[sum(map(mul, chain.from_iterable(x), powers)) for x in row]
-            for row in rows]
-    return LinearCode(ring, _doc_key(obj, "n", int), gens)
+    return LinearCode._trusted(ring, n, [
+        tuple(sum(map(mul, chain.from_iterable(x), powers)) for x in row)
+        for row in rows])
 
 
 def field_code_from_json(obj: dict) -> FieldCode:

@@ -23,7 +23,9 @@ H_h(x) = sum_k [h, k]_q x^k, which satisfy H_0 = 1, H_1 = 1 + x and
 H_(h+1) = (1 + x) H_h + x (q^h - 1) H_(h-1) (Andrews, The Theory of
 Partitions, ch. 3).  Depths 1 to 3 thus take O(n^2) big-by-small products
 and no division past one Gaussian row; each further depth adds a step of
-O(n^2) products.
+O(n^2) products.  Where x is a power of two (every q = 2^j, and x = 1 for
+any q), the Rogers-Szego step shifts by log2(x) bits instead of
+multiplying by x.
 """
 from __future__ import annotations
 
@@ -109,10 +111,16 @@ def self_dual_exponent(q: int, n: int, kind: str) -> int | None:
 
 def _rogers_szego(h: int, q: int, x: int) -> int:
     """H_h(x) = sum_k [h, k]_q x^k, by the three-term recurrence, each
-    step written to multiply by the big x once."""
+    step written to multiply by the big x once.  When x = 2^s (every x for
+    q = 2^j, and x = 1 for any q) that product is a shift by s bits."""
     prev, cur = 0, 1
-    for k in range(h):
-        prev, cur = cur, cur + x * (cur + (q ** k - 1) * prev)
+    s = x.bit_length() - 1
+    if x == 1 << s:
+        for k in range(h):
+            prev, cur = cur, cur + ((cur + (q ** k - 1) * prev) << s)
+    else:
+        for k in range(h):
+            prev, cur = cur, cur + x * (cur + (q ** k - 1) * prev)
     return cur
 
 

@@ -597,6 +597,12 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
     is 0 by its length alone makes the product 0 outright.  A factor whose
     field order p^degree would have over COUNT_BITS_CAP bits is refused
     before that order is built.
+
+    Only after those checks is anything counted.  Many divisors share a
+    factor ring (A = Z125 x Z128 has 32 divisor records over 14 field
+    orders), so the powers are summed per distinct (field order, kind),
+    each distinct ring is counted once, and the product of the counts'
+    powers is taken in one squaring chain (`_power_product`).
     """
     e = _chain_depth(p, m, s)
     if n < 1:
@@ -606,7 +612,7 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
     if kind and e != 3:
         raise ValueError(f"self-dual counts have closed forms for depth 3 "
                          f"only, got depth {e}")
-    terms = []                          # (factor field order, power, kind)
+    powers: dict[tuple[int, str | None], int] = {}    # (field order, kind)
     exponent = 0                        # of the estimate, a power of p
     linear = counting.linear_exponent(e, n)
     for f in decompose(p, m, s, group).factors:
@@ -628,18 +634,29 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
         if x is None:
             return 0
         exponent += power * f.degree * x
-        terms.append((qf, power, sd))
+        powers[qf, sd] = powers.get((qf, sd), 0) + power
     counting.check_bits(exponent, p)
     # each qf = p^degree is a prime power by construction, so the count
     # cores skip only the factorisation that the public counts start with
+    cores = {None: lambda qf: counting._count_linear(qf, e, n),
+             "esd": lambda qf: counting._count_esd(qf, n),
+             "hsd": lambda qf: counting._count_hsd(qf, n)}
+    return _power_product([(cores[sd](qf), power)
+                           for (qf, sd), power in powers.items()])
+
+
+def _power_product(pairs) -> int:
+    """The product of v^k over the (v, k) pairs, by one squaring chain
+    (Straus, Amer. Math. Monthly 71, 1964): for each bit of the largest k,
+    from the top, square the product, then multiply in every v whose k has
+    that bit set.  All the powers share one chain of squarings, and each v
+    is multiplied in as it is, never first raised to a power of its own."""
     total = 1
-    for qf, power, sd in terms:
-        if sd is None:
-            total *= counting._count_linear(qf, e, n) ** power
-        elif sd == "esd":
-            total *= counting._count_esd(qf, n) ** power
-        else:
-            total *= counting._count_hsd(qf, n) ** power
+    for bit in reversed(range(max(k for _, k in pairs).bit_length())):
+        total *= total
+        for v, k in pairs:
+            if k >> bit & 1:
+                total *= v
     return total
 
 

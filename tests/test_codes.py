@@ -701,6 +701,23 @@ def test_field_codes_refuse_lengths_below_one(n):
             load(dict(obj))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_code_documents_refuse_rows_of_the_wrong_length(n):
+    r = chain_ring(4, 3)
+    obj = code_to_json(LinearCode(r, 2, [(1, r.u + 3), (0, 1)]))
+    obj["n"] = n
+    field_obj = code_to_json(FieldCode.from_rows(field_make(3, 2), 2, [(1, 4)]))
+    field_obj["n"] = n
+    # both loaders give the message LinearCode gives
+    message = f"generator length 2 != n = {n}"
+    with pytest.raises(ValueError, match=message):
+        LinearCode(r, n, [(1, r.u + 3)])
+    with pytest.raises(ValueError, match=message):
+        code_from_json(obj)
+    with pytest.raises(ValueError, match=message):
+        field_code_from_json(field_obj)
+
+
 def test_loads_code_rejects_garbage():
     with pytest.raises(ValueError):
         loads_code("not json")

@@ -211,7 +211,7 @@ def row_sum_reference(h, q, c):
     return total
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 27])
 def test_rogers_szego_values_match_gaussian_row_sums(q):
     for h in range(61):
         for c in range(7):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
+from chaincodes import counting
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import ChainRing, ChainRingElement, chain_ring
 from chaincodes.counting import (
@@ -779,3 +780,76 @@ def test_count_qa_estimate_is_the_sum_of_the_factor_estimates():
     assert self_dual_exponent(3, 2, "esd") is None
     assert count_qa_esd(3, 1, 1, AbelianGroup.from_spec(",".join(["2"] * 10)),
                         10 ** 6 + 2) == 0
+
+
+def qa_product_reference(p, m, s, group, n, kind):
+    """The per-factor product: every divisor record's count taken by the
+    public closed forms, raised to its power and multiplied in one at a
+    time.  kind is None, "euclidean_type" or "hermitian_type"."""
+    e = p ** s
+    total = 1
+    for f in decompose(p, m, s, group).factors:
+        label = getattr(f, kind) if kind else None
+        qf = p ** f.degree
+        if label in ("III", "II'"):
+            total *= count_linear(qf, e, n) ** (f.multiplicity // 2)
+        elif label is None:
+            total *= count_linear(qf, e, n) ** f.multiplicity
+        elif label == "I":
+            total *= count_esd(qf, n) ** f.multiplicity
+        else:
+            total *= count_hsd(qf, n) ** f.multiplicity
+    return total
+
+
+def check_against_reference(p, m, spec, lengths):
+    group = AbelianGroup.from_spec(spec)
+    for n in lengths:
+        assert count_qa(p, m, 1, group, n) == qa_product_reference(
+            p, m, 1, group, n, None), n
+        if p == 3:
+            assert count_qa_esd(3, m, 1, group, n) == qa_product_reference(
+                3, m, 1, group, n, "euclidean_type"), n
+            if m % 2 == 0:
+                assert count_qa_hsd(3, m, 1, group, n) == qa_product_reference(
+                    3, m, 1, group, n, "hermitian_type"), n
+
+
+@pytest.mark.parametrize("p,m,spec", SCAN_CASES, ids=str)
+def test_counts_match_the_per_factor_product(p, m, spec):
+    check_against_reference(p, m, spec, (1, 2, 4))
+
+
+# the benchmark's groups; length 4 is over the cap on the two large ones
+@pytest.mark.parametrize("spec,lengths", [
+    ("1000", (1, 2, 4)), ("10,100", (1, 2, 4)), ("8,125", (1, 2, 4)),
+    ("2,500", (1, 2, 4)), ("20,50", (1, 2, 4)), ("16,625", (1, 2)),
+    ("125,128", (1, 2))])
+@pytest.mark.parametrize("m", [1, 2])
+def test_benchmark_group_counts_match_the_per_factor_product(spec, lengths, m):
+    check_against_reference(3, m, spec, lengths)
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Counts the calls of the three count cores."""
+    calls = collections.Counter()
+    for name in ("_count_linear", "_count_esd", "_count_hsd"):
+        def counted(*args, name=name, core=getattr(counting, name)):
+            calls[name] += 1
+            return core(*args)
+        monkeypatch.setattr(counting, name, counted)
+    return calls
+
+
+def test_count_qa_counts_each_distinct_factor_ring_once(core_calls):
+    group = AbelianGroup.from_spec("125,128")
+    factors = decompose(3, 1, 1, group).factors
+    assert (len(factors), len({f.degree for f in factors})) == (32, 14)
+    count_qa(3, 1, 1, group, 2)
+    assert core_calls == {"_count_linear": 14}
+    # Z2 splits GF(3)[Z2 x Z3] into two copies of R(3,3)
+    expected = count_esd(3, 100) ** 2
+    core_calls.clear()
+    assert count_qa_esd(3, 1, 1, AbelianGroup.from_spec("2"), 100) == expected
+    assert core_calls == {"_count_esd": 1}
