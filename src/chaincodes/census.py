@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from .gf import Field, field_make, factor_prime_power
 from .chainring import ChainRing, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
-                    _unpermute, field_rref, fmat, fmat_add, fmat_dagger,
+                    _unpermuter, field_rref, fmat, fmat_add, fmat_dagger,
                     fmat_identity, fmat_inv, fmat_mul, fmat_neg, inner_product)
 from .counting import count_esd, count_hsd, count_linear
 
@@ -830,7 +830,7 @@ def _hermitian_sd_rows(c1: FieldCode, c0: FieldCode):
     A40 = fmat([[top_rest[i][j] for j in comb] for i in range(k)])
     a40_inv = fmat_inv(f, A40)
 
-    perm = tuple(p0 + p1 + block3 + block4)
+    unpermute = _unpermuter(p0 + p1 + block3 + block4)
     A2 = fmat([[row[c] for c in p1] for row in c0.basis])
     A30 = fmat([[row[c] for c in block3] for row in c0.basis])
     B3 = fmat([[row[c] for c in block3] for row in ext])
@@ -851,7 +851,7 @@ def _hermitian_sd_rows(c1: FieldCode, c0: FieldCode):
                 B41 = fmat_dagger(f, fmat_neg(f, fmat_mul(f, a40_inv, t)))
                 rows = _assemble_e3_rows(f.q, k, l, A2, A30, A31, A40, A41,
                                          A42, B3, B40, B41, C4)
-                yield [_unpermute(perm, r) for r in rows]
+                yield list(map(unpermute, rows))
 
 
 @functools.lru_cache(maxsize=CENSUS_CACHE_SIZE)
@@ -1040,10 +1040,10 @@ def enumerate_sd_standard_forms(ring: ChainRing, n: int,
                     # canonical: no row is nonzero on a column left of its pivot
                     left = [sum(1 << j for j, c in enumerate(perm) if c < pc)
                             for pc in perm[:k + 2 * l]]
+                    unpermute = _unpermuter(perm)
                     for masks, shape_rows in solutions:
                         if any(mask & b for mask, b in zip(masks, left)):
                             continue
-                        bases += [view.module_basis(
-                            [_unpermute(perm, row) for row in rows])
-                            for rows in shape_rows]
+                        bases += [view.module_basis(list(map(unpermute, rows)))
+                                  for rows in shape_rows]
     return _census_of(ring, n, label, bases, view)

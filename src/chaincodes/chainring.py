@@ -36,7 +36,8 @@ the digit loops: `gf.digit_add` and friends, and a convolution of decoded
 digits for the product.
 
 `scale_row` and `sub_mul_row` apply one scalar across a row of elements,
-the row steps of Gaussian elimination, and choose among these regimes
+the row steps of Gaussian elimination, and `conjugate_row` conjugates a
+row.  Each chooses among these regimes
 once per row instead of once per entry.
 
 Conjugation lifts the order-2 field automorphism coefficient-wise; it is
@@ -65,9 +66,9 @@ _SIZE_BITS_LIMIT = 1 << 16
 
 RING_CACHE_SIZE = 64        # rings ring_over keeps
 
-# rings at or below this many elements keep `doc_digits`, so no ring's
+# rings at or below this many elements keep `doc_text`, so no ring's
 # memo outgrows the 4,096 entries of R(16,3)
-_DOC_DIGITS_LIMIT = 4096
+_DOC_TEXT_LIMIT = 4096
 
 
 class _HalfTables:
@@ -111,7 +112,7 @@ class ChainRing:
 
     __slots__ = ("field", "e", "q", "size", "_add_table", "_neg_table",
                  "_mul_table", "_val_table", "_conj_table", "_inv_table",
-                 "_half", "doc_digits")
+                 "_half", "doc_text")
 
     def __init__(self, field: Field, e: int):
         if e < 1:
@@ -129,10 +130,11 @@ class ChainRing:
         self._conj_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         self._half: _HalfTables | None = None
-        # `codes.code_to_json`'s memo: element code -> the base-p digits of
-        # its u-coefficients, e tuples of m; None on larger rings
-        self.doc_digits: dict[int, tuple[tuple[int, ...], ...]] | None = (
-            {} if self.size <= _DOC_DIGITS_LIMIT else None)
+        # `codes.dumps_code`'s memo, filled as entries are written: element
+        # code -> its JSON text, e lists of m base-p digits such as
+        # "[[1,0],[0,1],[0,0]]"; None on larger rings
+        self.doc_text: dict[int, str] | None = (
+            {} if self.size <= _DOC_TEXT_LIMIT else None)
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
         elif self.q ** ((e + 1) // 2) <= _HALF_TABLE_LIMIT:
@@ -372,6 +374,18 @@ class ChainRing:
             Q, C = half.Q, half.conj
             return C[a % Q] + Q * C[a // Q]
         return self._conjugate_slow(a)
+
+    def conjugate_row(self, ys) -> list[int]:
+        """[conjugate(y) for y in ys], choosing the regime once for the
+        row: one table lookup, or one per half, or digit loops."""
+        if self._conj_table is not None:
+            C = self._conj_table
+            return [C[y] for y in ys]
+        half = self._half
+        if half is not None and half.conj is not None:
+            Q, C = half.Q, half.conj
+            return [C[y % Q] + Q * C[y // Q] for y in ys]
+        return [self._conjugate_slow(y) for y in ys]
 
     def _conjugate_slow(self, a: int) -> int:
         f = self.field

@@ -1,8 +1,9 @@
 """Command-line front end: count tables, code-file transforms, group-algebra
 decomposition reports, and the formula-vs-oracle verification suite.
 
-Exit codes: 0 success, 1 usage error, 2 violated mathematical precondition,
-3 verification mismatch.
+Exit codes: 0 success, 1 usage error, 2 violated mathematical precondition
+(a malformed code document, or a length or dual over `codes.ENTRY_CAP`,
+included), 3 verification mismatch.
 """
 from __future__ import annotations
 

@@ -4,14 +4,15 @@ A LinearCode is the row span of a generator matrix over the chain ring.
 Gaussian elimination with column permutations brings any generator matrix
 to a block-triangular standard form whose pivots are powers of u with
 nondecreasing exponents; for e = 3 the pivot multiplicities give the usual
-type (k, l, m).  Its row steps, and those of `contains`, are the ring's
-row kernels `scale_row` and `sub_mul_row`.  Duals for both the Euclidean
-and the Hermitian inner product come out of the standard form by
-valuation-aware back-substitution, and the rows it builds are, reordered,
-a standard form of the dual, which the dual carries.  The Hermitian dual
-is the Euclidean dual of the conjugated code, and conjugation maps
-standard forms to standard forms, so the dual of a dual that this module
-built needs no elimination.  Two codes are equal when they have the same
+type (k, l, m).  Its row steps, and those of `contains` and of the dual's
+back-substitution, are the ring's row kernels `scale_row` and
+`sub_mul_row`; conjugation uses `conjugate_row`.  Duals for both the
+Euclidean and the Hermitian inner product come out of the standard form
+by valuation-aware back-substitution, and the rows it builds are,
+reordered, a standard form of the dual, which the dual carries.  The
+Hermitian dual is the Euclidean dual of the conjugated code, and
+conjugation maps standard forms to standard forms, so the dual of a dual
+that this module built needs no elimination.  Two codes are equal when they have the same
 size and one holds the other's generators.
 Self-duality needs no dual: a chain ring is a Frobenius ring, so
 |C| |C^perp| = |R|^n, and C = C^perp exactly when C is self-orthogonal
@@ -26,13 +27,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .gf import Field, field_make
 from .chainring import ChainRing, ring_over
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
+
+# most entries one code may ask for: a length n over it is refused, and so
+# is a dual of more entries, before anything of that size is built
+ENTRY_CAP = 1 << 20
 
 
 def _check_inner(inner: str, field: Field | None = None) -> str:
@@ -98,15 +103,39 @@ class StandardForm:
         return tuple(counts)
 
     def unpermuted_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_unpermute(self.perm, row) for row in self.rows)
+        return tuple(map(_unpermuter(self.perm), self.rows))
 
 
-def _unpermute(perm, row) -> tuple[int, ...]:
-    """The vector with row[pos] at coordinate perm[pos]."""
-    vec = [0] * len(perm)
-    for pos, entry in enumerate(row):
-        vec[perm[pos]] = entry
-    return tuple(vec)
+def _unpermuter(perm):
+    """The map from a row of len(perm) entries to the vector with row[pos]
+    at coordinate perm[pos]; at length 1 itemgetter of one index would
+    return the entry rather than a tuple."""
+    if len(perm) == 1:
+        return tuple
+    inverse = [0] * len(perm)
+    for pos, i in enumerate(perm):
+        inverse[i] = pos
+    return itemgetter(*inverse)
+
+
+def _checked_row(ring: ChainRing, row) -> tuple[int, ...]:
+    """The row as a tuple of element codes.  A row of exact ints in
+    range(|R|) passes in C; any other goes to `check`, which refuses its
+    first bad entry."""
+    vec = tuple(row)
+    if vec and not (set(map(type, vec)) <= {int}
+                    and min(vec) >= 0 and max(vec) < ring.size):
+        for x in vec:
+            ring.check(x)
+    return vec
+
+
+def _check_cap(n: int) -> None:
+    """Refuse a length over ENTRY_CAP.  `LinearCode` checks it after the
+    rows, so a row of the wrong length keeps its own message; `full`
+    checks it before it builds the identity."""
+    if n > ENTRY_CAP:
+        raise ValueError(f"length {n} is over the entry cap {ENTRY_CAP}")
 
 
 def _standard_form(ring: ChainRing, n: int, gens) -> StandardForm:
@@ -172,10 +201,11 @@ class LinearCode:
         self.n = n
         packed = []
         for row in gens:
-            vec = tuple(map(ring.check, row))
+            vec = _checked_row(ring, row)
             if len(vec) != n:
                 raise ValueError(f"generator length {len(vec)} != n = {n}")
             packed.append(vec)
+        _check_cap(n)
         self.gens: tuple[tuple[int, ...], ...] = tuple(packed)
         self._std: StandardForm | None = None
 
@@ -196,6 +226,7 @@ class LinearCode:
 
     @classmethod
     def full(cls, ring: ChainRing, n: int) -> LinearCode:
+        _check_cap(n)
         return cls(ring, n, fmat_identity(n))
 
     # -- structure ------------------------------------------------------------
@@ -216,7 +247,7 @@ class LinearCode:
         return self.ring.q ** sum(e - v for v in self.standard_form().pivot_vals)
 
     def contains(self, word) -> bool:
-        w = list(map(self.ring.check, word))
+        w = _checked_row(self.ring, word)
         if len(w) != self.n:
             raise ValueError("word length mismatch")
         ring = self.ring
@@ -247,8 +278,7 @@ class LinearCode:
                 else:
                     nxt.extend(acc)
             acc = nxt
-        for w in acc:
-            yield _unpermute(std.perm, w)
+        yield from map(_unpermuter(std.perm), acc)
 
     def conjugate_code(self) -> LinearCode:
         """The code of the conjugated generators.  Conjugation is a ring
@@ -259,14 +289,14 @@ class LinearCode:
         fixes 0 and 1 too, so the conjugate of a FieldCode's RREF basis is
         the RREF basis of the conjugate code, which stays a FieldCode."""
         ring, n = self.ring, self.n
-        conj = ring.conjugate
+        conj = ring.conjugate_row
         code = type(self)._trusted(
-            ring, n, [tuple(map(conj, row)) for row in self.gens])
+            ring, n, [tuple(conj(row)) for row in self.gens])
         std = self._std
         if std is not None:
             code._std = StandardForm(
                 ring, n, std.perm, std.pivot_vals,
-                tuple(tuple(map(conj, row)) for row in std.rows))
+                tuple(tuple(conj(row)) for row in std.rows))
         return code
 
     def equal(self, other: LinearCode) -> bool:
@@ -289,9 +319,12 @@ class LinearCode:
         if not 0 <= i < ring.e:
             raise ValueError(f"torsion index must be in 0..{ring.e - 1}")
         std = self.standard_form()
-        vecs = [_unpermute(std.perm,
-                           [ring.residue(ring.shift_down(x, v)) for x in row])
-                for row, v in zip(std.rows, std.pivot_vals) if v <= i]
+        q = ring.q
+        # row j of the form is u^(v_j) times a vector whose residue is
+        # x // q^(v_j) mod q at each entry x
+        vecs = map(_unpermuter(std.perm),
+                   [[x // q ** v % q for x in row]
+                    for row, v in zip(std.rows, std.pivot_vals) if v <= i])
         return FieldCode.from_rows(ring.field, self.n, vecs)
 
     def residue(self) -> FieldCode:
@@ -322,6 +355,12 @@ class LinearCode:
         divisible by u^(v_j) * u^(e-v_i), and the quotient by u^(v_j) it
         takes, the sum's digits shifted down v_j places, keeps u^(e-v_i).
 
+        Back-substitution solves for all rows at once, pivot by pivot from
+        the last: `sol[i]` holds coordinate i of every row, the g_c first,
+        and `acc[j]` minus the part of row j's products with them known so
+        far, so each pivot costs one division pass and a row kernel per
+        earlier row.
+
         The Hermitian dual is the Euclidean dual of conj(C): [v, w] =
         sum v_i conj(w_i) vanishes on C exactly when the Euclidean product
         of conj(C) with w does.  C's form is computed first, so that
@@ -335,38 +374,39 @@ class LinearCode:
         std = self.standard_form()
         r = std.rank
         vals = std.pivot_vals
-
-        def back_solve(g: list[int], start: int) -> list[int]:
-            # rows below `start` are already satisfied; solve upward
-            for i in range(start - 1, -1, -1):
-                row = std.rows[i]
-                s = 0
-                for t in range(i + 1, n):
-                    if row[t] and g[t]:
-                        s = ring.add(s, ring.mul(row[t], g[t]))
-                s = ring.neg(s)
-                v = vals[i]
-                if s % q ** v:
-                    raise AssertionError("standard form lost row divisibility")
-                g[i] = s // q ** v
-            return g
-
-        rows = []
-        for c in range(r, n):
-            g = [0] * n
-            g[c] = 1
-            rows.append(back_solve(g, r))
         k = vals.count(0)     # pivots k.. have v > 0
-        for i in range(k, r):
-            g = [0] * n
-            g[i] = q ** (e - vals[i])  # the element u^(e-v)
-            rows.append(back_solve(g, i))
+        if (n - k) * n > ENTRY_CAP:
+            raise ValueError(f"the dual would hold {(n - k) * n} entries, "
+                             f"over the entry cap {ENTRY_CAP}")
+        free = n - r
+        minus_one = ring.neg(1)
+        acc = [ring.scale_row(minus_one, row[r:]) + [0] * (r - k)
+               for row in std.rows]
+        sol = [None] * r
+        for i in range(r - 1, -1, -1):
+            s, qv = acc[i], q ** vals[i]
+            if qv > 1:
+                if any(x % qv for x in s):
+                    raise AssertionError("standard form lost row divisibility")
+                s = [x // qv for x in s]
+            if i >= k:
+                s[free + i - k] = q ** (e - vals[i])   # the element u^(e-v)
+            sol[i] = s
+            for j in range(i):
+                c = std.rows[j][i]
+                if c:
+                    acc[j] = ring.sub_mul_row(acc[j], c, s)
+        heads = list(zip(*sol)) if r else [()] * (n - k)
+        zeros = (0,) * free
+        rows = [head + zeros[:a] + (1,) + zeros[a + 1:]
+                for a, head in enumerate(heads[:free])]
+        rows += [head + zeros for head in heads[free:]]
         dual = LinearCode._trusted(
-            ring, n, [_unpermute(std.perm, g) for g in rows])
+            ring, n, list(map(_unpermuter(std.perm), rows)))
         # the form: the h_i by decreasing i, and the columns in the same
         # order; at n = 1 the order is (0,), and itemgetter of one index
         # would return the entry rather than a tuple
-        rows[n - r:] = reversed(rows[n - r:])
+        rows[free:] = reversed(rows[free:])
         pick = itemgetter(*range(r, n), *range(r - 1, k - 1, -1),
                           *range(k)) if n > 1 else tuple
         dual._std = StandardForm(
@@ -381,9 +421,11 @@ class LinearCode:
         span C, are sparse, and share one column permutation, which leaves
         every inner product unchanged."""
         _check_inner(inner, self.ring.field)
+        ring = self.ring
         rows = self.standard_form().rows
-        return all(inner_product(self.ring, a, b, inner) == 0
-                   for a in rows for b in rows)
+        # [b, a] is [a, b] conjugated, so each pair is tested once
+        return not any(inner_product(ring, a, rows[j], inner)
+                       for i, a in enumerate(rows) for j in range(i, len(rows)))
 
     def is_self_dual(self, inner: str = EUCLIDEAN) -> bool:
         """C = C^perp.  A chain ring is a Frobenius ring, so |C| |C^perp| =
@@ -448,6 +490,7 @@ class FieldCode(LinearCode):
 
     @classmethod
     def full(cls, field: Field, n: int) -> FieldCode:
+        _check_cap(n)
         return cls(field, n, fmat_identity(n))
 
     @property
@@ -544,26 +587,36 @@ def fmat_inv(field: Field, a) -> tuple[tuple[int, ...], ...] | None:
 # coefficient c_(t,j) at [t][j]; its code is the base-p reading
 # sum c_(t,j) p^(t*m + j) of those e*m digits, as in `chainring`.
 
-def code_to_json(code: LinearCode) -> dict:
-    """The document of a code.  Each entry's e tuples of m digits come from
-    the ring's memo (`ChainRing.doc_digits`), filled on first use, or from
-    a memo for this call on rings too large to keep one; the lists are
-    built fresh, so the result shares nothing with the memo."""
+def dumps_code(code: LinearCode) -> str:
+    """The document of a code as one line of JSON, keys sorted and no
+    spaces: what json.dumps(..., sort_keys=True, separators=(",", ":"))
+    writes.  Each entry's text comes from the ring's memo
+    (`ChainRing.doc_text`), filled on first use, or from a memo for this
+    call on rings too large to keep one."""
     ring = code.ring
     f = ring.field
     p, m, size = f.p, f.m, ring.e * f.m
-    digits = ring.doc_digits
-    if digits is None:
-        digits = {}
-    for x in set(chain.from_iterable(code.gens)).difference(digits):
+    text = ring.doc_text
+    if text is None:
+        text = {}
+    for x in set(chain.from_iterable(code.gens)).difference(text):
         ds, rest = [], x
         for _ in range(size):
             rest, d = divmod(rest, p)
-            ds.append(d)
-        digits[x] = tuple(tuple(ds[i:i + m]) for i in range(0, size, m))
-    rows = [[[list(cs) for cs in digits[x]] for x in row] for row in code.gens]
-    return {"p": p, "m": m, "e": ring.e, "n": code.n,
-            "modulus": list(f.modulus), "rows": rows}
+            ds.append(str(d))
+        text[x] = "[[" + "],[".join(",".join(ds[i:i + m])
+                                    for i in range(0, size, m)) + "]]"
+    rows = "],[".join(",".join(map(text.__getitem__, row))
+                      for row in code.gens)
+    modulus = ",".join(map(str, f.modulus))
+    return (f'{{"e":{ring.e},"m":{m},"modulus":[{modulus}],"n":{code.n},'
+            f'"p":{p},"rows":[{"[" + rows + "]" if code.gens else ""}]}}\n')
+
+
+def code_to_json(code: LinearCode) -> dict:
+    """The document of a code as a JSON object, read from `dumps_code`'s
+    text, so that one writer defines the schema."""
+    return json.loads(dumps_code(code))
 
 
 def _doc(x, kind: type, what: str):
@@ -611,12 +664,13 @@ def code_from_json(obj: dict) -> LinearCode:
     ring = ring_over(f, _doc_key(obj, "e", int))
     p, m, e = f.p, f.m, ring.e
     rows = _doc_all(_doc_key(obj, "rows", list), list, "row")
-    entries = _doc_all([x for row in rows for x in row], list, "entry")
+    entries = _doc_all(list(chain.from_iterable(rows)), list, "entry")
     if not set(map(len, entries)) <= {e}:
         raise ValueError("malformed code document: entry does not have "
                          f"{e} coefficient lists")
-    lists = _doc_all([cs for x in entries for cs in x], list, "coefficient list")
-    coeffs = _doc_all([c for cs in lists for c in cs], int, "coefficient")
+    lists = _doc_all(list(chain.from_iterable(entries)), list,
+                     "coefficient list")
+    coeffs = _doc_all(list(chain.from_iterable(lists)), int, "coefficient")
     if not set(map(len, lists)) <= {m} or coeffs and (
             min(coeffs) < 0 or max(coeffs) >= p):
         raise ValueError("malformed code document: a coefficient list "
@@ -627,11 +681,17 @@ def code_from_json(obj: dict) -> LinearCode:
     for row in rows:
         if len(row) != n:
             raise ValueError(f"generator length {len(row)} != n = {n}")
-    # every coefficient is in range(p), so every entry is in range(q^e)
-    powers = [p ** k for k in range(e * m)]
+    _check_cap(n)
+    # every coefficient is in range(p), so every entry is in range(q^e).
+    # Entry i's digits sit at i*size .. i*size + size - 1 of the flat list,
+    # so digit k of every entry is the slice coeffs[k::size]; one Horner
+    # pass over those slices, top digit first, reads all the entries
+    size = e * m
+    codes = coeffs[size - 1::size]
+    for k in range(size - 2, -1, -1):
+        codes = [x * p + c for x, c in zip(codes, coeffs[k::size])]
     return LinearCode._trusted(ring, n, [
-        tuple(sum(map(mul, chain.from_iterable(x), powers)) for x in row)
-        for row in rows])
+        tuple(codes[i:i + n]) for i in range(0, len(codes), n)])
 
 
 def field_code_from_json(obj: dict) -> FieldCode:
@@ -639,15 +699,6 @@ def field_code_from_json(obj: dict) -> FieldCode:
         raise ValueError("field codes must have e = 1")
     code = code_from_json(obj)
     return FieldCode(code.ring.field, code.n, code.gens)
-
-
-# what json.dumps(obj, sort_keys=True, separators=(",", ":")) would build
-# on every call
-_DOC_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def dumps_code(code: LinearCode) -> str:
-    return _DOC_ENCODER.encode(code_to_json(code)) + "\n"
 
 
 def loads_code(text: str) -> LinearCode:

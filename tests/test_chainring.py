@@ -1,4 +1,5 @@
 """Tests for the chain ring GF(q)[u]/(u^e)."""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +324,21 @@ def test_conjugation_is_digitwise_and_involutive(q, e):
         assert r.conjugate(r.conjugate(a)) == a
 
 
+@pytest.mark.parametrize("ring", [chain_ring(4, 3), chain_ring(9, 3),
+                                  chain_ring(16, 3), gf9_alt_ring()], ids=repr)
+def test_conjugate_row_conjugates_every_element(ring):
+    """One row of every element, through full tables (R(4,3)), half tables
+    (R(9,3) over either modulus) and digit loops (R(16,3)), against the
+    per-entry `conjugate` and against the coefficient-wise digit loop."""
+    f = ring.field
+    els = list(ring.elements())
+    digit_loop = [ring.encode([f.conjugate(d) for d in ring.decode(a)])
+                  for a in els]
+    assert ring.conjugate_row(els) == [ring.conjugate(a) for a in els]
+    assert ring.conjugate_row(els) == digit_loop
+    assert ring.conjugate_row(()) == []
+
+
 @pytest.mark.parametrize("q,e", [(4, 3), (9, 2)])
 def test_conjugation_is_a_ring_automorphism(q, e):
     r = chain_ring(q, e)
@@ -338,6 +354,8 @@ def test_conjugation_refused_without_square_residue_field():
     r = chain_ring(2, 3)
     with pytest.raises(ValueError):
         r.conjugate(1)
+    with pytest.raises(ValueError):
+        r.conjugate_row([0, 1])
 
 
 def test_smul_embeds_field_scalars():

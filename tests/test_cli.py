@@ -18,7 +18,8 @@ import chaincodes
 from chaincodes import cli
 from chaincodes.chainring import chain_ring
 from chaincodes.cli import main
-from chaincodes.codes import LinearCode, code_to_json, dumps_code, loads_code
+from chaincodes.codes import (ENTRY_CAP, LinearCode, code_to_json, dumps_code,
+                             loads_code)
 from chaincodes.counting import count_hsd
 
 
@@ -369,13 +370,34 @@ def test_code_actions_reject_coefficients_dumps_code_never_writes(key, raw, acti
 
 
 @pytest.mark.parametrize("key,raw", [
-    ("e", "100000000000"), ("p", "1" + "0" * 38 + "7"), ("m", "10" * 20)])
+    ("e", "100000000000"), ("p", "1" + "0" * 38 + "7"), ("m", "10" * 20),
+    ("n", "4000000"), ("n", "10" * 20)])
 def test_huge_sizes_in_code_documents_are_refused_promptly(key, raw):
-    text = json.dumps(dict(VALID_DOC, **{key: "@"})).replace('"@"', raw)
+    """By every action; a huge n comes with no rows, so that the document
+    is a few dozen bytes asking for n entries, or n^2 for the dual."""
+    obj = dict(VALID_DOC, **{key: "@"})
+    if key == "n":
+        obj["rows"] = []
+    text = json.dumps(obj).replace('"@"', raw)
+    for action in CODE_ACTIONS:
+        start = time.perf_counter()
+        code, err = run_code_on_stdin(text, action)
+        assert code == 2
+        assert err.startswith("chaincodes: error: ")
+        assert time.perf_counter() - start < 2.0
+
+
+def test_lengths_at_the_entry_cap_load_and_their_duals_are_refused():
+    """n = ENTRY_CAP is a length a document may have; the zero code's dual
+    would hold n^2 entries and is refused before it is built."""
+    text = json.dumps(dict(VALID_DOC, n=ENTRY_CAP, rows=[]))
+    code, _ = run_code_on_stdin(text, ["check-sd"])
+    assert code == 0
     start = time.perf_counter()
-    code, err = run_code_on_stdin(text, ["check-sd"])
+    code, err = run_code_on_stdin(text, ["dual"])
     assert code == 2
-    assert err.startswith("chaincodes: error: ")
+    assert err == (f"chaincodes: error: the dual would hold {ENTRY_CAP ** 2} "
+                   f"entries, over the entry cap {ENTRY_CAP}\n")
     assert time.perf_counter() - start < 2.0
 
 

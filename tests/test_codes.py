@@ -3,12 +3,15 @@ import functools
 import itertools
 import json
 import pickle
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import integers, lists, tuples
 
+from chaincodes import codes as codes_module
 from chaincodes.census import enumerate_submodules
 from chaincodes.chainring import ChainRing, chain_ring, ring_over
 from chaincodes.codes import (
@@ -178,6 +181,60 @@ def test_bools_are_not_element_codes(flag):
         code.contains((flag, 1))
     with pytest.raises(ValueError):
         code.contains((1, flag))
+
+
+@pytest.mark.parametrize("ring", [chain_ring(4, 3), chain_ring(9, 3),
+                                  ring_over(field_make(2, 2), 1)], ids=repr)
+@pytest.mark.parametrize("pos", [0, 1, 3])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", -1, "size", "past"])
+def test_generator_rows_name_their_first_bad_entry(ring, pos, bad):
+    """A row checked whole still names its first bad entry, wherever it
+    stands, in the text `ChainRing.check` gives; a later bad entry or a
+    wrong length does not change the message."""
+    bad = {"size": ring.size, "past": ring.size + 7}.get(bad, bad)
+    row = [1, 2, 3, 0]
+    row[pos] = bad
+    message = re.escape(f"{bad!r} is not an element code of {ring!r}")
+    for rows in ([row], [(1, 1, 1, 1), row], [row + [-5]],
+                 [row[:pos + 1] + [ring.size]]):
+        with pytest.raises(ValueError, match=message):
+            LinearCode(ring, 4, rows)
+    if ring.e == 1:
+        with pytest.raises(ValueError, match=message):
+            FieldCode.from_rows(ring.field, 4, [row])
+
+
+def test_generator_rows_of_exact_ints_in_range_pass_whole():
+    ring = chain_ring(9, 3)
+    code = LinearCode(ring, 3, [(0, ring.size - 1, 5), [7, 0, 0]])
+    assert code.gens == ((0, ring.size - 1, 5), (7, 0, 0))
+    with pytest.raises(ValueError, match="generator length 2 != n = 3"):
+        LinearCode(ring, 3, [(0, ring.size - 1)])
+
+
+def test_duals_over_the_entry_cap_are_refused_before_they_are_built(monkeypatch):
+    """A dual of n - k rows of n entries, k the unit pivots, is refused
+    over ENTRY_CAP, and so is a length over it."""
+    ring = chain_ring(4, 3)
+    monkeypatch.setattr(codes_module, "ENTRY_CAP", 12)
+    code = LinearCode(ring, 4, [(1, 0, 0, 0)])             # 3 rows of 4
+    assert len(code.dual().gens) == 3
+    with pytest.raises(ValueError, match="the dual would hold 16 entries, "
+                                         "over the entry cap 12"):
+        LinearCode(ring, 4, [(ring.u, 0, 0, 0)]).dual(HERMITIAN)
+    with pytest.raises(ValueError, match="length 13 is over the entry cap 12"):
+        LinearCode.zero(ring, 13)
+    with pytest.raises(ValueError, match="generator length 1 != n = 13"):
+        LinearCode(ring, 13, [(1,)])
+    assert LinearCode.full(ring, 12).cardinality() == ring.size ** 12
+    # `full` refuses ENTRY_CAP + 1 before it builds the identity
+    def no_identity(n):
+        raise AssertionError(f"built the {n} x {n} identity")
+    monkeypatch.setattr(codes_module, "fmat_identity", no_identity)
+    with pytest.raises(ValueError, match="length 13 is over the entry cap 12"):
+        LinearCode.full(ring, 13)
+    with pytest.raises(ValueError, match="length 13 is over the entry cap 12"):
+        FieldCode.full(ring.field, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +643,28 @@ def digit_loop_document(code):
             "modulus": list(f.modulus), "rows": rows}
 
 
+def canonical_text(obj) -> str:
+    """The one-line JSON of a document with sorted keys, as json writes it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize("q", [2, 4, 9])
 def test_memoized_documents_match_the_digit_loop(q, monkeypatch):
     """Every element of R(q,3) in one code, written with an empty memo and
     again from the memo it filled; a document changed by its caller leaves
     the memo as it was."""
     ring = chain_ring(q, 3)
-    monkeypatch.setattr(ring, "doc_digits", {})
+    monkeypatch.setattr(ring, "doc_text", {})
     n = min(9, ring.size)
     code = LinearCode(ring, n, [[(k + j) % ring.size for j in range(n)]
                                 for k in range(0, ring.size, n)])
     expected = digit_loop_document(code)
     first = code_to_json(code)
-    assert len(ring.doc_digits) == ring.size
+    assert len(ring.doc_text) == ring.size
+    assert first == expected
     first["rows"][0][0][0][0] = 1 - first["rows"][0][0][0][0]
     assert code_to_json(code) == expected
+    assert dumps_code(code) == canonical_text(expected)
     assert first != expected
 
 
@@ -608,8 +672,87 @@ def test_rings_over_the_memo_limit_keep_no_document_memo():
     ring = chain_ring(5, 6)                  # 15,625 elements
     code = LinearCode(ring, 2, [(1, 12345), (0, ring.size - 1)])
     assert code_to_json(code) == digit_loop_document(code)
-    assert ring.doc_digits is None
-    assert chain_ring(16, 3).doc_digits is not None      # 4,096 elements
+    assert ring.doc_text is None
+    assert chain_ring(16, 3).doc_text is not None      # 4,096 elements
+
+
+# full tables (R(2,3), R(4,3), R(16,2) at the 256-element limit), half
+# tables (R(9,3) over either GF(9)), and R(5,6), over the memo limit
+WRITER_RINGS = [chain_ring(2, 3), chain_ring(4, 3), chain_ring(16, 2),
+                chain_ring(9, 3), ring_over(Field(3, 2, [2, 1, 1]), 3),
+                chain_ring(5, 6)]
+
+
+@pytest.mark.parametrize("ring", WRITER_RINGS, ids=repr)
+def test_dumps_code_writes_the_digit_loop_document(ring):
+    """The writer's text is json's canonical text of the document the
+    schema defines digit by digit: random codes, their duals, the zero
+    code, a code of length 1 and one holding 0 and the largest element."""
+    rng = random.Random(ring.size)
+    top = ring.size - 1
+    codes = [LinearCode.zero(ring, 3), LinearCode.zero(ring, 1),
+             LinearCode(ring, 1, [(top,)]), LinearCode(ring, 2, [(0, top)])]
+    for n in (1, 4, 7):
+        gens = [[rng.randrange(ring.size) for _ in range(n)]
+                for _ in range(rng.randrange(1, n + 1))]
+        code = LinearCode(ring, n, gens)
+        codes += [code, code.dual()]
+    for code in codes:
+        assert dumps_code(code) == canonical_text(digit_loop_document(code))
+
+
+@pytest.mark.parametrize("field", [field_make(2, 1), field_make(2, 2),
+                                   field_make(3, 2), Field(3, 2, [2, 1, 1]),
+                                   field_make(2, 4)], ids=repr)
+def test_dumps_code_writes_field_codes_as_the_digit_loop_does(field):
+    """e = 1 documents: one coefficient list per entry."""
+    rng = random.Random(field.q)
+    codes = [FieldCode.zero(field, 2), FieldCode.full(field, 1),
+             FieldCode.from_rows(field, 5, [[rng.randrange(field.q)
+                                             for _ in range(5)]
+                                            for _ in range(3)])]
+    for code in codes:
+        assert dumps_code(code) == canonical_text(digit_loop_document(code))
+        assert field_code_from_json(code_to_json(code)) == code
+
+
+def decode_document(obj):
+    """The rows of a well-formed document, read digit by digit: entry
+    [[c_00 .. c_0(m-1)], .., [c_(e-1)0 ..]] is sum c_tj p^(t*m + j)."""
+    p, m = obj["p"], obj["m"]
+    return tuple(tuple(sum(c * p ** (t * m + j)
+                           for t, coeffs in enumerate(entry)
+                           for j, c in enumerate(coeffs))
+                       for entry in row) for row in obj["rows"])
+
+
+@st.composite
+def documents(draw):
+    """A well-formed document over a canonical field GF(p^m), p in
+    {2, 3, 5}, at depth 1..4 and length 1..6, with random coefficients."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    coeff = st.integers(0, p - 1)
+    entry = st.lists(st.lists(coeff, min_size=m, max_size=m),
+                     min_size=e, max_size=e)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    return {"p": p, "m": m, "e": e, "n": n,
+            "modulus": list(field_make(p, m).modulus), "rows": rows}
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(documents())
+def test_documents_read_back_digit_by_digit(obj):
+    """The strided reader gives every entry the digit loop's code, and the
+    writer gives back the document's canonical text."""
+    code = loads_code(json.dumps(obj))
+    assert code.gens == decode_document(obj)
+    assert (code.ring.field.p, code.ring.field.m, code.ring.e, code.n) == (
+        obj["p"], obj["m"], obj["e"], obj["n"])
+    assert dumps_code(code) == canonical_text(obj)
+    assert code_from_json(obj).gens == code.gens
 
 
 # ---------------------------------------------------------------------------
