@@ -1,6 +1,11 @@
 """Command-line front end: count tables, code-file transforms, group-algebra
 decomposition reports, and the formula-vs-oracle verification suite.
 
+A command line is parsed once, by the parser that its first word names: a
+line that starts with a subcommand goes to that subcommand's parser alone,
+and any other line (empty, --help, an unknown or abbreviated word) to the
+top-level parser, which prints its help or its error.
+
 Exit codes: 0 success, 1 usage error, 2 violated mathematical precondition
 (a malformed code document, or a length or dual over `codes.ENTRY_CAP`,
 included), 3 verification mismatch.
@@ -17,7 +22,7 @@ from .gf import field_make
 from .chainring import chain_ring
 from .codes import EUCLIDEAN, HERMITIAN, LinearCode, dumps_code, loads_code
 from .counting import (gaussian_binomial, count_linear, count_esd, count_hsd,
-                       sigma_e, sigma_h)
+                       sigma_e, sigma_h, check_self_dual_depth)
 from .census import (enumerate_submodules, enumerate_self_dual,
                      enumerate_field_self_dual, enumerate_sd_standard_forms,
                      enumerate_hsd_constructive)
@@ -56,8 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The one parser of the process: parsing leaves it unchanged, and each
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parsers of the process, built once: the top-level parser and its
+    subcommands' parsers by name.  Parsing leaves them unchanged, and each
     subcommand's handler looks its library functions up when it runs."""
     parser = _Parser(prog="chaincodes",
                      description="Linear codes over GF(q)[u]/(u^e): counts, "
@@ -70,7 +76,8 @@ def _build_parser() -> _Parser:
                                      "qa-hsd"])
     pc.add_argument("--q", type=int, help="field order")
     pc.add_argument("--n", type=int, help="code length")
-    pc.add_argument("--e", type=int, default=3, help="u-depth (default 3)")
+    # None, not 3, so that the kinds which never read --e can refuse it
+    pc.add_argument("--e", type=int, help="u-depth (default 3)")
     pc.add_argument("--k", type=int, help="subspace dimension (gaussian)")
     pc.add_argument("--p", type=int, help="characteristic (qa kinds)")
     pc.add_argument("--m", type=int, help="field degree (qa kinds)")
@@ -111,7 +118,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--format", choices=["text", "json"], default="text")
     pv.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def _need(args, *names):
@@ -121,6 +128,8 @@ def _need(args, *names):
 
 
 def _lengths(args) -> range:
+    if args.n is not None and args.n_range is not None:
+        raise UsageError("--n and --range are exclusive")
     if args.n_range:
         try:
             lo, hi = (int(part) for part in args.n_range.split(":"))
@@ -147,14 +156,19 @@ def _group(spec: str) -> AbelianGroup:
 
 def cmd_count(args) -> int:
     kind = args.kind
+    if args.e is not None and kind not in ("linear", "esd", "hsd"):
+        raise UsageError(f"count {kind} does not read --e"
+                         + ("; its u-depth is p^s" if kind.startswith("qa")
+                            else ""))
+    e = 3 if args.e is None else args.e
     if kind == "gaussian":
         _need(args, "q", "k")
         params = {"q": args.q, "k": args.k}
         fn = lambda n: gaussian_binomial(n, args.k, args.q)
     elif kind == "linear":
         _need(args, "q")
-        params = {"q": args.q, "e": args.e}
-        fn = lambda n: count_linear(args.q, args.e, n)
+        params = {"q": args.q, "e": e}
+        fn = lambda n: count_linear(args.q, e, n)
     elif kind in ("esd", "hsd", "sigma-e", "sigma-h"):
         _need(args, "q")
         params = {"q": args.q}
@@ -172,9 +186,12 @@ def cmd_count(args) -> int:
                 "qa-hsd": count_qa_hsd}[kind]
         fn = lambda n: base(args.p, m, s, group, n)
 
+    lengths = _lengths(args)
+    if kind in ("esd", "hsd"):
+        check_self_dual_depth(e)
     # the caps grow with n, so the largest length is refused before any
     # smaller one is counted
-    rows = [(n, fn(n)) for n in reversed(_lengths(args))][::-1]
+    rows = [(n, fn(n)) for n in reversed(lengths)][::-1]
     param_str = ",".join(f"{k}={v}" for k, v in params.items())
     if args.format == "json":
         payload = {"kind": kind, "params": {k: str(v) for k, v in params.items()},
@@ -368,9 +385,14 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
         if getattr(args, "func", None) is None:
             parser.print_help()
             return 1

@@ -75,6 +75,14 @@ def check_bits(exponent: int, q: int) -> None:
                          f"over the cap of {COUNT_BITS_CAP} bits")
 
 
+def check_self_dual_depth(e: int) -> None:
+    """Refuse a self-dual count at u-depth e: the closed forms here hold
+    for depth 3 only."""
+    if e != 3:
+        raise ValueError(f"self-dual counts have closed forms for depth 3 "
+                         f"only, got depth {e}")
+
+
 def linear_exponent(e: int, n: int) -> int:
     """X with q^X the estimate of count_linear(q, e, n) (see there)."""
     return e * (n * n // 4)

@@ -609,9 +609,8 @@ def _count(p: int, m: int, s: int, group: AbelianGroup, n: int,
         raise ValueError("need n >= 1")
     if kind == "hermitian_type" and m % 2:
         raise ValueError("Hermitian counts need an even field degree")
-    if kind and e != 3:
-        raise ValueError(f"self-dual counts have closed forms for depth 3 "
-                         f"only, got depth {e}")
+    if kind:
+        counting.check_self_dual_depth(e)
     powers: dict[tuple[int, str | None], int] = {}    # (field order, kind)
     exponent = 0                        # of the estimate, a power of p
     linear = counting.linear_exponent(e, n)

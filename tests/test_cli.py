@@ -44,6 +44,39 @@ def write_code(tmp_path, name, code):
     return str(path)
 
 
+def reference_main(argv):
+    """main as it parsed before dispatching on the subcommand word: the
+    top-level parser takes the whole line and hands the rest of it on."""
+    parser, _ = cli._build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if getattr(args, "func", None) is None:
+            parser.print_help()
+            return 1
+        return args.func(args)
+    except cli.UsageError as exc:
+        print(f"chaincodes: error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else (0 if code is None else 1)
+    except OSError as exc:
+        print(f"chaincodes: error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"chaincodes: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def answer(entry, argv, stdin=""):
+    """(exit code, stdout, stderr) of entry(argv) with stdin fed."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -123,6 +156,19 @@ def test_count_usage_errors(capsys):
     assert run(capsys, "count", "entropy", "--q", "2", "--n", "2")[0] == 1
     assert run(capsys, "count", "esd", "--q", "2", "--range", "5")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
+    # --n and --range together are refused before any count
+    assert run(capsys, "count", "linear", "--q", "2", "--n", "3",
+               "--range", "1:2") == (
+        1, "", "chaincodes: error: --n and --range are exclusive\n")
+    # only linear, esd and hsd read --e; a qa count's depth is p^s
+    for argv in (("gaussian", "--q", "2", "--k", "1"), ("sigma-e", "--q", "2"),
+                 ("sigma-h", "--q", "4"), ("qa", "--p", "2", "--A", "7"),
+                 ("qa-esd", "--p", "2", "--A", "7"),
+                 ("qa-hsd", "--p", "3", "--m", "2", "--A", "2")):
+        code, out, err = run(capsys, "count", *argv, "--n", "2", "--e", "3")
+        assert code == 1 and out == ""
+        assert err.startswith(f"chaincodes: error: count {argv[0]} does not "
+                              f"read --e")
 
 
 def test_count_math_precondition_errors(capsys):
@@ -134,6 +180,13 @@ def test_count_math_precondition_errors(capsys):
     # depths over the chain-ring cap are refused before any work
     assert run(capsys, "count", "linear", "--q", "2", "--e", "65537",
                "--n", "1")[0] == 2
+    # so are self-dual counts at any depth but 3, which stay as they were
+    for kind, q in (("esd", "2"), ("hsd", "4")):
+        assert run(capsys, "count", kind, "--q", q, "--n", "4", "--e", "5") == (
+            2, "", "chaincodes: error: self-dual counts have closed forms for "
+                   "depth 3 only, got depth 5\n")
+        assert run(capsys, "count", kind, "--q", q, "--n", "4", "--e", "3") \
+            == run(capsys, "count", kind, "--q", q, "--n", "4")
 
 
 def test_count_linear_over_the_bit_cap_exits_two_at_once(capsys):
@@ -204,8 +257,8 @@ def test_count_ranges_are_bounded_before_any_count(capsys, argv, message):
 
 
 def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
-    """main() parses with one parser per process; interleaved calls, a
-    usage error first, answer exactly as calls on a newly built parser."""
+    """main() parses with one set of parsers per process; interleaved calls,
+    a usage error first, answer exactly as calls on newly built parsers."""
     doc = write_code(tmp_path, "code.json",
                      LinearCode(chain_ring(4, 3), 2, [(1, 7)]))
     calls = [["count", "esd", "--q", "2"],
@@ -215,6 +268,8 @@ def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
              ["count", "--help"],
              ["count", "linear", "--q", "2", "--e", "65537", "--n", "1"],
              ["count", "hsd", "--q", "4", "--range", "2:4", "--format", "json"],
+             ["code", "--help"],
+             ["bogus"],
              []]
     shared = [run(capsys, *argv) for argv in calls + calls]
     assert cli._build_parser() is cli._build_parser()
@@ -223,7 +278,8 @@ def test_cached_parser_answers_as_a_fresh_one(capsys, tmp_path):
         cli._build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
     assert shared == fresh
-    assert [code for code, _, _ in fresh[:len(calls)]] == [1, 0, 0, 0, 0, 2, 0, 1]
+    assert [code for code, _, _ in fresh[:len(calls)]] == [1, 0, 0, 0, 0, 2, 0,
+                                                           0, 1, 1]
 
 
 @pytest.mark.parametrize("q,e,n,message", [
@@ -502,13 +558,12 @@ def cli_argvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argvs())
 def test_malformed_flags_exit_with_a_documented_code(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(argv)
+    got = code, _, err = answer(main, argv)
     assert code in (0, 1, 2)
     if code:
-        assert err.getvalue().startswith("chaincodes: error: ")
+        assert err.startswith("chaincodes: error: ")
+    # the subcommand's parser alone answers as the top-level parse did
+    assert got == answer(reference_main, argv)
 
 
 # the flags of `code`, each pool mixing valid, malformed and out-of-range
@@ -548,14 +603,21 @@ def code_argvs(draw):
 def test_malformed_code_flags_exit_with_a_documented_code(tmp_path, argv, doc):
     argv = [str(tmp_path / a) if flag == "--out" and a else a
             for flag, a in zip([None, *argv], argv)]
-    err = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(doc)), \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(argv)
+    out_file = tmp_path / "out.json"
+
+    def outcome(entry):
+        got = answer(entry, argv, doc)
+        if out_file.is_file():
+            got += (out_file.read_text(),)
+            out_file.unlink()
+        return got
+    got = outcome(main)
+    code, _, err = got[:3]
     assert code in (0, 1, 2)
     if code:
-        assert err.getvalue().startswith("chaincodes: error: ")
+        assert err.startswith("chaincodes: error: ")
+    # the subcommand's parser alone answers as the top-level parse did
+    assert got == outcome(reference_main)
 
 
 # ---------------------------------------------------------------------------
@@ -834,3 +896,42 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["count", "--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# parsing: a line is parsed once, by the parser that its first word names
+
+LINEAR = ["count", "linear", "--q", "2", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["count", "--help"], ["code", "--help"], ["bogus"],
+    ["cod", "dual", "-"], ["count"], ["code", "dual"], ["--inn", "hermitian"],
+    ["--q=9"], ["count", "linear", "--q=9", "--n=2"], ["--", *LINEAR],
+    [LINEAR[0], "--", *LINEAR[1:]], [*LINEAR, "--"], [*LINEAR, "-h"],
+    [*LINEAR, "extra"], ["code", "dual", "-", "--inn", "hermitian"],
+    ["code", "-h", "dual"], ["--help", "count"], ["-x", "count"], [""]],
+    ids=repr)
+def test_dispatch_answers_as_one_top_level_parse(argv):
+    doc = json.dumps(VALID_DOC)
+    assert answer(main, argv, doc) == answer(reference_main, argv, doc)
+
+
+def test_a_line_naming_a_subcommand_skips_the_top_level_parser(
+        capsys, monkeypatch):
+    progs = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    for argv in (LINEAR, ["count", "--help"], ["code", "dual"],
+                 ["decompose", "--p", "2", "--A", "3"], ["verify", "--bogus"]):
+        progs.clear()
+        run(capsys, *argv)
+        assert progs == [f"chaincodes {argv[0]}"], argv
+    for argv in ([], ["--help"], ["bogus"], ["cod", "dual", "-"]):
+        progs.clear()
+        run(capsys, *argv)
+        assert progs == ["chaincodes"], argv
