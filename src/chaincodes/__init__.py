@@ -21,12 +21,10 @@ from .census import (Census, DEFAULT_ORACLE_BOUND, code_fingerprint,
                      enumerate_self_dual, enumerate_submodules,
                      hermitian_sd_extend)
 from .quasiabelian import (AbelianGroup, DecompositionReport, DivisorFactor,
-                           GroupAlgebraElement, algebra_elements,
-                           chain_to_cyclic, coset_join, coset_representatives,
-                           coset_split, count_qa, count_qa_esd, count_qa_hsd,
-                           cyclic_to_chain, decompose, divisors,
-                           is_good_pair, is_oddly_good_pair,
-                           multiplicative_order, subgroup_closure)
+                           GroupAlgebraElement, algebra_elements, count_qa,
+                           count_qa_esd, count_qa_hsd, cyclic_to_chain,
+                           decompose, divisors, is_good_pair,
+                           is_oddly_good_pair, multiplicative_order)
 
 __all__ = [
     "DEFAULT_MAX_ORDER", "Field", "canonical_modulus",
@@ -42,9 +40,7 @@ __all__ = [
     "enumerate_hsd_constructive", "enumerate_sd_standard_forms",
     "enumerate_self_dual", "enumerate_submodules", "hermitian_sd_extend",
     "AbelianGroup", "DecompositionReport", "DivisorFactor",
-    "GroupAlgebraElement", "algebra_elements", "chain_to_cyclic",
-    "coset_join", "coset_representatives", "coset_split", "count_qa",
-    "count_qa_esd", "count_qa_hsd", "cyclic_to_chain", "decompose",
-    "divisors", "is_good_pair", "is_oddly_good_pair", "multiplicative_order",
-    "subgroup_closure",
+    "GroupAlgebraElement", "algebra_elements", "count_qa", "count_qa_esd",
+    "count_qa_hsd", "cyclic_to_chain", "decompose", "divisors",
+    "is_good_pair", "is_oddly_good_pair", "multiplicative_order",
 ]

@@ -278,10 +278,6 @@ class ChainRing:
             out.append(x)
         return out
 
-    def smul(self, c: int, a: int) -> int:
-        """Scalar multiple by a field element code c (degree-0 ring element)."""
-        return self.mul(self.field.check(c), a)
-
     def _build_tables(self) -> None:
         f = self.field
         digits = self.e * f.m

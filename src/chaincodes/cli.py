@@ -77,7 +77,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     pc.add_argument("--q", type=int, help="field order")
     pc.add_argument("--n", type=int, help="code length")
     # None, not 3, so that the kinds which never read --e can refuse it
-    pc.add_argument("--e", type=int, help="u-depth (default 3)")
+    pc.add_argument("--e", type=int,
+                    help="u-depth (linear, esd, hsd; default 3; esd and hsd "
+                         "take only 3)")
     pc.add_argument("--k", type=int, help="subspace dimension (gaussian)")
     pc.add_argument("--p", type=int, help="characteristic (qa kinds)")
     pc.add_argument("--m", type=int, help="field degree (qa kinds)")

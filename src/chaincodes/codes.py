@@ -484,15 +484,6 @@ class FieldCode(LinearCode):
     def from_rows(cls, field: Field, n: int, rows) -> FieldCode:
         return cls(field, n, rows)
 
-    @classmethod
-    def zero(cls, field: Field, n: int) -> FieldCode:
-        return cls(field, n, ())
-
-    @classmethod
-    def full(cls, field: Field, n: int) -> FieldCode:
-        _check_cap(n)
-        return cls(field, n, fmat_identity(n))
-
     @property
     def field(self) -> Field:
         return self.ring.field

@@ -16,7 +16,6 @@ componentwise arithmetic.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import astuple, dataclass
@@ -327,7 +326,7 @@ def decompose(p: int, m: int, s: int, group: AbelianGroup) -> DecompositionRepor
 
 
 # ---------------------------------------------------------------------------
-# group-algebra elements, coset reindexing, and the cyclic-to-chain map
+# group-algebra elements and the cyclic-to-chain map
 
 class GroupAlgebraElement:
     """A finitely supported map group -> field, the element sum c_g Y^g.
@@ -391,19 +390,6 @@ class GroupAlgebraElement:
                 out[g] = f.add(out.get(g, 0), f.mul(c1, c2))
         return GroupAlgebraElement(self.group, self.field, out)
 
-    def scale(self, c: int) -> "GroupAlgebraElement":
-        c = self.field.check(c)
-        return GroupAlgebraElement(
-            self.group, self.field,
-            {g: self.field.mul(c, x) for g, x in self.coeffs.items()})
-
-    def shift(self, g) -> "GroupAlgebraElement":
-        """Multiply by the monomial Y^g."""
-        g = self.group.check(g)
-        return GroupAlgebraElement(
-            self.group, self.field,
-            {self.group.add(h, g): c for h, c in self.coeffs.items()})
-
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.coeffs))
@@ -433,88 +419,6 @@ def algebra_elements(group: AbelianGroup, field: Field):
         yield GroupAlgebraElement(group, field, dict(zip(gs, codes)))
 
 
-def subgroup_closure(group: AbelianGroup, gens) -> tuple[tuple[int, ...], ...]:
-    """The subgroup generated by the given elements, sorted.  Closure under
-    addition suffices: negatives are iterated sums in a finite group."""
-    closed = {group.identity}
-    closed.update(group.check(g) for g in gens)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closed):
-            for b in list(closed):
-                c = group.add(a, b)
-                if c not in closed:
-                    closed.add(c)
-                    changed = True
-    return tuple(sorted(closed))
-
-
-def _check_subgroup(group: AbelianGroup, sub) -> tuple[tuple[int, ...], ...]:
-    elems = tuple(sorted(group.check(h) for h in sub))
-    eset = set(elems)
-    if group.identity not in eset:
-        raise ValueError("subgroup must contain the identity")
-    for a in elems:
-        if group.neg(a) not in eset:
-            raise ValueError("subgroup not closed under negation")
-        for b in elems:
-            if group.add(a, b) not in eset:
-                raise ValueError("subgroup not closed under addition")
-    return elems
-
-
-def coset_representatives(group: AbelianGroup, sub) -> list[tuple[int, ...]]:
-    """Lexicographically smallest representative of every coset of the
-    subgroup, sorted."""
-    elems = _check_subgroup(group, sub)
-    eset = set(elems)
-    reps = []
-    assigned: set[tuple[int, ...]] = set()
-    for g in group.elements():
-        if g in assigned:
-            continue
-        reps.append(g)
-        assigned.update(group.add(g, h) for h in eset)
-    return reps
-
-
-def coset_split(group: AbelianGroup, sub, x: GroupAlgebraElement
-                ) -> list[GroupAlgebraElement]:
-    """Reindex x by cosets of the subgroup: component i collects the
-    coefficients on coset g_i + sub, shifted back by -g_i so its support
-    lies inside the subgroup.  Bijective and addition-preserving; the
-    component count is the subgroup index."""
-    if x.group != group:
-        raise ValueError("element from a different group")
-    reps = coset_representatives(group, sub)
-    eset = set(_check_subgroup(group, sub))
-    parts = []
-    for g in reps:
-        comp = {}
-        for h in sorted(eset):
-            c = x.coeffs.get(group.add(g, h))
-            if c:
-                comp[h] = c
-        parts.append(GroupAlgebraElement(group, x.field, comp))
-    return parts
-
-
-def coset_join(group: AbelianGroup, sub, parts) -> GroupAlgebraElement:
-    """Inverse of coset_split."""
-    reps = coset_representatives(group, sub)
-    if len(parts) != len(reps):
-        raise ValueError(f"expected {len(reps)} components, got {len(parts)}")
-    sset = set(_check_subgroup(group, sub))
-    field = parts[0].field
-    out = GroupAlgebraElement.zero(group, field)
-    for g, comp in zip(reps, parts):
-        if set(comp.support) - sset:
-            raise ValueError("component support leaves the subgroup")
-        out = out + comp.shift(g)
-    return out
-
-
 def _cyclic_match(ring: ChainRing, group: AbelianGroup) -> None:
     if len(group.invariants) != 1 or group.order != ring.e:
         raise ValueError(
@@ -528,47 +432,20 @@ def _cyclic_match(ring: ChainRing, group: AbelianGroup) -> None:
             f"u-depth {ring.e} is not a power of the characteristic {p}")
 
 
-@functools.lru_cache(maxsize=None)
-def _one_plus_u_powers(ring: ChainRing) -> tuple[int, ...]:
-    one_u = ring.add(1, ring.u)
-    pows = [1]
-    for _ in range(ring.e - 1):
-        pows.append(ring.mul(pows[-1], one_u))
-    return tuple(pows)
-
-
 def cyclic_to_chain(ring: ChainRing, x: GroupAlgebraElement) -> ChainRingElement:
     """The ring isomorphism field[Z_{p^s}] -> field[u]/(u^{p^s}) fixing the
-    field and sending the degree-1 monomial to 1 + u.  The image comes back
-    as a ChainRingElement record: its `ring` and its element `code`."""
+    field and sending the degree-1 monomial to 1 + u, evaluated by Horner's
+    rule in 1 + u.  A field code is the code of the degree-0 ring element,
+    so the coefficients enter the ring unchanged.  The image comes back as
+    a ChainRingElement record: its `ring` and its element `code`."""
     _cyclic_match(ring, x.group)
     if x.field != ring.field:
         raise ValueError("element field does not match the ring")
-    pows = _one_plus_u_powers(ring)
+    one_u = ring.add(1, ring.u)
     acc = 0
-    for (j,), c in x.coeffs.items():
-        acc = ring.add(acc, ring.smul(c, pows[j]))
-    return ChainRingElement(ring, acc)
-
-
-def chain_to_cyclic(ring: ChainRing, group: AbelianGroup,
-                    a: int) -> GroupAlgebraElement:
-    """Inverse of cyclic_to_chain, on the element code a.  The change of
-    basis is unitriangular (binomial coefficients), so back-substitution
-    from the top power down recovers the coefficients."""
-    _cyclic_match(ring, group)
-    f = ring.field
-    rows = [ring.decode(p) for p in _one_plus_u_powers(ring)]
-    target = list(ring.decode(ring.check(a)))
-    coeffs = {}
     for j in range(ring.e - 1, -1, -1):
-        c = target[j]
-        if c:
-            coeffs[(j,)] = c
-            target = [f.sub(t, f.mul(c, r)) for t, r in zip(target, rows[j])]
-    if any(target):
-        raise AssertionError("back-substitution left a nonzero remainder")
-    return GroupAlgebraElement(group, f, coeffs)
+        acc = ring.add(ring.mul(acc, one_u), x.coeffs.get((j,), 0))
+    return ChainRingElement(ring, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -896,6 +896,9 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["count", "--help"]) == 0
+    # --e is read by three kinds only, and esd and hsd take only depth 3
+    assert ("u-depth (linear, esd, hsd; default 3; esd and hsd take only 3)"
+            in " ".join(capsys.readouterr().out.split()))
 
 
 # ---------------------------------------------------------------------------

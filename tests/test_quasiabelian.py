@@ -1,13 +1,12 @@
-"""Tests for group-algebra decomposition, cosets, and quasi-abelian counts."""
+"""Tests for group-algebra decomposition, the cyclic-to-chain map, and
+quasi-abelian counts."""
 import collections
-import itertools
 import math
+import random
 import time
 from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
-from hypothesis import given, settings
-from hypothesis.strategies import integers
 
 from chaincodes import counting
 from chaincodes.census import enumerate_submodules
@@ -25,10 +24,6 @@ from chaincodes.quasiabelian import (
     AbelianGroup,
     GroupAlgebraElement,
     algebra_elements,
-    chain_to_cyclic,
-    coset_join,
-    coset_representatives,
-    coset_split,
     count_qa,
     count_qa_esd,
     count_qa_hsd,
@@ -38,10 +33,7 @@ from chaincodes.quasiabelian import (
     is_good_pair,
     is_oddly_good_pair,
     multiplicative_order,
-    subgroup_closure,
 )
-
-MAX_EXAMPLES = 120
 
 
 def order_scan_good(j, q):
@@ -500,15 +492,6 @@ def test_group_algebra_axioms_on_sample():
     assert a * (b + c) == a * b + a * c
 
 
-def test_group_algebra_shift_and_scale():
-    g = AbelianGroup.from_spec("4")
-    f = field_make(5, 1)
-    x = GroupAlgebraElement(g, f, {(0,): 1, (2,): 3})
-    assert x.shift((1,)) == GroupAlgebraElement(g, f, {(1,): 1, (3,): 3})
-    assert x.scale(2) == GroupAlgebraElement(g, f, {(0,): 2, (2,): 1})
-    assert x.shift((1,)) == x * GroupAlgebraElement.monomial(g, f, (1,))
-
-
 @pytest.mark.parametrize("orders", [[2.9], ["3"], [3.0], [True, 2]])
 def test_group_orders_are_exact_ints(orders):
     """No order is coerced: 2.9 is not Z2 and "3" is not Z3."""
@@ -549,61 +532,6 @@ def test_group_algebra_rejects_mixed_parents():
 
 
 # ---------------------------------------------------------------------------
-# subgroups and coset components
-
-def test_subgroup_closure_and_cosets():
-    g = AbelianGroup.from_spec("2,4")
-    sub = subgroup_closure(g, [(0, 2)])
-    assert set(sub) == {(0, 0), (0, 2)}
-    reps = coset_representatives(g, sub)
-    assert len(reps) == 4
-    covered = {g.add(r, s) for r in reps for s in sub}
-    assert covered == set(g.elements())
-
-
-def test_coset_split_components_live_on_the_subgroup():
-    g = AbelianGroup.from_spec("2,3")
-    f = field_make(2, 2)
-    sub = subgroup_closure(g, [(0, 1)])        # {0} x Z3
-    x = GroupAlgebraElement(g, f, {(0, 0): 1, (0, 2): 2, (1, 1): 3})
-    parts = coset_split(g, sub, x)
-    assert len(parts) == 2                     # index of the subgroup
-    for part in parts:
-        assert all(gg in sub for gg in part.support)
-    assert coset_join(g, sub, parts) == x
-
-
-@given(seed=integers(min_value=0, max_value=10 ** 6))
-@settings(deadline=None, max_examples=MAX_EXAMPLES)
-def test_coset_split_is_linear_and_invertible(seed):
-    import random
-    rng = random.Random(seed)
-    g = AbelianGroup.from_spec("2,3")
-    f = field_make(2, 2)
-    sub = subgroup_closure(g, [(0, 1)])
-
-    def rand_el():
-        return GroupAlgebraElement(
-            g, f, {a: rng.randrange(4) for a in g.elements()})
-
-    x, y = rand_el(), rand_el()
-    sx, sy, sxy = (coset_split(g, sub, z) for z in (x, y, x + y))
-    assert all(a + b == c for a, b, c in zip(sx, sy, sxy))
-    assert coset_join(g, sub, sx) == x
-
-
-def test_coset_split_respects_subalgebra_multiplication():
-    g = AbelianGroup.from_spec("2,3")
-    f = field_make(2, 1)
-    sub = subgroup_closure(g, [(0, 1)])
-    h = GroupAlgebraElement(g, f, {(0, 0): 1, (0, 2): 1})   # supported in sub
-    x = GroupAlgebraElement(g, f, {(0, 1): 1, (1, 0): 1, (1, 2): 1})
-    lhs = coset_split(g, sub, h * x)
-    rhs = [h * part for part in coset_split(g, sub, x)]
-    assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
 # the cyclic-to-chain isomorphism
 
 def test_cyclic_iso_literal_example():
@@ -632,22 +560,29 @@ def test_cyclic_iso_is_a_bijective_ring_map():
                 cyclic_to_chain(ring, x).code, cyclic_to_chain(ring, y).code)
 
 
-def test_cyclic_iso_roundtrip_both_ways():
-    g = AbelianGroup.from_spec("4")
-    f = field_make(2, 2)
-    ring = ChainRing(f, 4)
-    for x in itertools.islice(algebra_elements(g, f), 0, 256, 7):
-        assert chain_to_cyclic(ring, g, cyclic_to_chain(ring, x).code) == x
-    for code in range(0, ring.size, 11):
-        assert cyclic_to_chain(ring, chain_to_cyclic(ring, g, code)).code == code
+@pytest.mark.parametrize("p,m,e", [(2, 2, 4), (3, 1, 9), (2, 1, 8)])
+def test_cyclic_iso_is_unitriangular_and_a_ring_map(p, m, e):
+    """Y^j goes to (1 + u)^j, whose u-digit j is 1 with zeros above it: the
+    GF(q)-linear map is unitriangular, hence bijective.  It is additive and
+    multiplicative on seeded pairs."""
+    g = AbelianGroup([e])
+    f = field_make(p, m)
+    ring = ChainRing(f, e)
+    for j in range(e):
+        digits = ring.decode(cyclic_to_chain(
+            ring, GroupAlgebraElement.monomial(g, f, (j,))).code)
+        assert digits[j] == 1 and not any(digits[j + 1:]), (j, digits)
+    rng = random.Random(f.q * 100 + e)
 
+    def rand_el():
+        return GroupAlgebraElement(
+            g, f, {(j,): rng.randrange(f.q) for j in range(e)})
 
-def test_cyclic_iso_deep_chain_roundtrip():
-    g = AbelianGroup.from_spec("9")
-    f = field_make(3, 1)
-    ring = ChainRing(f, 9)
-    for code in (0, 1, 5000, 19682, 12345):
-        assert cyclic_to_chain(ring, chain_to_cyclic(ring, g, code)).code == code
+    for _ in range(200):
+        x, y = rand_el(), rand_el()
+        ix, iy = cyclic_to_chain(ring, x).code, cyclic_to_chain(ring, y).code
+        assert cyclic_to_chain(ring, x + y).code == ring.add(ix, iy)
+        assert cyclic_to_chain(ring, x * y).code == ring.mul(ix, iy)
 
 
 def test_cyclic_iso_rejects_mismatched_shapes():
@@ -656,21 +591,16 @@ def test_cyclic_iso_rejects_mismatched_shapes():
     f = field_make(3, 1)
     with pytest.raises(ValueError):
         cyclic_to_chain(ring, GroupAlgebraElement.one(g, f))
-    with pytest.raises(ValueError):
-        chain_to_cyclic(ring, g, 1)
 
 
 def test_cyclic_to_chain_returns_a_code_record():
-    """The image is a frozen (ring, code) record; chain_to_cyclic takes the
-    code alone."""
+    """The image is a frozen (ring, code) record."""
     ring = chain_ring(3, 3)
     g = AbelianGroup.from_spec("3")
     image = cyclic_to_chain(ring, GroupAlgebraElement.monomial(g, field_make(3, 1), (1,)))
     assert image == ChainRingElement(ring, ring.add(1, ring.u))
     with pytest.raises(FrozenInstanceError):
         image.code = 0
-    with pytest.raises(ValueError, match="not an element code"):
-        chain_to_cyclic(ring, g, image)
 
 
 # ---------------------------------------------------------------------------
