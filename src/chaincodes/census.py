@@ -65,7 +65,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .gf import Field, field_make, factor_prime_power
+from .gf import Field, digits, field_make, factor_prime_power
 from .chainring import ChainRing, ring_over
 from .codes import (EUCLIDEAN, HERMITIAN, FieldCode, LinearCode, _check_inner,
                     _unpermuter, field_rref, fmat, fmat_add, fmat_dagger,
@@ -83,16 +83,6 @@ READ_ROWS = 4096            # rows per read-out pass of `_FpView.row_codes`
 # prime-field linear algebra on packed coefficient rows
 
 _ITEM_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}     # memoryview item sizes
-
-
-def _split(code: int, size: int, n: int) -> tuple[int, ...]:
-    """Vector of ring codes of a base-|R| code, |R| = size: its n digits,
-    coordinate 0 least significant."""
-    vec = []
-    for _ in range(n):
-        code, r = divmod(code, size)
-        vec.append(r)
-    return tuple(vec)
 
 
 class _FpView:
@@ -216,26 +206,23 @@ class _FpView:
         """Packed row of a vector of ring codes.
 
         An entry's e*m lanes, its base-p digits, are read from a memo of
-        the ring codes seen so far (ring code -> lanes at bit 0), filled by
-        the digit loop on a code's first use: an entry then costs a lookup
+        the ring codes seen so far (ring code -> lanes at bit 0), filled from
+        `gf.digits` on a code's first use: an entry then costs a lookup
         and a shift, and no table of all |R| codes is built."""
         memo, step = self._entry_lanes, self._entry_bits
         row = pos = 0
         for r in vec:
             lanes = memo.get(r)
             if lanes is None:
-                lanes, x = 0, r
-                for shift in range(0, step, self.lane):
-                    x, c = divmod(x, self.p)
-                    lanes |= c << shift
-                memo[r] = lanes
+                lanes = memo[r] = sum(c << shift for c, shift in zip(
+                    digits(r, self.p, self.digits), range(0, step, self.lane)))
             row |= lanes << pos
             pos += step
         return row
 
     def decode(self, row: int) -> tuple[int, ...]:
         """Vector of ring codes of a reduced row."""
-        return _split(self.code(row), self.ring.size, self.n)
+        return digits(self.code(row), self.ring.size, self.n)
 
     # -- module structure ------------------------------------------------------
 
@@ -583,7 +570,7 @@ class Census:
             return ()
         size, n = self.ring.size, self.n
         view = _FpView(self.ring, n)
-        return tuple(view.fingerprint([view.encode(_split(c, size, n))
+        return tuple(view.fingerprint([view.encode(digits(c, size, n))
                                        for c in record])
                      for record in self.bases)
 
@@ -592,7 +579,7 @@ class Census:
         """The members' codes in record order, built on first read; each
         member's recorded basis rows generate its code."""
         ring, n = self.ring, self.n
-        return tuple(LinearCode._trusted(ring, n, [_split(c, ring.size, n)
+        return tuple(LinearCode._trusted(ring, n, [digits(c, ring.size, n)
                                                    for c in record])
                      for record in self.bases)
 

@@ -6,34 +6,36 @@ u^v * w with w a unit, so the ideals form the chain (1) > (u) > ... > (u^e)
 and `valuation` returns v (with e for the zero element).
 
 A ring code is also the base-p digit string sum c_(t,j) p^(t*m + j) of
-the x^j u^t coefficients, so ring addition, subtraction and negation are
-the field's carry-free digit arithmetic (`gf.digit_add`, `gf.digit_sub`,
-`gf.digit_neg`) over all e*m digits at once.
+the x^j u^t coefficients, so ring addition and negation are the field's
+carry-free digit arithmetic (`gf.digit_add`, `gf.digit_neg`) over all e*m
+digits at once, and subtraction is a + (-b).
 
 Rings of at most 256 elements get eager add, neg, mul, valuation,
 unit-inverse and conjugation tables, and subtract as add[a][neg[b]].  The
 ring product is GF(p)-bilinear in the e*m digits, so `gf.bilinear_tables`
-builds the add and mul tables from (e*m)^2 slow products of digit units
-instead of one per entry; negation and conjugation are GF(p)-linear, so
-`gf.linear_table` builds each of their tables from e*m images.
+builds the add, neg and mul tables from (e*m)^2 slow products of digit
+units instead of one per entry; conjugation is GF(p)-linear, so
+`gf.linear_table` builds its table from e*m images.
 
 Larger rings get tables over their low halves when those are small enough.
 With h = ceil(e/2), Q = q^h and T = q^(e-h) <= Q, an element splits as
 a = a_l + Q*a_h with a_l < Q and a_h < T, that is a = a_l + u^h a_h.
-Addition, subtraction, negation and conjugation act digit by digit, so
-each splits into one lookup per half, for instance
-add(a, b) = A[a_l][b_l] + Q*A[a_h][b_h].  Since u^(2h) = 0, a_h*b_h drops
-out of the product:
+Addition, negation and conjugation act digit by digit, so each splits
+into one lookup per half, for instance add(a, b) = A[a_l][b_l] +
+Q*A[a_h][b_h].  Since u^(2h) = 0, a_h*b_h drops out of the product:
 
     mul(a, b) = L[a_l][b_l] + Q*A[H[a_l][b_l]][A[L[a_l][b_h] % T][L[a_h][b_l] % T]]
 
 where L and H are the low and high halves of the product x*y in R for
-x, y < Q.  Both are GF(p)-bilinear maps into Q-codes, so
-`gf.bilinear_table` builds them from the (h*m)^2 slow products of digit
-units, and `unit_inverse(a)` is x - x*(Q*a_h)*x with x the tabled inverse
-of the low unit a_l.  Rings whose halves are over _HALF_TABLE_LIMIT keep
-the digit loops: `gf.digit_add` and friends, and a convolution of decoded
-digits for the product.
+x, y < Q.  The low half is the product of the low ring GF(q)[u]/(u^h),
+which has Q <= 128 elements and so full tables: the half regime is that
+ring's add, neg, mul, conjugation and inverse tables, from `ring_over`,
+plus the carry table H, which `gf.bilinear_table` builds from the
+(h*m)^2 slow products of digit units.  `unit_inverse(a)` is
+x - x*(Q*a_h)*x with x the inverse in R of the low unit a_l, lifted once
+from the low ring's.  Rings whose halves are over _HALF_TABLE_LIMIT keep
+the digit loops: `gf.digit_add` and `gf.digit_neg`, and a convolution of
+decoded digits for the product.
 
 `scale_row` and `sub_mul_row` apply one scalar across a row of elements,
 the row steps of Gaussian elimination, and `conjugate_row` conjugates a
@@ -48,16 +50,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gf import (Field, add_table, bilinear_table, bilinear_tables, digit_add,
-                 digit_neg, digit_sub, field_make, factor_prime_power,
-                 linear_table)
+from .gf import (Field, bilinear_table, bilinear_tables, digit_add, digit_neg,
+                 digits, field_make, factor_prime_power, linear_table)
 
 # rings at or below this many elements get eager add/mul tables
 _TABLE_LIMIT = 256
 # larger rings get tables over their low halves when Q = q^ceil(e/2) is at
-# or below this; R(9,3)'s tables (Q = 81) hold 0.26 MB and build in about
-# 1.1 ms on a 2-vCPU Xeon, while R(16,3)'s (Q = 256) would hold 2.3 MB and
-# take about eight times as long to build
+# or below this; R(9,3)'s (Q = 81) hold 0.20 MB, 0.13 MB of it R(9,2)'s own
+# tables, and the rest builds in about 0.5 ms on a 2-vCPU Xeon, while
+# R(16,3)'s (Q = 256) would hold 1.7 MB and take about 5 ms
 _HALF_TABLE_LIMIT = 128
 
 # cap on the bit length of q^e, checked before the power is built: a code
@@ -73,38 +74,32 @@ _DOC_TEXT_LIMIT = 4096
 
 class _HalfTables:
     """The tables of a ring split as a = a_l + Q*a_h (see the module
-    docstring): add, sub, lo and hi are Q x Q, neg, conj and inv have Q
+    docstring): add, lo and hi are Q x Q, neg, conj and inv have Q
     entries, conj is None without a conjugation, and inv[x] is the inverse
     in R of the low unit x (0 for non-units).
 
-    Each entry is one lookup in the tables built before it; the (h*m)^2
-    products of digit units are the only slow products."""
+    add, neg, lo (the product mod u^h) and conj are the tables of the low
+    ring GF(q)[u]/(u^h) itself.  Only the carry table hi, from the (h*m)^2
+    slow products of digit units, and the lift of the low ring's inverses
+    are built here."""
 
-    __slots__ = ("Q", "T", "add", "sub", "neg", "conj", "lo", "hi", "inv")
+    __slots__ = ("Q", "T", "add", "neg", "conj", "lo", "hi", "inv")
 
     def __init__(self, ring: ChainRing):
         f, p = ring.field, ring.field.p
         h = (ring.e + 1) // 2
-        Q, T = ring.q ** h, ring.q ** (ring.e - h)
+        low = ring_over(f, h)
+        Q, T = low.size, ring.q ** (ring.e - h)
+        A, N, L = low._add_table, low._neg_table, low._mul_table
         units = [p ** k for k in range(h * f.m)]
-        A = add_table(p, h * f.m)
-        N = linear_table(p, A, [(p - 1) * t for t in units])
-        products = [[ring._mul_slow(s, t) for t in units] for s in units]
-        L = bilinear_table(p, A, [[x % Q for x in row] for row in products])
-        H = bilinear_table(p, A, [[x // Q for x in row] for row in products])
-        # y = L[x].index(1) inverts x modulo u^h, so x*y = 1 + Q*H[x][y],
-        # and one Newton step y*(2 - x*y) = y - Q*(y*H[x][y]) lifts it to R
-        inv = [0] * Q
-        for x in range(Q):
-            if x % ring.q:
-                y = L[x].index(1)
-                inv[x] = y + Q * N[L[y][H[x][y]] % T]
+        H = bilinear_table(p, A, [[ring._mul_slow(s, t) // Q for t in units]
+                                  for s in units])
+        # y inverts x modulo u^h, so x*y = 1 + Q*H[x][y], and one Newton
+        # step y*(2 - x*y) = y - Q*(y*H[x][y]) lifts it to R
+        self.inv = [y + Q * N[L[y][H[x][y]] % T] if x % ring.q else 0
+                    for x, y in enumerate(low._inv_table)]
         self.Q, self.T, self.add, self.neg, self.lo, self.hi = Q, T, A, N, L, H
-        self.sub = [[row[y] for y in N] for row in A]         # A[x][N[y]]
-        self.inv = inv
-        self.conj = linear_table(
-            p, A, [ring._conjugate_slow(t) for t in units]
-        ) if f.has_conjugation else None
+        self.conj = low._conj_table
 
 
 class ChainRing:
@@ -156,11 +151,7 @@ class ChainRing:
         return code
 
     def decode(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.q)
-            a //= self.q
-        return tuple(out)
+        return digits(a, self.q, self.e)
 
     def check(self, a: int) -> int:
         if type(a) is not int or not 0 <= a < self.size:
@@ -200,11 +191,7 @@ class ChainRing:
     def sub(self, a: int, b: int) -> int:
         if self._neg_table is not None:
             return self._add_table[a][self._neg_table[b]]
-        half = self._half
-        if half is None:
-            return digit_sub(a, b, self.field.p)
-        Q, S = half.Q, half.sub
-        return S[a % Q][b % Q] + Q * S[a // Q][b // Q]
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
@@ -261,13 +248,13 @@ class ChainRing:
         if self._mul_table is not None:
             A, M = self._add_table, self._mul_table[self._neg_table[c]]
             return [A[x][M[y]] for x, y in zip(xs, ys)]
+        c = self.neg(c)
         half = self._half
         if half is None:
             p = self.field.p
-            return [digit_sub(x, self._mul_slow(c, y), p) if y else x
+            return [digit_add(x, self._mul_slow(c, y), p) if y else x
                     for x, y in zip(xs, ys)]
         Q, T, A = half.Q, half.T, half.add
-        c = self.neg(c)
         Lc, Lh, Hc = half.lo[c % Q], half.lo[c // Q], half.hi[c % Q]
         out = []
         for x, y in zip(xs, ys):
@@ -280,19 +267,16 @@ class ChainRing:
 
     def _build_tables(self) -> None:
         f = self.field
-        digits = self.e * f.m
-        self._add_table, self._mul_table = bilinear_tables(
-            f.p, digits, self._mul_slow)
-        self._neg_table = linear_table(
-            f.p, self._add_table,
-            [(f.p - 1) * f.p ** k for k in range(digits)])
+        count = self.e * f.m
+        self._add_table, self._neg_table, self._mul_table = bilinear_tables(
+            f.p, count, self._mul_slow)
         self._val_table = [self._valuation_slow(a) for a in range(self.size)]
         self._inv_table = [row.index(1) if a % self.q else 0
                            for a, row in enumerate(self._mul_table)]
         if f.has_conjugation:
             self._conj_table = linear_table(
                 f.p, self._add_table,
-                [self._conjugate_slow(f.p ** k) for k in range(digits)])
+                [self._conjugate_slow(f.p ** k) for k in range(count)])
 
     # -- chain structure --------------------------------------------------------
 

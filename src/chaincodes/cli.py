@@ -247,15 +247,17 @@ def cmd_decompose(args) -> int:
     group = _group(args.A)
     report = decompose(args.p, args.m, args.s, group)
     total = sum(f.multiplicity * f.degree // report.m for f in report.factors)
+    ok = total == group.order
     if args.format == "json":
         payload = report.to_json()
-        payload["dimension_ok"] = total == group.order
+        payload["dimension_ok"] = ok
         print(json.dumps(payload, sort_keys=True))
     else:
         print(report.to_text())
-        print(f"dimension check: sum of orbit sizes {total} = |A| = "
-              f"{group.order} (ok)")
-    return 0
+        print(f"dimension check: sum of orbit sizes {total} "
+              f"{'=' if ok else '!='} |A| = {group.order} "
+              f"{'(ok)' if ok else '(MISMATCH)'}")
+    return 0 if ok else 3
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .gf import Field, field_make
+from .gf import Field, digits, field_make
 from .chainring import ChainRing, ring_over
 
 EUCLIDEAN = "euclidean"
@@ -461,8 +461,8 @@ def field_rref(field: Field, n: int, rows) -> tuple[tuple[int, ...], ...]:
         prow = mat[pr]
         for i in range(len(mat)):
             if i != pr and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y))
+                f = field.neg(mat[i][c])
+                mat[i] = [field.add(x, field.mul(f, y))
                           for x, y in zip(mat[i], prow)]
         pr += 1
         if pr == len(mat):
@@ -591,10 +591,7 @@ def dumps_code(code: LinearCode) -> str:
     if text is None:
         text = {}
     for x in set(chain.from_iterable(code.gens)).difference(text):
-        ds, rest = [], x
-        for _ in range(size):
-            rest, d = divmod(rest, p)
-            ds.append(str(d))
+        ds = list(map(str, digits(x, p, size)))
         text[x] = "[[" + "],[".join(",".join(ds[i:i + m])
                                     for i in range(0, size, m)) + "]]"
     rows = "],[".join(",".join(map(text.__getitem__, row))

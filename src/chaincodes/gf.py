@@ -5,17 +5,18 @@ coefficients of its representative polynomial, constant term first.  The
 Field object owns the modulus and performs all arithmetic on these integer
 codes.
 
-Addition, subtraction and negation are carry-free base-p digit arithmetic
-on the codes (`digit_add`, `digit_sub`, `digit_neg`; XOR, XOR and the
-identity when p = 2).  A chain-ring code is a base-p digit string too, so
-`chainring` uses the same functions.
+Addition and negation are carry-free base-p digit arithmetic on the codes
+(`digit_add`, `digit_neg`; XOR and the identity when p = 2), and
+subtraction is a + (-b).  A chain-ring code is a base-p digit string too,
+so `chainring` uses the same functions, and `digits` is the one digit
+expansion both read codes with.
 
 Fields with m > 1 and q <= 128 get eager add, neg, mul and inv tables,
 and subtract as add[a][neg[b]].  The product is GF(p)-bilinear in the
 base-p digits, so `bilinear_tables` fills the add table and the q^2
 product entries from the m^2 products of digit units x^k * x^t, by
-additions alone, and negation is GF(p)-linear, so `linear_table` fills its
-table from m images; chain rings build their tables the same way.  Prime
+additions alone, and the neg table, GF(p)-linear, from m images through
+`linear_table`; chain rings build their tables the same way.  Prime
 fields (m = 1) compute mod p.
 
 The modulus is canonical: the lexicographically smallest monic irreducible
@@ -148,6 +149,16 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # carry-free base-p digit arithmetic, shared by fields and chain rings
 
+def digits(x: int, base: int, count: int) -> tuple[int, ...]:
+    """The `count` lowest base-`base` digits of x, least significant
+    first."""
+    out = []
+    for _ in range(count):
+        x, d = divmod(x, base)
+        out.append(d)
+    return tuple(out)
+
+
 def digit_add(a: int, b: int, p: int) -> int:
     """Digitwise sum mod p of two base-p digit strings (no carries)."""
     if p == 2:
@@ -156,20 +167,6 @@ def digit_add(a: int, b: int, p: int) -> int:
     shift = 1
     while a or b:
         r += (a + b) % p * shift
-        a //= p
-        b //= p
-        shift *= p
-    return r
-
-
-def digit_sub(a: int, b: int, p: int) -> int:
-    """Digitwise difference mod p of two base-p digit strings (no borrows)."""
-    if p == 2:
-        return a ^ b
-    r = 0
-    shift = 1
-    while a or b:
-        r += (a - b) % p * shift
         a //= p
         b //= p
         shift *= p
@@ -205,11 +202,11 @@ def _span(p: int, basis: list, zero, plus) -> list:
     return out
 
 
-def add_table(p: int, digits: int) -> list:
-    """The digitwise add table on the codes of `digits` base-p digits: row
+def add_table(p: int, count: int) -> list:
+    """The digitwise add table on the codes of `count` base-p digits: row
     a is row a - p^k composed with the row b -> p^k + b."""
-    n = p ** digits
-    units = [p ** k for k in range(digits)]
+    n = p ** count
+    units = [p ** k for k in range(count)]
     return _span(p, [[digit_add(u, b, p) for b in range(n)] for u in units],
                  list(range(n)), lambda row, shifted: [row[b] for b in shifted])
 
@@ -230,14 +227,15 @@ def bilinear_table(p: int, add: list, unit_products: list) -> list:
                  lambda row, v: [add[x][y] for x, y in zip(row, v)])
 
 
-def bilinear_tables(p: int, digits: int, product) -> tuple[list, list]:
-    """The add and mul tables on the codes of `digits` base-p digits, for
-    a product that is GF(p)-bilinear in those digits; `product` is called
-    digits^2 times, on pairs of digit units only."""
-    units = [p ** k for k in range(digits)]
-    add = add_table(p, digits)
-    return add, bilinear_table(p, add, [[product(u, t) for t in units]
-                                        for u in units])
+def bilinear_tables(p: int, count: int, product) -> tuple[list, list, list]:
+    """The add, neg and mul tables on the codes of `count` base-p digits,
+    for a product that is GF(p)-bilinear in those digits; `product` is
+    called count^2 times, on pairs of digit units only."""
+    units = [p ** k for k in range(count)]
+    add = add_table(p, count)
+    return (add, linear_table(p, add, [(p - 1) * u for u in units]),
+            bilinear_table(p, add, [[product(u, t) for t in units]
+                                    for u in units]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +307,7 @@ class Field:
         return code
 
     def decode(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return digits(a, self.p, self.m)
 
     def check(self, a: int) -> int:
         if type(a) is not int or not 0 <= a < self.q:
@@ -344,7 +338,7 @@ class Field:
             return (a - b) % self.p
         if self._neg_table is not None:
             return self._add_table[a][self._neg_table[b]]
-        return digit_sub(a, b, self.p)
+        return digit_add(a, digit_neg(b, self.p), self.p)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -380,16 +374,10 @@ class Field:
         return self.pow(a, self.q - 2)
 
     def _build_tables(self) -> None:
-        p = self.p
-        add, table = bilinear_tables(p, self.m, self._mul_slow)
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            inv[a] = table[a].index(1)
-        self._add_table = add
-        self._neg_table = linear_table(
-            p, add, [(p - 1) * p ** k for k in range(self.m)])
-        self._mul_table = table
-        self._inv_table = inv
+        self._add_table, self._neg_table, self._mul_table = bilinear_tables(
+            self.p, self.m, self._mul_slow)
+        self._inv_table = [row.index(1) if a else 0
+                           for a, row in enumerate(self._mul_table)]
 
     # -- conjugation and trace (order-2 subfield structure) -----------------
 

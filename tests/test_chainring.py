@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincodes.chainring import ChainRing, chain_ring, ring_over
-from chaincodes.gf import Field, digit_add, digit_neg, digit_sub, field_make
+from chaincodes.gf import (Field, digit_add, digit_neg, factor_prime_power,
+                           field_make)
 
 SMALL_RINGS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (2, 4), (5, 2)]
 # above the 256-element table limit: R(9,3) splits into tabled halves of
@@ -17,6 +18,14 @@ HALF_RINGS = {(9, 3): "half", (8, 3): "half", (3, 6): "half", (4, 5): "half",
               (2, 9): "half", (3, 7): "half", (16, 3): "digits"}
 # table-path rings at the 256-element limit, and with odd p
 TABLE_EDGE_RINGS = [(16, 2), (4, 4), (2, 8), (9, 2), (5, 3)]
+
+
+def sub_reference(ring, a, b):
+    """a - b digit by digit: (x - y) % p in each of the e*m base-p
+    digits."""
+    p = ring.field.p
+    return sum((a // p ** i % p - b // p ** i % p) % p * p ** i
+               for i in range(ring.e * ring.field.m))
 
 
 def brute_mul(ring, a, b):
@@ -116,7 +125,7 @@ def test_every_regime_matches_the_digit_loops(ring):
             assert ring.unit_inverse(a) == ring._unit_inverse_slow(a)
         for b in sample:
             assert ring.add(a, b) == digit_add(a, b, p)
-            assert ring.sub(a, b) == digit_sub(a, b, p)
+            assert ring.sub(a, b) == sub_reference(ring, a, b)
             assert ring.mul(a, b) == brute_mul(ring, a, b)
 
 
@@ -146,11 +155,10 @@ def row_kernel_args(draw):
 @given(row_kernel_args())
 def test_row_kernels_match_the_elementwise_products(args):
     ring, c, xs, ys = args
-    p = ring.field.p
     products = [brute_mul(ring, c, y) for y in ys]
     assert ring.scale_row(c, ys) == products == [ring.mul(c, y) for y in ys]
     assert (ring.sub_mul_row(xs, c, ys)
-            == [digit_sub(x, cy, p) for x, cy in zip(xs, products)]
+            == [sub_reference(ring, x, cy) for x, cy in zip(xs, products)]
             == [ring.sub(x, ring.mul(c, y)) for x, y in zip(xs, ys)])
 
 
@@ -173,11 +181,11 @@ def test_table_rings_subtract_and_negate_by_lookup(q, e, monkeypatch):
     p = ring.field.p
     els = list(ring.elements())
     expected_neg = [digit_neg(a, p) for a in els]
-    expected_sub = [[digit_sub(a, b, p) for b in els] for a in els]
+    expected_sub = [[sub_reference(ring, a, b) for b in els] for a in els]
 
     def refuse(*args):
         raise AssertionError("digit loop on a table ring")
-    monkeypatch.setattr("chaincodes.chainring.digit_sub", refuse)
+    monkeypatch.setattr("chaincodes.chainring.digit_add", refuse)
     monkeypatch.setattr("chaincodes.chainring.digit_neg", refuse)
     assert [ring.neg(a) for a in els] == expected_neg
     assert [[ring.sub(a, b) for b in els] for a in els] == expected_sub
@@ -211,20 +219,56 @@ def test_each_ring_takes_its_regime():
 
 
 def test_half_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):
+    """R(9,3) builds its carry table from the 16 products of its h*m = 4
+    digit units, and its low ring R(9,2), built afresh with the cache
+    cleared, builds its full tables from the products of the same 4 units;
+    products and inverses after the build make no slow product."""
     calls = []
     slow = ChainRing._mul_slow
 
     def counted(ring, a, b):
-        calls.append((a, b))
+        calls.append((ring.e, a, b))
         return slow(ring, a, b)
     monkeypatch.setattr(ChainRing, "_mul_slow", counted)
-    ring = ChainRing(field_make(3, 2), 3)  # R(9,3): halves of h*m = 4 digits
+    ring_over.cache_clear()
+    ring = ChainRing(field_make(3, 2), 3)
     units = [3 ** k for k in range(4)]
-    assert sorted(calls) == [(a, b) for a in units for b in units]
+    assert sorted(calls) == [(e, a, b) for e in (2, 3)
+                             for a in units for b in units]
     calls.clear()
     ring.mul(300, 500)
     ring.unit_inverse(301)
     assert calls == []
+
+
+# every ring of the half regime above: R(27,2), whose low ring is GF(27),
+# R(2,14), with halves at the limit of 128, and R(9,3) over x^2 + x + 2
+HALF_REGIME = [pytest.param(field_make(*factor_prime_power(q)), e,
+                            id=f"R({q},{e})")
+               for q, e in [qe for qe, kind in HALF_RINGS.items()
+                            if kind == "half"] + [(27, 2), (2, 14)]]
+HALF_REGIME.append(pytest.param(Field(3, 2, [2, 1, 1]), 3, id="R(9,3)-alt"))
+
+
+@pytest.mark.parametrize("field,e", HALF_REGIME)
+def test_half_tables_are_the_low_rings_tables(field, e):
+    """add, neg, lo and conj are the very lists of GF(q)[u]/(u^h), so the
+    half regime builds none of them; conj is None exactly without a
+    conjugation."""
+    half = ChainRing(field, e)._half
+    low = ring_over(field, (e + 1) // 2)
+    assert half.Q == low.size
+    assert half.add is low._add_table and half.neg is low._neg_table
+    assert half.lo is low._mul_table and half.conj is low._conj_table
+    assert (half.conj is None) == (not field.has_conjugation)
+
+
+@pytest.mark.parametrize("ring", [chain_ring(9, 3), gf9_alt_ring()], ids=repr)
+def test_half_carry_table_is_the_high_half_of_every_low_product(ring):
+    half = ring._half
+    Q = half.Q
+    assert [[ring._mul_slow(x, y) // Q for y in range(Q)]
+            for x in range(Q)] == half.hi
 
 
 def test_table_build_makes_one_slow_product_per_pair_of_digits(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -630,6 +631,28 @@ def test_decompose_text_report(capsys):
     assert lines[0].startswith("GF(2)[A x Z2]")
     assert any(line.startswith("7") and "III" in line for line in lines)
     assert lines[-1] == "dimension check: sum of orbit sizes 7 = |A| = 7 (ok)"
+
+
+def test_decompose_reports_a_dimension_mismatch_with_exit_three(
+        capsys, monkeypatch):
+    """With the last factor's multiplicity lowered by one the orbit sizes
+    no longer sum to |A|: both formats say so and exit 3."""
+    real = cli.decompose
+
+    def short(*args):
+        report = real(*args)
+        *rest, last = report.factors
+        last = dataclasses.replace(last, multiplicity=last.multiplicity - 1)
+        return dataclasses.replace(report, factors=(*rest, last))
+    monkeypatch.setattr(cli, "decompose", short)
+    code, out, _ = run(capsys, "decompose", "--p", "2", "--A", "7")
+    assert code == 3
+    assert (out.splitlines()[-1]
+            == "dimension check: sum of orbit sizes 4 != |A| = 7 (MISMATCH)")
+    code, out, _ = run(capsys, "decompose", "--p", "2", "--A", "7",
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(out)["dimension_ok"] is False
 
 
 def test_decompose_json_report(capsys):

@@ -15,7 +15,7 @@ from chaincodes.gf import (
     canonical_modulus,
     digit_add,
     digit_neg,
-    digit_sub,
+    digits,
     factor_prime_power,
     factorize,
     field_make,
@@ -29,6 +29,12 @@ FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
 SQUARE_ORDERS = [4, 9, 16, 25, 49]
 # every field with eager tables: m > 1 and q <= 128
 TABLE_ORDERS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
+
+
+def sub_reference(a, b, p, count):
+    """a - b digit by digit: (x - y) % p in each of `count` base-p digits."""
+    return sum((a // p ** i % p - b // p ** i % p) % p * p ** i
+               for i in range(count))
 
 
 def poly_mul_mod_p(a, b, p):
@@ -201,12 +207,12 @@ def test_table_fields_add_subtract_and_negate_as_the_digit_loops(q, monkeypatch)
     f = field_make(p, m)
     els = range(q)
     expected = ([[digit_add(a, b, p) for b in els] for a in els],
-                [[digit_sub(a, b, p) for b in els] for a in els],
+                [[sub_reference(a, b, p, m) for b in els] for a in els],
                 [digit_neg(a, p) for a in els])
 
     def refuse(*args):
         raise AssertionError("digit loop on a table field")
-    for name in ("digit_add", "digit_sub", "digit_neg"):
+    for name in ("digit_add", "digit_neg"):
         monkeypatch.setattr(gf, name, refuse)
     assert ([[f.add(a, b) for b in els] for a in els],
             [[f.sub(a, b) for b in els] for a in els],
@@ -283,7 +289,10 @@ def test_digit_core_matches_per_digit_reference(p, da, db):
 
     a, b = number(da), number(db)
     assert digit_add(a, b, p) == number([(x + y) % p for x, y in zip(da, db)])
-    assert digit_sub(a, b, p) == number([(x - y) % p for x, y in zip(da, db)])
+    # subtraction is a + (-b)
+    assert (digit_add(a, digit_neg(b, p), p)
+            == number([(x - y) % p for x, y in zip(da, db)]))
+    assert digits(a, p, width) == tuple(da)
     assert digit_neg(a, p) == number([-x % p for x in da])
 
 
